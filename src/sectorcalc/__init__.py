@@ -11,7 +11,6 @@ Modules
 ``cli``         batch scenario runner (``sectorcalc`` entry point)
 """
 
-from ._kernels import NUMBA_ACTIVE
 from .geometry import (AdmissibleRegion, AxisRegion, GeometryError,
                        ProductSector, Sector, dist_to_boundary,
                        intersect_admissible, make_region, preceq, sup_points)

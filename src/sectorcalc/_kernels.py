@@ -1,170 +1,31 @@
-"""Low-level numeric kernels with optional numba acceleration.
+"""Low-level numeric kernels of the contour quadrature.
 
-The hot inner loops of the contour quadrature are (a) compensated
-reductions of weighted node values and (b) batched resolvent solves
-``(lam*A + zeta*I)^{-1}`` over many contour nodes.  Both exist in two
-implementations:
-
-* a numba ``@njit`` version that accumulates with strict left-to-right
-  Kahan compensation (the fixed summation tree used for reproducibility),
-* a pure-numpy fallback that relies on numpy's fixed pairwise reduction.
-
-The active path is chosen once at import time from the environment
-variable ``SECTORCALC_NUMBA``:
-
-* ``"auto"`` (default): use numba when it imports cleanly,
-* ``"1"``: require numba, raise if unavailable,
-* ``"0"``: force the numpy fallback.
-
-Each path is bit-reproducible run to run; the two paths agree with each
-other only to roundoff.  ``benchmarks/bench_kernels.py`` compares them.
+The hot inner operations are (a) weighted reductions of node values,
+done as one matrix product per call, and (b) batched resolvent solves
+``(lam*A + zeta*I)^{-1}`` over many contour nodes.  Both are plain numpy
+(BLAS and LAPACK), so each is bit-reproducible run to run for a fixed
+BLAS thread count.
 """
-
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("SECTORCALC_NUMBA", "auto").strip().lower()
 
-NUMBA_ACTIVE = False
-_nb = None
-if _FLAG not in ("0", "false", "off"):
-    try:
-        import numba as _nb
+def reduce_weighted(coeffs, values):
+    """Contract the node axis of ``values`` against ``coeffs``.
 
-        NUMBA_ACTIVE = True
-    except ImportError:
-        if _FLAG in ("1", "true", "on"):
-            raise
-        _nb = None
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback implementations
-# ---------------------------------------------------------------------------
-
-def py_reduce_values(values):
-    """Sum node values along axis 0 (numpy pairwise reduction)."""
-    return np.add.reduce(values, axis=0)
-
-
-def py_reduce_weighted(coeffs, values):
-    """Sum coeffs[n]*values[n] along axis 0.
-
-    ``values`` has shape (N,) or (N, d, d); ``coeffs`` has shape (N,).
+    ``values`` has shape (N, ...) and ``coeffs`` shape (N,) or (rows, N);
+    the result has shape ``coeffs.shape[:-1] + values.shape[1:]`` and is
+    ``coeffs @ values.reshape(N, -1)``.  A 0-d result comes back as a
+    numpy scalar.
     """
-    if values.ndim == 1:
-        return np.add.reduce(coeffs * values)
-    return np.add.reduce(coeffs[:, None, None] * values, axis=0)
+    n = values.shape[0]
+    out = coeffs @ values.reshape(n, -1)
+    return out.reshape(coeffs.shape[:-1] + values.shape[1:])[()]
 
 
-def py_resolvent_stack(a, lam, nodes):
+def resolvent_stack(a, lam, nodes):
     """Inverses of ``lam*a + nodes[n]*I`` for every node, shape (N, d, d)."""
     d = a.shape[0]
     eye = np.eye(d, dtype=np.complex128)
     stack = lam * a[None, :, :] + nodes[:, None, None] * eye[None, :, :]
     return np.linalg.inv(stack)
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if NUMBA_ACTIVE:
-    _njit = _nb.njit(cache=True, fastmath=False)
-
-    @_njit
-    def _nb_kahan_1d(values):
-        total = 0.0 + 0.0j
-        comp = 0.0 + 0.0j
-        for n in range(values.shape[0]):
-            y = values[n] - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
-
-    @_njit
-    def _nb_kahan_weighted_1d(coeffs, values):
-        total = 0.0 + 0.0j
-        comp = 0.0 + 0.0j
-        for n in range(values.shape[0]):
-            y = coeffs[n] * values[n] - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
-
-    @_njit
-    def _nb_kahan_mats(values):
-        d = values.shape[1]
-        total = np.zeros((d, d), dtype=np.complex128)
-        comp = np.zeros((d, d), dtype=np.complex128)
-        for n in range(values.shape[0]):
-            for i in range(d):
-                for j in range(d):
-                    y = values[n, i, j] - comp[i, j]
-                    t = total[i, j] + y
-                    comp[i, j] = (t - total[i, j]) - y
-                    total[i, j] = t
-        return total
-
-    @_njit
-    def _nb_kahan_weighted_mats(coeffs, values):
-        d = values.shape[1]
-        total = np.zeros((d, d), dtype=np.complex128)
-        comp = np.zeros((d, d), dtype=np.complex128)
-        for n in range(values.shape[0]):
-            c = coeffs[n]
-            for i in range(d):
-                for j in range(d):
-                    y = c * values[n, i, j] - comp[i, j]
-                    t = total[i, j] + y
-                    comp[i, j] = (t - total[i, j]) - y
-                    total[i, j] = t
-        return total
-
-    @_njit
-    def _nb_resolvent_stack(a, lam, nodes):
-        d = a.shape[0]
-        out = np.empty((nodes.shape[0], d, d), dtype=np.complex128)
-        eye = np.eye(d, dtype=np.complex128)
-        for n in range(nodes.shape[0]):
-            m = lam * a + nodes[n] * eye
-            out[n] = np.linalg.solve(m, eye)
-        return out
-
-    def nb_reduce_values(values):
-        values = np.ascontiguousarray(values, dtype=np.complex128)
-        if values.ndim == 1:
-            return _nb_kahan_1d(values)
-        return _nb_kahan_mats(values)
-
-    def nb_reduce_weighted(coeffs, values):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        values = np.ascontiguousarray(values, dtype=np.complex128)
-        if values.ndim == 1:
-            return _nb_kahan_weighted_1d(coeffs, values)
-        return _nb_kahan_weighted_mats(coeffs, values)
-
-    def nb_resolvent_stack(a, lam, nodes):
-        a = np.ascontiguousarray(a, dtype=np.complex128)
-        nodes = np.ascontiguousarray(nodes, dtype=np.complex128)
-        return _nb_resolvent_stack(a, complex(lam), nodes)
-
-    reduce_values = nb_reduce_values
-    reduce_weighted = nb_reduce_weighted
-    resolvent_stack = nb_resolvent_stack
-else:
-    reduce_values = py_reduce_values
-    reduce_weighted = py_reduce_weighted
-    resolvent_stack = py_resolvent_stack
-
-
-def set_threads(n):
-    """Cap the numba threading layer; a no-op on the numpy path."""
-    if NUMBA_ACTIVE and n and n > 0:
-        try:
-            _nb.set_num_threads(min(n, _nb.config.NUMBA_NUM_THREADS))
-        except ValueError:
-            pass

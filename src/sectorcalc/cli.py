@@ -2,7 +2,10 @@
 
 ``sectorcalc run --scenario NAME --out report.csv`` executes a built-in
 verification suite (or a JSON scenario file) and writes a machine-readable
-report; the exit code is 0 only when every row meets its tolerance.
+report.  Exit codes: 0 when every row meets its tolerance, 1 when some
+row misses it, 2 for bad input (unreadable file, unknown scenario,
+inadmissible data), 3 when a computation fails (quadrature or
+linear-algebra error).
 ``sectorcalc study`` sweeps a discretization parameter and reports the
 observed convergence orders.
 
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .calculus import (boundary_contour_integral,
                        default_eps_grid, default_region, exponential_function,
                        functional_calculus, functional_calculus_hinf,
@@ -31,7 +33,7 @@ from .calculus import (boundary_contour_integral,
 from .functionals import (Functional, bisector_density, convolve, dirac,
                           exp_poly_function, pair_function, pair_semigroup)
 from .geometry import AdmissibleRegion, ProductSector, make_region
-from .quadrature import ContourQuadrature, richardson, tensor_sum
+from .quadrature import ContourQuadrature, QuadratureError, richardson, tensor_sum
 from .semigroups import (CommutingTuple, expm, mult_semigroup_gap,
                          mult_semigroup_gap_closed_form, opnorm,
                          quasinilpotent_gap, random_commuting_tuple,
@@ -599,8 +601,6 @@ def _build_parser():
         q.add_argument("--out", default="-", help="output path ('-' = stdout)")
         q.add_argument("--format", choices=("csv", "json"), default="csv")
         q.add_argument("--tol-override", type=float, default=None)
-        q.add_argument("--threads", type=int,
-                       default=int(os.environ.get("SECTORCALC_THREADS", "0") or 0))
         q.add_argument("--seed", type=int, default=42)
         q.add_argument("--timings", action="store_true",
                        help="include wall-clock times in the report "
@@ -612,7 +612,6 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    _kernels.set_threads(args.threads)
     try:
         if args.command == "run":
             rows = collect_rows(args.scenario, args.seed, args.tol_override)
@@ -624,6 +623,9 @@ def main(argv=None):
         print(f"error: malformed scenario JSON: {exc.msg} at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)
         return 2
+    except (QuadratureError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

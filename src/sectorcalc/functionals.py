@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .geometry import ProductSector, _unit, make_region
-from .quadrature import (ContourQuadrature, QuadratureError, adaptive_contour,
-                         initial_radius, ray_integral, ray_nodes,
+from .quadrature import (ContourQuadrature, QuadratureError, _contract,
+                         adaptive_contour, initial_radius, ray_integral, ray_nodes,
                          resolvent_contour_value, richardson, tensor_sum)
 from .semigroups import DivergenceError, GrowthProfile, evaluate, expm
 
@@ -703,34 +702,18 @@ def _fb_terms(phi):
 
 def _tensor_density_integral(fvec, d, tol, max_rounds=8):
     """Tensor ray integral of ``fvec`` against one tensor density."""
-    k = len(d.axes)
     rates = [ax.s.real for ax in d.axes]
     r0 = [initial_radius(("exp", r), tol) for r in rates]
     state = {"scale": 1.0}
 
     def value_of():
-        axes = []
+        nodes, weights = [], []
         for j, ax in enumerate(d.axes):
             t, wt = ray_nodes(r0[j] * state["scale"], 8.0 * state["scale"])
-            dens = ax.poly(t) * np.exp(-ax.s * t) * wt
-            axes.append((t, dens))
-
-        def recurse(prefix_t, depth):
-            t, dens = axes[depth]
-            n = len(t)
-            if depth == k - 1:
-                pts = np.empty((n, k), dtype=complex)
-                for jj, tv in enumerate(prefix_t):
-                    pts[:, jj] = d.offset[jj] + tv * _unit(d.axes[jj].omega)
-                pts[:, depth] = d.offset[depth] + t * _unit(d.axes[depth].omega)
-                vals = np.asarray(fvec(pts), dtype=complex)
-                return _kernels.reduce_weighted(dens, vals)
-            parts = np.asarray([recurse(prefix_t + [t[i]], depth + 1) for i in range(n)])
-            return _kernels.reduce_weighted(dens, parts)
-
-        out = recurse([], 0)
+            nodes.append(d.offset[j] + t * _unit(ax.omega))
+            weights.append(ax.poly(t) * np.exp(-ax.s * t) * wt)
         state["scale"] *= 2.0
-        return out
+        return _contract(fvec, nodes, weights)
 
     prev = None
     for _ in range(max_rounds):

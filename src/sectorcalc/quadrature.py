@@ -6,10 +6,15 @@ polyline to ``exp(1j*(pi/2 - beta_j)) * inf``.  Finite pieces carry
 Gauss-Legendre panels, rays carry panels geometrically graded toward the
 vertex (ratio 1.5).  Node weights include the complex ``d sigma`` factor.
 
-Summation uses a fixed tree, left-to-right per axis and then in tensor
-order, so repeated runs with identical configuration are bit-identical.
-Node evaluation may happen in any order (integrands must be pure); only
-the reduction order is pinned.
+The tensor sum is one blocked mode-by-mode contraction (:func:`_contract`).
+The index combinations of the leading axes are walked in C order, in
+blocks of about ``_BLOCK_POINTS`` grid points; each block evaluates the
+integrand once, contracts its last axis with one matrix product, folds
+in the leading axes, and block results are added in block order.  The
+summation order therefore depends only on the grid, so repeated runs
+with identical configuration (and BLAS thread count) are bit-identical.
+Integrands must be pure and vectorized: they are called on (M, k) point
+arrays and return (M,) or (M, d, d).
 """
 
 import json
@@ -20,6 +25,7 @@ import numpy as np
 from . import _kernels
 
 _GL_CACHE = {}
+_BLOCK_POINTS = 1 << 15  # integrand points per block of the tensor contraction
 
 
 class QuadratureError(RuntimeError):
@@ -248,41 +254,69 @@ def _err_norm(a, b):
 
 
 def _call_integrand(f, pts):
-    """Evaluate ``f`` on points of shape (N, k), vectorized when possible."""
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape[0] == pts.shape[0] and vals.ndim in (1, 3):
-            return vals
-    except Exception:
-        pass
-    rows = [f(p) for p in pts]
-    return np.asarray(rows, dtype=complex)
+    """Evaluate ``f`` on points of shape (M, k); it must return (M,) or (M, d, d)."""
+    vals = np.asarray(f(pts), dtype=complex)
+    if vals.ndim not in (1, 3) or vals.shape[0] != pts.shape[0]:
+        raise QuadratureError(
+            f"integrand returned shape {vals.shape} for {pts.shape[0]} points; "
+            "it must be vectorized and return (M,) or (M, d, d)")
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("non-finite integrand value at a quadrature node")
+    return vals
+
+
+def _contract(f, nodes, weights, stacks=None):
+    """Blocked mode-by-mode tensor sum over the grid of per-axis ``nodes``.
+
+    Without ``stacks`` this is ``sum_i prod_j weights[j][i_j] * f(z_i)``;
+    with per-axis (N_j, d, d) ``stacks`` (``f`` then scalar) it is
+    ``sum_i prod_j weights[j][i_j] * f(z_i) * stacks[0][i_0] ... stacks[-1][i_-1]``
+    with the operator factors in axis order.
+    """
+    k = len(nodes)
+    lead = tuple(len(x) for x in nodes[:-1])
+    n_last = len(nodes[-1])
+    n_lead = int(np.prod(lead, dtype=np.int64))
+    rows = min(max(1, _BLOCK_POINTS // n_last), n_lead)
+    # last axis outermost, so a block's values reshape to (N_last, m, ...);
+    # the last-axis column is filled once and the buffer reused by full blocks
+    grid = np.empty((n_last, rows, k), dtype=complex)
+    grid[:, :, -1] = nodes[-1][:, None]
+    total = 0
+    for start in range(0, n_lead, rows):
+        stop = min(start + rows, n_lead)
+        idx = np.unravel_index(np.arange(start, stop), lead) if lead else ()
+        m = stop - start
+        pts = grid if m == rows else grid[:, :m].copy()
+        for j, i in enumerate(idx):
+            pts[:, :, j] = nodes[j][i]
+        view = pts.reshape(-1, k)
+        view.flags.writeable = False  # integrands must not write into the reused buffer
+        vals = _call_integrand(f, view)
+        if stacks is None:
+            block = _kernels.reduce_weighted(
+                weights[-1], vals.reshape((n_last, m) + vals.shape[1:]))
+        else:
+            if vals.ndim != 1:
+                raise QuadratureError("resolvent contour needs a scalar integrand factor")
+            coeffs = (vals.reshape(n_last, m) * weights[-1][:, None]).T
+            block = _kernels.reduce_weighted(coeffs, stacks[-1])
+            for j in reversed(range(k - 1)):
+                block = stacks[j][idx[j]] @ block
+        lead_w = np.ones(m, dtype=complex)
+        for j, i in enumerate(idx):
+            lead_w = lead_w * weights[j][i]
+        total = total + _kernels.reduce_weighted(lead_w, block)
+    return total
 
 
 def tensor_sum(f, cq):
     """Single tensor-product quadrature pass over ``cq``.
 
     ``f`` maps C^k to a scalar or a fixed-size matrix; it is called with
-    an (N, k) array of points and may return (N,) or (N, d, d) (per-point
-    fallback otherwise).  The reduction runs left-to-right per axis, last
-    axis innermost.
+    (M, k) arrays of points and returns (M,) or (M, d, d).
     """
-
-    def recurse(prefix, depth):
-        ax = cq.axes[depth]
-        n = len(ax.nodes)
-        if depth == cq.k - 1:
-            pts = np.empty((n, cq.k), dtype=complex)
-            pts[:, :depth] = np.asarray(prefix, dtype=complex)
-            pts[:, depth] = ax.nodes
-            vals = _call_integrand(f, pts)
-            if not np.all(np.isfinite(vals)):
-                raise QuadratureError("non-finite integrand value on the contour")
-            return _kernels.reduce_weighted(ax.weights, vals)
-        parts = [recurse(prefix + [ax.nodes[i]], depth + 1) for i in range(n)]
-        return _kernels.reduce_weighted(ax.weights, np.asarray(parts, dtype=complex))
-
-    return recurse([], 0)
+    return _contract(f, [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes])
 
 
 def adaptive_contour(value_of, cq, tol, max_rounds=8):
@@ -333,8 +367,8 @@ def resolvent_contour_value(scalar_fn, matrices, lam, cq, node_offsets=None):
     where ``m_j = zeta_j - node_offsets[j]``.
 
     This is the hot kernel of the calculus: per-axis resolvent stacks are
-    solved in batch, the reduction runs innermost-axis first with the
-    fixed summation tree.  The caller applies any scalar prefactor.
+    solved in batch and contracted block by block (see :func:`_contract`).
+    The caller applies any scalar prefactor.
     """
     k = cq.k
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -345,28 +379,8 @@ def resolvent_contour_value(scalar_fn, matrices, lam, cq, node_offsets=None):
                                  cq.axes[j].nodes - offs[j])
         for j in range(k)
     ]
-
-    def recurse(prefix, depth):
-        ax = cq.axes[depth]
-        n = len(ax.nodes)
-        if depth == k - 1:
-            pts = np.empty((n, k), dtype=complex)
-            pts[:, :depth] = np.asarray(prefix, dtype=complex)
-            pts[:, depth] = ax.nodes
-            coeffs = _call_integrand(scalar_fn, pts)
-            if coeffs.ndim != 1:
-                raise QuadratureError("resolvent contour needs a scalar integrand factor")
-            if not np.all(np.isfinite(coeffs)):
-                raise QuadratureError("non-finite integrand value on the contour")
-            return _kernels.reduce_weighted(coeffs * ax.weights, stacks[depth])
-        parts = np.asarray(
-            [stacks[depth][i] @ recurse(prefix + [ax.nodes[i]], depth + 1)
-             for i in range(n)],
-            dtype=complex,
-        )
-        return _kernels.reduce_weighted(ax.weights, parts)
-
-    return recurse([], 0)
+    return _contract(scalar_fn, [ax.nodes for ax in cq.axes],
+                     [ax.weights for ax in cq.axes], stacks)
 
 
 def richardson(values, ratio=2.0):
@@ -434,8 +448,6 @@ def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8,
         nodes, weights = _panel_nodes(complex(start), direction, breaks, panel_points)
         pts = nodes[:, None]
         vals = _call_integrand(lambda q: f(q[:, 0]), pts)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("non-finite integrand value on the ray")
         out = _kernels.reduce_weighted(weights, vals)
         state["count"] = len(nodes)
         state["R"] *= 2.0

@@ -71,6 +71,24 @@ class TestRun:
         out = tmp_path / "r.csv"
         assert run_cli(["run", "--scenario", str(path), "--out", str(out)]) == 0
 
+    def test_computation_failure_exits_three(self, tmp_path, capsys):
+        spec = {
+            "kind": "calculus",
+            "tuple": {"k": 1, "dim": 1, "A": [[[[-2.0, 0.0]]]],
+                      "sectors": [[-np.pi / 2 + 0.05, np.pi / 2 - 0.05]]},
+            "lambda": [[1.0, 0.0]],
+            "region": {"alpha": [-np.pi / 4], "beta": [np.pi / 4],
+                       "vertex": [[0.0, 0.0]], "excision": {"kind": "cone"}},
+            "function": {"type": "inverse_square", "shifts": [[1.0, 0.0]]},
+            "eps": [[0.25, 0.0]],
+            "quad_tol": 1e-30,  # unreachable: the refinement cannot converge
+        }
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli(["run", "--scenario", str(path),
+                        "--out", str(tmp_path / "x.csv")]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_failing_tolerance_exits_one(self, tmp_path, capsys):
         assert run_cli(["run", "--scenario", "calculus-k1",
                         "--tol-override", "1e-18",

@@ -197,6 +197,12 @@ class TestPairFunction:
             val = fn.pair_function(f, phi, route, tol=1e-10)
             assert abs(val - oracle) <= tol
 
+    def test_measure_route_rejects_nonfinite_values(self, ps2):
+        phi = fn.bisector_density(ps2)
+        bad = fn.SectorFunction(lambda pts: np.full(pts.shape[0], np.nan + 0j), label="nan")
+        with pytest.raises(fn.QuadratureError, match="non-finite"):
+            fn.pair_function(bad, phi, "measure")
+
     def test_exponential_pairs_to_the_transform(self, rng, ps1):
         # f = e_{-w}: every route returns the transform at w
         phi = random_atomic(rng, ps1, 2)

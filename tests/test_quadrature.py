@@ -1,3 +1,6 @@
+import string
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -155,6 +158,139 @@ class TestContourIntegrals:
         target = 2j * PI / 9.0
         assert abs(res.value[0, 0] - target) <= 1e-8
         assert abs(res.value[1, 1] - 2 * target) <= 1e-8
+
+    def test_runs_are_bit_identical_two_axes(self):
+        u = g.make_region([-PI / 4] * 2, [PI / 4] * 2, [0.0, 0.0])
+        cq = q.ContourQuadrature.from_region(u, [0.5, 0.5], R=64.0)
+
+        def f(p):
+            return 1.0 / ((p[:, 0] + 2.0) ** 2 * (p[:, 1] + 3.0) ** 2 * (1.0 - p[:, 0]))
+
+        assert cq.node_count > q._BLOCK_POINTS  # several blocks
+        a = q.tensor_sum(f, cq)
+        b = q.tensor_sum(f, cq)
+        assert a == b
+
+    def test_non_vectorized_integrand_rejected(self):
+        cq = q.ContourQuadrature.from_region(cone_region(), [0.5], R=32.0)
+        with pytest.raises(q.QuadratureError, match=r"returned shape \(1,\)"):
+            q.tensor_sum(lambda z: 1.0 / (z[0] + 2.0) ** 2, cq)
+
+
+def _random_grid(rng, counts):
+    axes = tuple(
+        q.AxisPath(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                   rng.standard_normal(n) + 1j * rng.standard_normal(n), ())
+        for n in counts)
+    return SimpleNamespace(axes=axes, k=len(axes))
+
+
+def _dense_values(f, cq):
+    """``f`` on the full tensor grid, shape (N_0, ..., N_{k-1}, ...)."""
+    mesh = np.meshgrid(*[ax.nodes for ax in cq.axes], indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    vals = f(pts)
+    return vals.reshape(mesh[0].shape + vals.shape[1:])
+
+
+def _smooth(p):
+    return np.exp(-0.3 * p.sum(axis=1)) / (4.0 + p[:, 0])
+
+
+def _smooth_matrix(p):
+    base = _smooth(p)
+    out = np.empty((p.shape[0], 2, 2), dtype=complex)
+    out[:, 0, 0] = base
+    out[:, 0, 1] = p[:, -1] * base
+    out[:, 1, 0] = 1.0
+    out[:, 1, 1] = base ** 2
+    return out
+
+
+class TestBlockedContraction:
+    """The blocked contraction against a dense einsum over the full grid."""
+
+    COUNTS = {1: (13,), 2: (11, 7), 3: (5, 3, 7)}
+
+    @pytest.fixture(params=[1, 2, 3])
+    def grid(self, request, monkeypatch):
+        # rows per block = 20 // 7 = 2: the leading counts 11 and 15 are
+        # not multiples of it, so the last block is short
+        monkeypatch.setattr(q, "_BLOCK_POINTS", 20)
+        rng = np.random.default_rng(request.param)
+        return _random_grid(rng, self.COUNTS[request.param]), rng
+
+    @staticmethod
+    def _letters(k):
+        return string.ascii_lowercase[:k]
+
+    def test_scalar_tensor_sum(self, grid):
+        cq, _ = grid
+        ix = self._letters(cq.k)
+        ref = np.einsum(",".join([ix] + list(ix)) + "->", _dense_values(_smooth, cq),
+                        *[ax.weights for ax in cq.axes])
+        val = q.tensor_sum(_smooth, cq)
+        assert abs(val - ref) <= 1e-13 * max(abs(ref), 1.0)
+
+    def test_matrix_tensor_sum(self, grid):
+        cq, _ = grid
+        ix = self._letters(cq.k)
+        ref = np.einsum(",".join([ix + "yz"] + list(ix)) + "->yz",
+                        _dense_values(_smooth_matrix, cq),
+                        *[ax.weights for ax in cq.axes])
+        val = q.tensor_sum(_smooth_matrix, cq)
+        assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_resolvent_contour_value(self, grid):
+        cq, rng = grid
+        d = 3
+        mats = [rng.standard_normal((d, d)) for _ in range(cq.k)]
+        lam = 0.5 + 0.2j * np.arange(1, cq.k + 1)
+        offs = 0.1j * np.arange(cq.k)
+        stacks = [np.linalg.inv(lam[j] * mats[j] + (cq.axes[j].nodes - offs[j])[:, None, None]
+                                * np.eye(d)) for j in range(cq.k)]
+        ix = self._letters(cq.k)
+        mat_ix = [ix[j] + "wxyz"[j:j + 2] for j in range(cq.k)]
+        spec = ",".join([ix] + list(ix) + mat_ix) + "->w" + "wxyz"[cq.k]
+        ref = np.einsum(spec, _dense_values(_smooth, cq),
+                        *[ax.weights for ax in cq.axes], *stacks)
+        val = q.resolvent_contour_value(_smooth, mats, lam, cq, node_offsets=offs)
+        assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_resolvent_needs_a_scalar_factor(self, grid):
+        cq, rng = grid
+        mats = [rng.standard_normal((2, 2)) for _ in range(cq.k)]
+        with pytest.raises(q.QuadratureError, match="scalar integrand"):
+            q.resolvent_contour_value(_smooth_matrix, mats, np.ones(cq.k), cq)
+
+    def test_default_block_size_over_several_blocks(self):
+        rng = np.random.default_rng(7)
+        cq = _random_grid(rng, (5001, 11))  # 2978 rows per block: three blocks
+        ref = np.einsum("ab,a,b->", _dense_values(_smooth, cq),
+                        cq.axes[0].weights, cq.axes[1].weights)
+        val = q.tensor_sum(_smooth, cq)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+
+    def test_integrand_cannot_write_into_its_points(self, grid):
+        cq, _ = grid
+
+        def f(p):
+            p[:, 0] = 0.0
+            return _smooth(p)
+
+        with pytest.raises(ValueError, match="read-only"):
+            q.tensor_sum(f, cq)
+
+    def test_nonfinite_value_rejected_in_a_later_block(self, grid):
+        cq, _ = grid
+        last = cq.axes[0].nodes[-1]
+
+        def f(p):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return _smooth(p) / (p[:, 0] != last)
+
+        with pytest.raises(q.QuadratureError, match="non-finite"):
+            q.tensor_sum(f, cq)
 
 
 class TestRichardson:
