@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import AdmissibleRegion, AxisRegion, GeometryError, _unit, make_region
 from .quadrature import (ContourQuadrature, adaptive_contour, initial_radius,
-                         resolvent_contour_value, tensor_sum)
+                         integrate, resolvent_contour_value, tensor_sum)
 from .semigroups import (GrowthProfile, _validate_lambda, opnorm)
 from .semigroups import IN_N0, n_set_classify
 
@@ -617,7 +617,7 @@ def interior_cauchy_value(F, region, eps, point, tol=1e-9):
         return out
 
     pref = (2j * np.pi) ** -region.k
-    return pref * adaptive_contour(lambda c: tensor_sum(g, c), cq, tol).value
+    return pref * integrate(g, cq, tol).value
 
 
 def boundary_contour_integral(F, region, eps, tol=1e-9):
@@ -625,7 +625,7 @@ def boundary_contour_integral(F, region, eps, tol=1e-9):
     for integrable holomorphic integrands)."""
     radius = max(_abs_radius(F, tol), _radius_floor(region, eps))
     cq = ContourQuadrature.from_region(region, eps, R=radius)
-    return adaptive_contour(lambda c: tensor_sum(F, c), cq, tol).value
+    return integrate(F, cq, tol).value
 
 
 def resolvent_sup_on_contour(tup, lam, region, eps, R=64.0):

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ProductSector, _unit, make_region
-from .quadrature import (ContourQuadrature, QuadratureError, _contract,
-                         adaptive_contour, initial_radius, ray_integral, ray_nodes,
-                         resolvent_contour_value, richardson, tensor_sum)
+from .quadrature import (ContourQuadrature, QuadratureError, _contract, _graded_breaks,
+                         _panel_nodes, adaptive_contour, initial_radius, integrate,
+                         ray_integral, refine, resolvent_contour_value, richardson)
 from .semigroups import DivergenceError, GrowthProfile, evaluate, expm
 
 MAX_DEGREE = 4
@@ -701,27 +701,22 @@ def _fb_terms(phi):
 
 
 def _tensor_density_integral(fvec, d, tol, max_rounds=8):
-    """Tensor ray integral of ``fvec`` against one tensor density."""
-    rates = [ax.s.real for ax in d.axes]
-    r0 = [initial_radius(("exp", r), tol) for r in rates]
-    state = {"scale": 1.0}
+    """Tensor ray integral of ``fvec`` against one tensor density; the
+    per-axis truncation radii keep their ratios as :func:`refine` doubles
+    the largest."""
+    r0 = [initial_radius(("exp", ax.s.real), tol) for ax in d.axes]
+    r_max = max(r0)
 
-    def value_of():
+    def value_at(R, n_per_unit):
         nodes, weights = [], []
         for j, ax in enumerate(d.axes):
-            t, wt = ray_nodes(r0[j] * state["scale"], 8.0 * state["scale"])
+            breaks = _graded_breaks(r0[j] * (R / r_max), 16 / n_per_unit)
+            t, wt = _panel_nodes(0.0, 1.0, breaks, 16)
             nodes.append(d.offset[j] + t * _unit(ax.omega))
             weights.append(ax.poly(t) * np.exp(-ax.s * t) * wt)
-        state["scale"] *= 2.0
-        return _contract(fvec, nodes, weights)
+        return _contract(fvec, nodes, weights), math.prod(len(x) for x in nodes)
 
-    prev = None
-    for _ in range(max_rounds):
-        val = value_of()
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-    raise QuadratureError("tensor density integral did not converge")
+    return refine(value_at, r_max, 8.0, tol, max_rounds, "tensor density integral")
 
 
 def _dual_cone_contour(phi, z, tol, extra_powers=None, extra_scale=1.0):
@@ -763,7 +758,7 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
         for eta, w in phi.atoms:
             total += w * complex(np.asarray(f(np.asarray(eta, dtype=complex)[None, :]))[0])
         for d in phi.densities:
-            total += d.weight * _tensor_density_integral(f, d, tol)
+            total += d.weight * _tensor_density_integral(f, d, tol).value
         return total
 
     if route in ("fb_eps", "fb_direct", "wn_limit"):
@@ -788,7 +783,7 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
                     vals = vals * wn_regularizer(pts - z[None, :], n, sectors)
                 return vals
 
-            return pref * adaptive_contour(lambda c: tensor_sum(g, c), cq, tol).value
+            return pref * integrate(g, cq, tol).value
 
         if route == "fb_direct":
             if not phi.fb_integrable_on_cone():
@@ -887,7 +882,7 @@ def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
             else:
                 radius = max(radius, initial_radius(("alg", 1.0, dec[1] + 1.0), tol))
     cq = ContourQuadrature.from_region(region, [0.0] * phi.k, R=radius)
-    return adaptive_contour(lambda c: tensor_sum(g, c), cq, tol).value
+    return integrate(g, cq, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +930,8 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
                 scaled = lam[j] * _unit(ax.omega) * a
 
                 def g(ts, ax=ax, scaled=scaled):
-                    return np.asarray([ax.poly(np.array([t]))[0] * np.exp(-ax.s * t)
-                                       * expm(t * scaled) for t in ts])
+                    return (ax.poly(ts) * np.exp(-ax.s * ts))[:, None, None] \
+                        * expm(ts[:, None, None] * scaled)
 
                 term = term @ ray_integral(g, 0.0, 1.0, tol=tol, decay=("exp", rate)).value
             total += term
@@ -1028,8 +1023,8 @@ def fb_of_orbit(tup, lam, z, zeta, u, route="resolvent", tol=1e-10):
             a = tup.matrices[j]
 
             def g(ts, udir=udir, j=j, a=a):
-                return np.asarray([np.exp((z[j] - zeta[j]) * t * udir)
-                                   * expm(t * lam[j] * udir * a) for t in ts])
+                return np.exp((z[j] - zeta[j]) * ts * udir)[:, None, None] \
+                    * expm((ts * lam[j] * udir)[:, None, None] * a)
 
             m = udir * ray_integral(g, 0.0, 1.0, tol=tol, decay=("exp", rate)).value
             x = m @ x

@@ -6,6 +6,15 @@ polyline to ``exp(1j*(pi/2 - beta_j)) * inf``.  Finite pieces carry
 Gauss-Legendre panels, rays carry panels geometrically graded toward the
 vertex (ratio 1.5).  Node weights include the complex ``d sigma`` factor.
 
+Every adaptive quadrature runs through one driver, :func:`refine`.  Round
+``r`` evaluates the rule at truncation radius ``R0 * 2**r`` and node
+density ``n0 * 2**r``; a value is accepted once it differs from the
+previous round's by less than the tolerance (Frobenius norm for matrix
+values), and that difference is the error estimate.  Contours
+(:func:`adaptive_contour`, :func:`integrate`), rays (:func:`ray_integral`)
+and tensor ray densities are thin callers that only say how one round
+is evaluated.
+
 The tensor sum is one blocked mode-by-mode contraction (:func:`_contract`).
 The index combinations of the leading axes are walked in C order, in
 blocks of about ``_BLOCK_POINTS`` grid points; each block evaluates the
@@ -17,7 +26,6 @@ Integrands must be pure and vectorized: they are called on (M, k) point
 arrays and return (M,) or (M, d, d).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,34 +53,11 @@ class ConvergenceError(QuadratureError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tol: float = 1e-8
-    max_rounds: int = 8
-    panel_points: int = 16
-    n_per_unit: float = 8.0
-    r0: float = 16.0
-
-    def to_json(self):
-        return {
-            "tol": self.tol,
-            "max_rounds": self.max_rounds,
-            "panel_points": self.panel_points,
-            "n_per_unit": self.n_per_unit,
-            "r0": self.r0,
-        }
-
-    @staticmethod
-    def from_json(obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        known = {f: obj[f] for f in ("tol", "max_rounds", "panel_points", "n_per_unit", "r0")
-                 if f in obj}
-        return QuadratureConfig(**known)
-
-
 def gauss_panel(a, b, points=16):
-    """Gauss-Legendre nodes and weights on the segment [a, b] of the real line."""
+    """Gauss-Legendre nodes and weights on the segment [a, b] of the real line.
+
+    ``a`` and ``b`` may be (P, 1) arrays of panel ends; the result is then
+    (P, points), one row per panel."""
     if points not in _GL_CACHE:
         _GL_CACHE[points] = np.polynomial.legendre.leggauss(points)
     x, w = _GL_CACHE[points]
@@ -139,13 +124,10 @@ class PathSegment:
 
 
 def _panel_nodes(anchor, direction, breaks, panel_points):
-    nodes = []
-    weights = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        t, w = gauss_panel(a, b, panel_points)
-        nodes.append(anchor + t * direction)
-        weights.append(w * direction)
-    return np.concatenate(nodes), np.concatenate(weights)
+    """Nodes and weights of all panels ``[breaks[i], breaks[i+1]]`` of the
+    piece ``anchor + t * direction``, in one broadcast."""
+    t, w = gauss_panel(breaks[:-1, None], breaks[1:, None], panel_points)
+    return anchor + t.ravel() * direction, w.ravel() * direction
 
 
 def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
@@ -225,12 +207,6 @@ class ContourQuadrature:
         for ax in self.axes:
             n *= len(ax.nodes)
         return n
-
-    def refined(self):
-        """Same contour with doubled truncation radius and node density."""
-        return ContourQuadrature.from_region(
-            self.region, self.eps, 2.0 * self.R, 2.0 * self.n_per_unit, self.panel_points
-        )
 
 
 @dataclass(frozen=True)
@@ -319,26 +295,40 @@ def tensor_sum(f, cq):
     return _contract(f, [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes])
 
 
-def adaptive_contour(value_of, cq, tol, max_rounds=8):
-    """Refine ``cq`` (doubling R and the node density) until two successive
-    values of ``value_of(cq)`` differ by less than ``tol``."""
+def refine(value_at, R, n_per_unit, tol, max_rounds=8, what="integral"):
+    """The refinement loop of every adaptive quadrature.
+
+    Round ``r`` calls ``value_at(R * 2**r, n_per_unit * 2**r)``, which
+    returns ``(value, node_count)``.  The first value that differs from
+    the previous round's by less than ``tol`` is returned; ``history``
+    holds one ``(R, n_per_unit, node_count, difference)`` record per round
+    (difference ``inf`` in the first).  After ``max_rounds`` rounds a
+    :class:`ConvergenceError` carries the last value and difference.
+    """
     history = []
     prev = None
     for r in range(max_rounds):
-        val = value_of(cq)
-        if prev is not None:
-            diff = _err_norm(val, prev)
-            history.append((cq.R, cq.n_per_unit, cq.node_count, diff))
-            if diff < tol:
-                return IntegrationResult(val, diff, r + 1, cq.node_count, tuple(history))
-        else:
-            history.append((cq.R, cq.n_per_unit, cq.node_count, np.inf))
+        val, nodes = value_at(R, n_per_unit)
+        diff = np.inf if prev is None else _err_norm(val, prev)
+        history.append((R, n_per_unit, nodes, diff))
+        if diff < tol:
+            return IntegrationResult(val, diff, r + 1, nodes, tuple(history))
         prev = val
-        if r < max_rounds - 1:
-            cq = cq.refined()
+        R, n_per_unit = 2.0 * R, 2.0 * n_per_unit
     raise ConvergenceError(
-        f"contour integral did not converge to {tol} in {max_rounds} rounds",
+        f"{what} did not converge to {tol} in {max_rounds} rounds",
         value=prev, estimate=history[-1][3] if history else np.inf)
+
+
+def adaptive_contour(value_of, cq, tol, max_rounds=8):
+    """:func:`refine` over contours like ``cq``: ``value_of`` is called once
+    per round on the contour of that round's radius and density."""
+    def value_at(R, n_per_unit):
+        c = cq if R == cq.R else ContourQuadrature.from_region(
+            cq.region, cq.eps, R, n_per_unit, cq.panel_points)
+        return value_of(c), c.node_count
+
+    return refine(value_at, cq.R, cq.n_per_unit, tol, max_rounds, "contour integral")
 
 
 def integrate(f, cq, tol=1e-8, max_rounds=8):
@@ -348,18 +338,6 @@ def integrate(f, cq, tol=1e-8, max_rounds=8):
     successive difference (Frobenius norm for matrix values).
     """
     return adaptive_contour(lambda c: tensor_sum(f, c), cq, tol, max_rounds)
-
-
-def ray_nodes(extent, n_per_unit=8.0, panel_points=16):
-    """Graded Gauss-Legendre nodes and weights on the real interval [0, extent]."""
-    breaks = _graded_breaks(extent, panel_points / n_per_unit)
-    nodes = []
-    weights = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        t, w = gauss_panel(a, b, panel_points)
-        nodes.append(t)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def resolvent_contour_value(scalar_fn, matrices, lam, cq, node_offsets=None):
@@ -439,31 +417,12 @@ def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8,
     """
     direction = complex(direction)
     direction /= abs(direction)
-    r0 = initial_radius(decay, tol)
 
-    state = {"R": r0, "n": n_per_unit, "count": 0}
-
-    def value_of():
-        breaks = _graded_breaks(state["R"], panel_points / state["n"])
+    def value_at(R, n):
+        breaks = _graded_breaks(R, panel_points / n)
         nodes, weights = _panel_nodes(complex(start), direction, breaks, panel_points)
-        pts = nodes[:, None]
-        vals = _call_integrand(lambda q: f(q[:, 0]), pts)
-        out = _kernels.reduce_weighted(weights, vals)
-        state["count"] = len(nodes)
-        state["R"] *= 2.0
-        state["n"] *= 2.0
-        return out
+        vals = _call_integrand(lambda q: f(q[:, 0]), nodes[:, None])
+        return _kernels.reduce_weighted(weights, vals), len(nodes)
 
-    history = []
-    prev = None
-    for r in range(max_rounds):
-        val = value_of()
-        if prev is not None:
-            diff = _err_norm(val, prev)
-            history.append(diff)
-            if diff < tol:
-                return IntegrationResult(val, diff, r + 1, state["count"], tuple(history))
-        prev = val
-    raise ConvergenceError(
-        f"ray integral did not converge to {tol} in {max_rounds} rounds",
-        value=prev, estimate=history[-1] if history else np.inf)
+    return refine(value_at, initial_radius(decay, tol), n_per_unit, tol, max_rounds,
+                  "ray integral")

@@ -4,6 +4,7 @@ import pytest
 from sectorcalc import functionals as fn
 from sectorcalc import semigroups as sg
 from sectorcalc.geometry import ProductSector
+from sectorcalc.quadrature import ConvergenceError
 
 PI = np.pi
 DOM = (-PI / 2 + 0.05, PI / 2 - 0.05)
@@ -202,6 +203,15 @@ class TestPairFunction:
         bad = fn.SectorFunction(lambda pts: np.full(pts.shape[0], np.nan + 0j), label="nan")
         with pytest.raises(fn.QuadratureError, match="non-finite"):
             fn.pair_function(bad, phi, "measure")
+
+    def test_density_integral_failure_carries_value_and_estimate(self, ps1):
+        # the integrand grows almost as fast as the density decays, so every
+        # doubling of the truncation radius still moves the value
+        d = fn.bisector_density(ps1).densities[0]
+        with pytest.raises(ConvergenceError) as info:
+            fn._tensor_density_integral(lambda p: np.exp(0.99 * p[:, 0]), d, 1e-9,
+                                        max_rounds=3)
+        assert np.isfinite(info.value.value) and info.value.estimate > 1.0
 
     def test_exponential_pairs_to_the_transform(self, rng, ps1):
         # f = e_{-w}: every route returns the transform at w

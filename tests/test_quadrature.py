@@ -35,6 +35,51 @@ class TestPanels:
             assert abs(val - exact) <= 1e-12 * max(exact, 1e-3)
 
 
+    def test_panel_nodes_match_panel_by_panel_rule(self):
+        anchor, direction = 0.3 - 0.2j, np.exp(0.7j)
+        for breaks in (q._graded_breaks(97.0, 2.0), np.linspace(0.0, 3.5, 8)):
+            nodes, weights = q._panel_nodes(anchor, direction, breaks, 16)
+            panels = [q.gauss_panel(a, b, 16) for a, b in zip(breaks[:-1], breaks[1:])]
+            assert np.array_equal(nodes,
+                                  np.concatenate([anchor + t * direction for t, _ in panels]))
+            assert np.array_equal(weights,
+                                  np.concatenate([w * direction for _, w in panels]))
+
+
+class TestRefine:
+    def test_schedule_and_acceptance(self):
+        calls = []
+
+        def value_at(R, n):
+            calls.append((R, n))
+            return 1.0 / n, 3
+
+        res = q.refine(value_at, 5.0, 2.0, tol=0.1)
+        # differences 0.25, 0.125, 0.0625: accepted in the fourth round
+        assert calls == [(5.0, 2.0), (10.0, 4.0), (20.0, 8.0), (40.0, 16.0)]
+        assert (res.value, res.rounds, res.node_count) == (1.0 / 16.0, 4, 3)
+        assert [h[3] for h in res.history] == [np.inf, 0.25, 0.125, 0.0625]
+
+    def test_failure_carries_value_and_estimate(self):
+        with pytest.raises(q.ConvergenceError, match="thing did not converge") as info:
+            q.refine(lambda R, n: (R, 1), 1.0, 1.0, tol=0.5, max_rounds=3, what="thing")
+        assert (info.value.value, info.value.estimate) == (4.0, 2.0)
+
+    def test_adaptive_contour_sees_doubled_contours(self):
+        cq = q.ContourQuadrature.from_region(cone_region(), [0.5], R=32.0)
+        seen = []
+
+        def value_of(c):
+            seen.append(c)
+            return 2.0 ** -len(seen)
+
+        res = q.adaptive_contour(value_of, cq, tol=0.2)
+        assert seen[0] is cq and len(seen) == res.rounds == 3
+        for r, c in enumerate(seen):
+            assert (c.R, c.n_per_unit) == (32.0 * 2 ** r, 8.0 * 2 ** r)
+            assert res.history[r][:3] == (c.R, c.n_per_unit, c.node_count)
+
+
 class TestRayIntegral:
     def test_gamma_one(self):
         res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, tol=1e-12,
@@ -55,6 +100,16 @@ class TestRayIntegral:
         with pytest.raises(q.ConvergenceError):
             q.ray_integral(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, tol=1e-12,
                            max_rounds=3)
+
+    def test_history_has_one_record_per_round(self):
+        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, tol=1e-12,
+                             decay=("exp", 1.0))
+        assert len(res.history) == res.rounds >= 2
+        r0 = q.initial_radius(("exp", 1.0), 1e-12)
+        for r, (R, n, nodes, diff) in enumerate(res.history):
+            assert (R, n) == (r0 * 2.0 ** r, 8.0 * 2.0 ** r)
+            assert nodes > 0 and (diff == np.inf) == (r == 0)
+        assert res.history[-1][2:] == (res.node_count, res.error_estimate)
 
 
 class TestBoundaryPath:
@@ -300,14 +355,3 @@ class TestRichardson:
         limit, residual = q.richardson(vals)
         assert abs(limit - exact) <= 1e-10
         assert residual <= 1e-8
-
-
-class TestConfig:
-    def test_json_round_trip(self):
-        cfg = q.QuadratureConfig(tol=1e-8, max_rounds=8, panel_points=16)
-        cfg2 = q.QuadratureConfig.from_json(cfg.to_json())
-        assert cfg == cfg2
-
-    def test_json_string_input(self):
-        cfg = q.QuadratureConfig.from_json('{"tol": 1e-6, "max_rounds": 4, "panel_points": 16}')
-        assert cfg.tol == 1e-6 and cfg.max_rounds == 4

@@ -43,6 +43,24 @@ class TestExpm:
         assert sg.opnorm(sg.expm(a) - ref) <= 1e-8 * max(sg.opnorm(ref), 1.0)
 
 
+    def test_stack_matches_single_matrices(self, rng):
+        import scipy.linalg
+
+        # t = 0, no squaring (t <= 0.3), and 1 to 4 squarings, interleaved
+        a = sg.random_sectorial_matrix(rng, 3, re_range=(-1.0, -0.2), basis_spread=0.1)
+        ts = np.array([8.0, 0.0, 20.0, 0.05, 2.0, 0.3])
+        stack = sg.expm(ts[:, None, None] * a)
+        assert stack.shape == (len(ts), 3, 3)
+        for t, e in zip(ts, stack):
+            assert np.array_equal(e, sg.expm(t * a))
+            ref = scipy.linalg.expm(t * a)
+            assert np.linalg.norm(e - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_single_matrix_shape(self):
+        assert sg.expm(np.zeros((4, 4))).shape == (4, 4)
+        assert sg.expm(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
 class TestCommutingTuple:
     def test_noncommuting_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
