@@ -36,7 +36,7 @@ from .calculus import (AdmissibilityError, AdmissibilityReport, DenseRangeError,
                        functional_calculus_hinf, functional_calculus_smirnov,
                        h1_norm, interior_cauchy_value, inverse_square, monomial,
                        outer_diagnostic_disk, pointwise_bound_check,
-                       projection_function, spectral_map_check,
-                       strongly_outer_check)
+                       projection_function, separable_function,
+                       spectral_map_check, strongly_outer_check)
 
 __version__ = "0.1.0"

@@ -14,10 +14,12 @@ Everything is pure; contour evaluations inherit the deterministic
 reduction of the quadrature layer.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import resolvent_stack
 from .geometry import AdmissibleRegion, AxisRegion, GeometryError, _unit, make_region
 from .quadrature import (ContourQuadrature, adaptive_contour, initial_radius,
                          integrate, resolvent_contour_value, tensor_sum)
@@ -42,7 +44,10 @@ class HoloFunction:
     ``exp_rate`` optionally certifies exponential decay along the contour
     directions.  ``witness`` carries the quotient pair for the Smirnov
     class: a bounded ``G`` claimed invertible-approximable with ``F*G``
-    bounded.
+    bounded.  ``terms``, when set, is the separable (CP) form
+    ``F = sum_r prod_j terms[r][j](zeta_j)``: a tuple of terms, each a tuple
+    of k callables on 1-D node arrays; contour sums then factorize per
+    axis (see :func:`separable_function`).
     """
 
     fun: object
@@ -51,6 +56,7 @@ class HoloFunction:
     exp_rate: float = None
     witness: object = None
     label: str = "F"
+    terms: tuple = None
 
     def __call__(self, pts):
         return np.asarray(self.fun(np.atleast_2d(np.asarray(pts, dtype=complex))),
@@ -60,7 +66,24 @@ class HoloFunction:
         return complex(self(np.asarray(point, dtype=complex)[None, :])[0])
 
 
+def separable_function(terms, klass="H1", decay=None, exp_rate=None, label="F"):
+    """``HoloFunction`` given by its separable terms; ``fun`` evaluates
+    ``sum_r prod_j terms[r][j](pts[:, j])``, so the two cannot disagree."""
+    terms = tuple(tuple(term) for term in terms)
+
+    def fun(pts):
+        return sum(math.prod(f(pts[:, j]) for j, f in enumerate(term)) for term in terms)
+
+    return HoloFunction(fun, klass, decay, exp_rate, None, label, terms)
+
+
+def _ones(x):
+    return np.ones(len(x), dtype=complex)
+
+
 def product_function(f, g, label=None):
+    """``f * g``; when both carry separable terms the product's terms are
+    the pairwise products (ranks multiply), otherwise it has none."""
     decay = None
     if f.decay is not None and g.decay is not None:
         decay = (f.decay[0] * g.decay[0], f.decay[1] + g.decay[1])
@@ -72,28 +95,30 @@ def product_function(f, g, label=None):
     for r in (f.exp_rate, g.exp_rate):
         if r is not None:
             rate = r if rate is None else max(rate, r)
+    terms = None
+    if f.terms is not None and g.terms is not None:
+        terms = tuple(
+            tuple((lambda x, a=a, b=b: a(x) * b(x)) for a, b in zip(tf, tg))
+            for tf in f.terms for tg in g.terms)
     return HoloFunction(lambda pts: f(pts) * g(pts), "H1", decay, rate, None,
-                        label or f"{f.label}*{g.label}")
+                        label or f"{f.label}*{g.label}", terms)
 
 
 def constant_function(k, value, label=None):
-    return HoloFunction(lambda pts: np.full(pts.shape[0], complex(value)),
-                        "Hinf", (abs(value) + 1e-300, 0.0), None, None,
-                        label or f"const({value})")
+    def first(x):
+        return np.full(len(x), complex(value))
+
+    return separable_function([(first,) + (_ones,) * (k - 1)], "Hinf",
+                              (abs(value) + 1e-300, 0.0), None,
+                              label or f"const({value})")
 
 
 def inverse_square(k, shifts, label=None):
     """``prod_j (zeta_j + s_j)^{-2}``; the workhorse decaying test function."""
     shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
-
-    def fun(pts):
-        out = np.ones(pts.shape[0], dtype=complex)
-        for j in range(k):
-            out = out / (pts[:, j] + shifts[j]) ** 2
-        return out
-
-    return HoloFunction(fun, "H1", (1.0, 2.0), None, None,
-                        label or f"invsq({shifts.tolist()})")
+    term = [lambda x, s=shifts[j]: 1.0 / (x + s) ** 2 for j in range(k)]
+    return separable_function([term], "H1", (1.0, 2.0), None,
+                              label or f"invsq({shifts.tolist()})")
 
 
 def rotated_inverse_square(k, angles, shifts, label=None):
@@ -101,39 +126,26 @@ def rotated_inverse_square(k, angles, shifts, label=None):
     rotated half-planes); used as the bounded-function quotient."""
     shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-
-    def fun(pts):
-        out = np.ones(pts.shape[0], dtype=complex)
-        for j in range(k):
-            out = out / (pts[:, j] * _unit(angles[j]) + shifts[j]) ** 2
-        return out
-
-    return HoloFunction(fun, "H1", (1.0, 2.0), None, None, label or "rot_invsq")
+    term = [lambda x, u=_unit(angles[j]), s=shifts[j]: 1.0 / (x * u + s) ** 2
+            for j in range(k)]
+    return separable_function([term], "H1", (1.0, 2.0), None, label or "rot_invsq")
 
 
 def exponential_function(k, nu, axis=0, shifts=None, label=None):
     """``exp(-nu*zeta_axis)`` optionally damped by ``prod (zeta_j+s_j)^{-1}``."""
     nu = complex(nu)
-
-    def fun(pts):
-        out = np.exp(-nu * pts[:, axis])
-        if shifts is not None:
-            for j in range(k):
-                out = out / (pts[:, j] + shifts[j])
-        return out
-
+    term = [(lambda x: np.exp(-nu * x)) if j == axis else _ones for j in range(k)]
+    if shifts is not None:
+        term = [lambda x, f=f, s=shifts[j]: f(x) / (x + s) for j, f in enumerate(term)]
     p = 1.0 if shifts is not None else 0.0
-    return HoloFunction(fun, "Hinf", (1.0, p), None, None,
-                        label or f"exp(-{nu} z{axis})")
+    return separable_function([term], "Hinf", (1.0, p), None,
+                              label or f"exp(-{nu} z{axis})")
 
 
 def monomial(k, axis=0):
     """``-zeta_axis``, the projection integrand of the quotient class."""
-
-    def fun(pts):
-        return -pts[:, axis]
-
-    return HoloFunction(fun, "Smirnov", None, None, None, f"-z{axis}")
+    term = [(lambda x: -x) if j == axis else _ones for j in range(k)]
+    return separable_function([term], "Smirnov", None, None, f"-z{axis}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +463,15 @@ def boundary_abs_integral(F, region, eps, tol=1e-7, max_rounds=8):
     radius = max(_abs_radius(F, tol), _radius_floor(region, eps))
     cq = ContourQuadrature.from_region(region, eps, R=radius)
 
-    def value_of(c):
+    if F.terms is not None and len(F.terms) == 1:
+        # rank one: |F| = prod_j |f_j| stays separable
+        g = separable_function([[lambda x, f=f: np.abs(f(x)) for f in F.terms[0]]])
+    else:
         def g(pts):
             return np.abs(F(pts)).astype(complex)
 
-        abs_cq = _abs_weights(c)
-        return tensor_sum(g, abs_cq)
+    def value_of(c):
+        return tensor_sum(g, _abs_weights(c))
 
     return abs(adaptive_contour(value_of, cq, tol, max_rounds).value)
 
@@ -610,12 +625,8 @@ def interior_cauchy_value(F, region, eps, point, tol=1e-9):
     radius = max(_abs_radius(F, tol), _radius_floor(region, eps))
     cq = ContourQuadrature.from_region(region, eps, R=radius)
 
-    def g(pts):
-        out = F(pts)
-        for j in range(region.k):
-            out = out / (point[j] - pts[:, j])
-        return out
-
+    kernel = separable_function([[lambda x, p=p: 1.0 / (p - x) for p in point]])
+    g = product_function(F, kernel)
     pref = (2j * np.pi) ** -region.k
     return pref * integrate(g, cq, tol).value
 
@@ -635,10 +646,6 @@ def resolvent_sup_on_contour(tup, lam, region, eps, R=64.0):
     cq = ContourQuadrature.from_region(region, eps, R=R, n_per_unit=2.0)
     sup = 1.0
     for j in range(tup.k):
-        nodes = cq.axes[j].nodes
-        from ._kernels import resolvent_stack
-
-        stack = resolvent_stack(tup.matrices[j], lam[j], nodes)
-        sup_axis = max(opnorm(stack[i]) for i in range(len(nodes)))
-        sup = sup * sup_axis
+        stack = resolvent_stack(tup.matrices[j], lam[j], cq.axes[j].nodes)
+        sup = sup * float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
     return sup

@@ -143,11 +143,16 @@ def write_report(rows, path, fmt="csv", timings=False):
 # ---------------------------------------------------------------------------
 
 
-def _timed(rows, scenario, case, fn, oracle, tol, check="rel"):
+def _clocked(fn):
+    """``fn()`` and the seconds it took."""
     t0 = time.perf_counter()
-    computed = fn()
-    rows.append(ReportRow(scenario, case, computed, oracle, tol, check,
-                          wall_time=time.perf_counter() - t0))
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def _timed(rows, scenario, case, fn, oracle, tol, check="rel"):
+    computed, secs = _clocked(fn)
+    rows.append(ReportRow(scenario, case, computed, oracle, tol, check, wall_time=secs))
 
 
 def sectorial_bank(seed, count=20, max_dim=6):
@@ -233,21 +238,26 @@ def scenario_convolution(seed, tol=1e-8):
     tup = CommutingTuple([random_sectorial_matrix(rng, 3)], [DOMAIN])
     fb_errs = []
     pair_errs = []
+    fb_s = pair_s = 0.0
     for i in range(100):
         p1 = _random_functional(rng, ps)
         p2 = _random_functional(rng, ps)
-        conv = convolve(p1, p2)
         zs = rng.uniform(0.0, 1.5, (5, 1)) + 1j * rng.uniform(-0.3, 0.3, (5, 1))
+        t0 = time.perf_counter()
+        conv = convolve(p1, p2)
         fb_errs.append(float(np.max(np.abs(conv.fb(zs) - p1.fb(zs) * p2.fb(zs))
                                     / np.maximum(np.abs(p1.fb(zs) * p2.fb(zs)), 1e-300))))
+        t1 = time.perf_counter()
         lhs = pair_semigroup(tup, [1.0], conv, "measure", tol=1e-10)
         rhs = pair_semigroup(tup, [1.0], p1, "measure", tol=1e-10) \
             @ pair_semigroup(tup, [1.0], p2, "measure", tol=1e-10)
         pair_errs.append(opnorm(lhs - rhs) / max(opnorm(rhs), 1e-300))
+        fb_s += t1 - t0
+        pair_s += time.perf_counter() - t1
     rows.append(ReportRow("convolution", "fb-multiplicativity max over 100 pairs",
-                          max(fb_errs), 0.0, tol, "abs"))
+                          max(fb_errs), 0.0, tol, "abs", wall_time=fb_s))
     rows.append(ReportRow("convolution", "pairing-multiplicativity max over 100 pairs",
-                          max(pair_errs), 0.0, tol, "abs"))
+                          max(pair_errs), 0.0, tol, "abs", wall_time=pair_s))
     return rows
 
 
@@ -299,9 +309,26 @@ def scenario_calculus_k2(seed, tol=1e-6):
     rng = np.random.default_rng(seed)
     t2 = random_commuting_tuple(rng, 2, 3, sector=DOMAIN)
     u3 = default_region(t2, [1.0, 1.0], ProductSector([SECT, SECT]))
-    rep = spectral_map_check(f, t2, [1.0, 1.0], u3, tol=5e-9)
-    rows.append(ReportRow("calculus-k2", "random 3x3 pair vs eigen oracle",
-                          rep.max_eig_rel_err, 0.0, tol, "abs"))
+    _timed(rows, "calculus-k2", "random 3x3 pair vs eigen oracle",
+           lambda: spectral_map_check(f, t2, [1.0, 1.0], u3, tol=5e-9).max_eig_rel_err,
+           0.0, tol, "abs")
+    return rows
+
+
+def scenario_calculus_k3(seed, tol=1e-6):
+    rows = []
+    rng = np.random.default_rng(seed)
+    for k in (3, 4):
+        for dim in (2, 4, 8):
+            t = random_commuting_tuple(rng, k, dim, sector=DOMAIN)
+            lam = [1.0] * k
+            u = default_region(t, lam, ProductSector([SECT] * k))
+            # poles one unit left of the vertex: outside U and its shift
+            f = inverse_square(k, 1.0 - u.vertex)
+            _timed(rows, "calculus-k3", f"random {dim}x{dim} {k}-tuple vs eigen oracle",
+                   lambda f=f, t=t, lam=lam, u=u:
+                   spectral_map_check(f, t, lam, u, tol=1e-9).matrix_rel_err,
+                   0.0, tol, "abs")
     return rows
 
 
@@ -334,16 +361,17 @@ def scenario_spectral_mapping(seed, tol=1e-6):
     tup = CommutingTuple([b], [DOMAIN])
     u = default_region(tup, [1.0], ProductSector([SECT]))
     f = inverse_square(1, [1.0])
-    rep = spectral_map_check(f, tup, [1.0], u, tol=1e-9)
-    rows.append(ReportRow("spectral-mapping", "companion 2x2 eigen errors",
-                          rep.max_eig_rel_err, 0.0, tol, "abs"))
+    _timed(rows, "spectral-mapping", "companion 2x2 eigen errors",
+           lambda: spectral_map_check(f, tup, [1.0], u, tol=1e-9).max_eig_rel_err,
+           0.0, tol, "abs")
     rng = np.random.default_rng(seed)
     for i in range(3):
         t = random_commuting_tuple(rng, 1, int(rng.integers(2, 6)), sector=DOMAIN)
         ur = default_region(t, [1.0], ProductSector([SECT]))
-        rep = spectral_map_check(f, t, [1.0], ur, tol=1e-9)
-        rows.append(ReportRow("spectral-mapping", f"random tuple {i}",
-                              rep.max_eig_rel_err, 0.0, tol, "abs"))
+        _timed(rows, "spectral-mapping", f"random tuple {i}",
+               lambda t=t, ur=ur:
+               spectral_map_check(f, t, [1.0], ur, tol=1e-9).max_eig_rel_err,
+               0.0, tol, "abs")
     return rows
 
 
@@ -369,17 +397,17 @@ def scenario_hardy(seed, tol=1e-8):
     uh = make_region([0.0], [0.0], [0.0])
     f1 = inverse_square(1, [1.0])
     grid = default_eps_grid(uh) + [np.array([1e-6 + 0j])]
-    h1 = h1_norm(f1, uh, eps_grid=grid, tol=1e-7)
+    h1, secs = _clocked(lambda: h1_norm(f1, uh, eps_grid=grid, tol=1e-7))
     rows.append(ReportRow("hardy", "half-plane norm of the inverse square",
-                          h1, np.pi, 1e-4, "abs"))
-    ratio, _ = pointwise_bound_check(f1, uh, [[1.0], [2.0], [5.0]], norm_lower=h1)
-    rows.append(ReportRow("hardy", "pointwise bound ratio (<= 1 + 1e-3)",
-                          ratio, 1.0, 1e-3, "le"))
+                          h1, np.pi, 1e-4, "abs", wall_time=secs))
+    _timed(rows, "hardy", "pointwise bound ratio (<= 1 + 1e-3)",
+           lambda: pointwise_bound_check(f1, uh, [[1.0], [2.0], [5.0]], norm_lower=h1)[0],
+           1.0, 1e-3, "le")
     u1 = regions["cone"]
-    ratio_c, _ = pointwise_bound_check(inverse_square(1, [1.0]), u1,
-                                       [[1.0], [2.0], [4.0 + 0.5j]], tol=1e-6)
-    rows.append(ReportRow("hardy", "pointwise bound ratio on the cone",
-                          ratio_c, 1.0, 1e-3, "le"))
+    _timed(rows, "hardy", "pointwise bound ratio on the cone",
+           lambda: pointwise_bound_check(inverse_square(1, [1.0]), u1,
+                                         [[1.0], [2.0], [4.0 + 0.5j]], tol=1e-6)[0],
+           1.0, 1e-3, "le")
     return rows
 
 
@@ -406,44 +434,47 @@ def scenario_outer(seed, tol=1e-3):
                          np.linspace(0.0, 2 * np.pi, 24, endpoint=False))
     grid = (rr * np.exp(1j * th)).ravel()
     bgrid = 0.999 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 128, endpoint=False))
-    rep = strongly_outer_check(f, wit, grid, bgrid)
+    rep, secs = _clocked(lambda: strongly_outer_check(f, wit, grid, bgrid))
     rows.append(ReportRow("outer", "disk witness: domination",
-                          rep.max_domination_violation, 0.0, 1e-12, "abs"))
+                          rep.max_domination_violation, 0.0, 1e-12, "abs", wall_time=secs))
     rows.append(ReportRow("outer", "disk witness: quotient converges",
-                          1.0 if rep.converges else 0.0, 1.0, 0.0, "abs"))
+                          1.0 if rep.converges else 0.0, 1.0, 0.0, "abs", wall_time=secs))
     # conformal transport of the disk witnesses to a half-plane factor
     # 1/(zeta e^{i gamma} - m + 1) collapses to F_n = F + 1/(2n)
     fj = lambda p: 1.0 / (p * np.exp(1j * 0.0) - (-1.0) + 1.0)
     witj = WitnessSequence(tuple(
         (lambda p, n=n: fj(p) + 0.5 / n) for n in (1, 2, 4, 8, 16, 32, 64, 128, 256)))
     halfgrid = np.linspace(-0.5, 8.0, 40) + 0.3j
-    repj = strongly_outer_check(fj, witj, halfgrid)
+    repj, secs = _clocked(lambda: strongly_outer_check(fj, witj, halfgrid))
     rows.append(ReportRow("outer", "half-plane factor witness: domination",
-                          repj.max_domination_violation, 0.0, 1e-9, "abs"))
+                          repj.max_domination_violation, 0.0, 1e-9, "abs", wall_time=secs))
     rows.append(ReportRow("outer", "half-plane factor witness: quotient converges",
-                          1.0 if repj.converges else 0.0, 1.0, 0.0, "abs"))
+                          1.0 if repj.converges else 0.0, 1.0, 0.0, "abs", wall_time=secs))
     f_inner = lambda s: np.exp((s + 1.0) / (s - 1.0))
-    means, bmean = outer_diagnostic_disk(f_inner)
+    (means, bmean), secs = _clocked(lambda: outer_diagnostic_disk(f_inner))
     rows.append(ReportRow("outer", "singular slice circle means stay at -1",
-                          float(np.max(np.abs(means + 1.0))), 0.0, tol, "abs"))
+                          float(np.max(np.abs(means + 1.0))), 0.0, tol, "abs",
+                          wall_time=secs))
     rows.append(ReportRow("outer", "singular slice boundary mean vanishes",
-                          abs(bmean), 0.0, 1e-6, "abs"))
+                          abs(bmean), 0.0, 1e-6, "abs", wall_time=secs))
     wit_inner = WitnessSequence(tuple(
         (lambda s, n=n: np.exp((s + 1.0 + 1.0 / n) / (s - 1.0 - 1.0 / n)))
         for n in (1, 2, 4, 8, 16)))
-    rep_inner = strongly_outer_check(f_inner, wit_inner, np.linspace(0.0, 0.98, 50))
+    rep_inner, secs = _clocked(
+        lambda: strongly_outer_check(f_inner, wit_inner, np.linspace(0.0, 0.98, 50)))
     rows.append(ReportRow("outer", "singular slice fails the quotient condition",
-                          0.0 if rep_inner.converges else 1.0, 1.0, 0.0, "abs"))
+                          0.0 if rep_inner.converges else 1.0, 1.0, 0.0, "abs",
+                          wall_time=secs))
     return rows
 
 
 def scenario_determinism(seed, tol=0.0):
-    rows1 = scenario_calculus_k1(seed)
-    rows2 = scenario_calculus_k1(seed)
+    (rows1, rows2), secs = _clocked(
+        lambda: (scenario_calculus_k1(seed), scenario_calculus_k1(seed)))
     same = all(_flatten(a.computed) == _flatten(b.computed)
                for a, b in zip(rows1, rows2))
     return [ReportRow("determinism", "repeated calculus-k1 runs byte-identical",
-                      1.0 if same else 0.0, 1.0, 0.0, "abs")]
+                      1.0 if same else 0.0, 1.0, 0.0, "abs", wall_time=secs)]
 
 
 SCENARIOS = {
@@ -454,6 +485,7 @@ SCENARIOS = {
     "wn-route": scenario_wn_route,
     "calculus-k1": scenario_calculus_k1,
     "calculus-k2": scenario_calculus_k2,
+    "calculus-k3": scenario_calculus_k3,
     "special-cases": scenario_special_cases,
     "spectral-mapping": scenario_spectral_mapping,
     "hardy": scenario_hardy,

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorcalc import calculus as ca
 from sectorcalc import functionals as fn
 from sectorcalc import geometry as g
+from sectorcalc import quadrature as q
 from sectorcalc import semigroups as sg
+from sectorcalc._kernels import resolvent_stack
 from sectorcalc.geometry import ProductSector
 
 PI = np.pi
@@ -140,6 +144,13 @@ class TestMainCalculus:
         assert rep.max_eig_rel_err <= 1e-8
         assert rep.matrix_rel_err <= 1e-8
 
+    def test_three_axes_dim8_against_eigen_oracle(self, rng):
+        tup = sg.random_commuting_tuple(rng, 3, 8, DOM)
+        u = ca.default_region(tup, [1.0] * 3, ProductSector([SECT] * 3))
+        f = ca.inverse_square(3, 1.0 - u.vertex)  # poles left of the vertex
+        rep = ca.spectral_map_check(f, tup, [1.0] * 3, u, tol=1e-9)
+        assert rep.matrix_rel_err <= 1e-9
+
     def test_missing_certificate_rejected(self, scalar_tuple, cone):
         f = ca.HoloFunction(lambda p: 1.0 / (p[:, 0] + 1.0), "H1", (1.0, 1.0))
         with pytest.raises(ca.AdmissibilityError):
@@ -151,12 +162,113 @@ class TestMainCalculus:
             ca.functional_calculus(ca.inverse_square(1, [1.0]), scalar_tuple,
                                    [1.0], u_bad, [0.25])
 
+    def test_resolvent_sup_matches_the_per_node_norms(self, rng):
+        tup = sg.random_commuting_tuple(rng, 2, 3, DOM)
+        u = ca.default_region(tup, [1.0, 1.0], ProductSector([SECT] * 2))
+        cq = q.ContourQuadrature.from_region(u, [0.25, 0.25], R=64.0, n_per_unit=2.0)
+        ref = 1.0
+        for j in range(2):
+            stack = resolvent_stack(tup.matrices[j], 1.0, cq.axes[j].nodes)
+            ref *= max(sg.opnorm(m) for m in stack)
+        val = ca.resolvent_sup_on_contour(tup, [1.0, 1.0], u, [0.25, 0.25])
+        assert val == pytest.approx(ref, rel=1e-14)
+
     def test_boundedness_estimate(self, scalar_tuple, cone):
         f = ca.inverse_square(1, [1.0])
         val = ca.functional_calculus(f, scalar_tuple, [1.0], cone, [0.25], tol=1e-9)
         norm = ca.h1_norm(f, cone, tol=1e-6)
         kk = ca.resolvent_sup_on_contour(scalar_tuple, [1.0], cone, [0.25])
         assert sg.opnorm(val) <= (2 * PI) ** -1 * kk * norm * (1 + 1e-6)
+
+
+def _unit_angles(k):
+    return np.exp(1j * 0.2 * np.arange(k))
+
+
+class TestSeparableFunctions:
+    # (preset on k axes, its closed form on (M, k) points)
+    PRESETS = {
+        "inverse_square": (
+            lambda k: ca.inverse_square(k, 1.5 + 0.3j * np.arange(k)),
+            lambda p: np.prod(1.0 / (p + 1.5 + 0.3j * np.arange(p.shape[1])) ** 2, axis=1)),
+        "rotated_inverse_square": (
+            lambda k: ca.rotated_inverse_square(k, 0.2 * np.arange(k), 2.0 + np.arange(k)),
+            lambda p: np.prod(1.0 / (p * _unit_angles(p.shape[1])
+                                     + 2.0 + np.arange(p.shape[1])) ** 2, axis=1)),
+        "exponential": (
+            lambda k: ca.exponential_function(k, 0.7 + 0.1j, axis=k - 1),
+            lambda p: np.exp(-(0.7 + 0.1j) * p[:, -1])),
+        "exponential_damped": (
+            lambda k: ca.exponential_function(k, 0.7, axis=0, shifts=3.0 + np.arange(k)),
+            lambda p: np.exp(-0.7 * p[:, 0])
+            / np.prod(p + 3.0 + np.arange(p.shape[1]), axis=1)),
+        "constant": (
+            lambda k: ca.constant_function(k, 2.5 - 1j),
+            lambda p: np.full(p.shape[0], 2.5 - 1j)),
+        "monomial": (
+            lambda k: ca.monomial(k, axis=k - 1),
+            lambda p: -p[:, -1]),
+        "product": (
+            lambda k: ca.product_function(ca.inverse_square(k, [2.0] * k),
+                                          ca.exponential_function(k, 0.5)),
+            lambda p: np.exp(-0.5 * p[:, 0]) * np.prod(1.0 / (p + 2.0) ** 2, axis=1)),
+    }
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_fun_and_terms_give_the_closed_form(self, name, k, rng):
+        build, closed_form = self.PRESETS[name]
+        f = build(k)
+        pts = rng.uniform(0.0, 4.0, (50, k)) + 1j * rng.uniform(-4.0, 4.0, (50, k))
+        assert f.terms is not None and all(len(t) == k for t in f.terms)
+        ref = closed_form(pts)
+        from_terms = sum(np.prod([fj(pts[:, j]) for j, fj in enumerate(term)], axis=0)
+                         for term in f.terms)
+        assert np.allclose(f(pts), ref, rtol=1e-13, atol=0.0)
+        assert np.allclose(from_terms, ref, rtol=1e-13, atol=0.0)
+
+    def test_product_multiplies_ranks(self):
+        two = ca.separable_function([[np.exp, np.exp], [np.sin, np.cos]])
+        three = ca.separable_function([[np.cos, np.sin], [np.exp, np.cos],
+                                       [np.sin, np.sin]])
+        assert len(ca.product_function(two, three).terms) == 6
+        bare = ca.HoloFunction(lambda p: p[:, 0] * p[:, 1])
+        assert ca.product_function(two, bare).terms is None
+        assert ca.product_function(bare, two).terms is None
+
+    def test_bare_integrand_keeps_the_dense_result(self, scalar_tuple, cone):
+        # a function without terms takes the blocked dense contraction,
+        # whose value on this input was recorded before the separable
+        # path existed; it must not move by a single bit
+        f = ca.inverse_square(1, [1.0])
+        bare = ca.HoloFunction(lambda p: f(p), "H1", (1.0, 2.0))
+        val = ca.functional_calculus(bare, scalar_tuple, [1.0], cone, [0.25], tol=1e-9)
+        assert complex(val[0, 0]) == (0.11111111111071319 - 3.9687911064269143e-19j)
+
+    def test_separable_and_dense_boundary_integrals_agree(self):
+        u = g.make_region([SECT[0]] * 2, [SECT[1]] * 2, [0.0, 0.0])
+        f = ca.inverse_square(2, [1.0 + 0.2j, 1.5])
+        bare = ca.HoloFunction(lambda p: f(p), "H1", f.decay)
+        eps, point = [0.3, 0.2 + 0.1j], [2.0, 2.5]
+        for integral in (lambda F: ca.boundary_abs_integral(F, u, eps, tol=1e-6),
+                         lambda F: ca.interior_cauchy_value(F, u, eps, point, tol=1e-7)):
+            sep, dense = integral(f), integral(bare)
+            assert abs(sep - dense) <= 1e-12 * abs(dense)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 3), dim=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           gap=st.floats(0.5, 3.0), tilt=st.floats(-1.0, 1.0),
+           eps_scale=st.floats(0.05, 0.4))
+    def test_calculus_matches_the_eigen_oracle(self, k, dim, seed, gap, tilt, eps_scale):
+        tup = sg.random_commuting_tuple(np.random.default_rng(seed), k, dim, DOM)
+        lam = [1.0] * k
+        u = ca.default_region(tup, lam, ProductSector([SECT] * k))
+        # poles left of the vertex, so outside U and every rightward shift
+        f = ca.inverse_square(k, gap + 1j * tilt - u.vertex)
+        val = ca.functional_calculus(f, tup, lam, u, ca._default_eps(u, eps_scale),
+                                     tol=1e-9)
+        rep = ca.spectral_map_check(f, tup, lam, u, computed=val)
+        assert rep.matrix_rel_err <= 1e-9
 
 
 class TestQuotientExtensions:

@@ -39,6 +39,20 @@ class TestRun:
         header = out.read_text().splitlines()[0]
         assert "wall_time" in header
 
+    def test_every_row_carries_its_time(self, tmp_path):
+        for name in ("convolution", "spectral-mapping", "outer", "determinism"):
+            out = tmp_path / f"{name}.json"
+            assert run_cli(["run", "--scenario", name, "--out", str(out),
+                            "--format", "json", "--timings"]) == 0
+            assert all(r["wall_time"] > 0.0 for r in json.loads(out.read_text())), name
+
+    def test_k3_scenario_exits_zero(self, tmp_path):
+        out = tmp_path / "k3.csv"
+        assert run_cli(["run", "--scenario", "calculus-k3", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 and all(r["passed"] == "True" for r in rows)
+
     def test_unknown_scenario_exits_two(self, tmp_path, capsys):
         assert run_cli(["run", "--scenario", "no-such-thing",
                         "--out", str(tmp_path / "x.csv")]) == 2

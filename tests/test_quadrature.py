@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from sectorcalc import calculus as ca
 from sectorcalc import geometry as g
 from sectorcalc import quadrature as q
 
@@ -346,6 +347,88 @@ class TestBlockedContraction:
 
         with pytest.raises(q.QuadratureError, match="non-finite"):
             q.tensor_sum(f, cq)
+
+
+def _one(x):
+    return np.ones(len(x))
+
+
+def _separable(k, rank):
+    """Rank-``rank`` separable integrand and the same function without terms."""
+    terms = [[(lambda x, r=r, j=j: np.exp(-0.1 * (j + 1) * x) / (4.0 + 0.5j * r + x))
+              for j in range(k)] for r in range(rank)]
+    f = ca.separable_function(terms)
+    return f, (lambda p: f(p))
+
+
+class TestSeparableContraction:
+    """The factorized sum of integrands with terms against a dense einsum
+    and against the blocked contraction of the same function without terms."""
+
+    COUNTS = TestBlockedContraction.COUNTS
+
+    @pytest.fixture(params=[(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 3)])
+    def case(self, request, monkeypatch):
+        monkeypatch.setattr(q, "_BLOCK_POINTS", 20)
+        k, rank = request.param
+        rng = np.random.default_rng(10 * k + rank)
+        f, bare = _separable(k, rank)
+        return _random_grid(rng, self.COUNTS[k]), rng, f, bare
+
+    def test_scalar_sum(self, case):
+        cq, _, f, bare = case
+        ix = TestBlockedContraction._letters(cq.k)
+        ref = np.einsum(",".join([ix] + list(ix)) + "->", _dense_values(bare, cq),
+                        *[ax.weights for ax in cq.axes])
+        val = q.tensor_sum(f, cq)
+        assert abs(val - ref) <= 1e-13 * max(abs(ref), 1.0)
+        assert abs(val - q.tensor_sum(bare, cq)) <= 1e-13 * max(abs(ref), 1.0)
+
+    def test_resolvent_sum(self, case):
+        cq, rng, f, bare = case
+        d = 3
+        mats = [rng.standard_normal((d, d)) for _ in range(cq.k)]
+        lam = 0.5 + 0.2j * np.arange(1, cq.k + 1)
+        offs = 0.1j * np.arange(cq.k)
+        stacks = [np.linalg.inv(lam[j] * mats[j] + (cq.axes[j].nodes - offs[j])[:, None, None]
+                                * np.eye(d)) for j in range(cq.k)]
+        ix = TestBlockedContraction._letters(cq.k)
+        mat_ix = [ix[j] + "wxyz"[j:j + 2] for j in range(cq.k)]
+        spec = ",".join([ix] + list(ix) + mat_ix) + "->w" + "wxyz"[cq.k]
+        ref = np.einsum(spec, _dense_values(bare, cq),
+                        *[ax.weights for ax in cq.axes], *stacks)
+        val = q.resolvent_contour_value(f, mats, lam, cq, node_offsets=offs)
+        dense = q.resolvent_contour_value(bare, mats, lam, cq, node_offsets=offs)
+        assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(val - dense) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_nonfinite_factor_rejected(self, case):
+        cq, _, _, _ = case
+        last = cq.axes[-1].nodes[-1]
+        def bad(x):
+            return 1.0 / (x != last)
+
+        f = ca.separable_function([[_one] * cq.k, [_one] * (cq.k - 1) + [bad]])
+        with np.errstate(divide="ignore"):
+            with pytest.raises(q.QuadratureError, match="non-finite"):
+                q.tensor_sum(f, cq)
+
+    def test_malformed_terms_rejected(self, case):
+        cq, _, _, _ = case
+        with pytest.raises(q.QuadratureError, match="factors for"):
+            q.tensor_sum(ca.separable_function([[_one] * (cq.k + 1)]), cq)
+        with pytest.raises(q.QuadratureError, match="one scalar per node"):
+            q.tensor_sum(ca.separable_function([[lambda x: np.ones(1)] * cq.k]), cq)
+
+    def test_factors_cannot_write_into_the_nodes(self, case):
+        cq, _, _, _ = case
+
+        def f(x):
+            x[0] = 0.0
+            return np.ones(len(x))
+
+        with pytest.raises(ValueError, match="read-only"):
+            q.tensor_sum(ca.separable_function([[f] * cq.k]), cq)
 
 
 class TestRichardson:
