@@ -22,7 +22,7 @@ from .semigroups import (CommutationError, CommutingTuple, DivergenceError,
                          evaluate, expm, generator_from_difference_quotient,
                          generator_from_weighted_integrals, generator_holomorphic,
                          mult_semigroup_gap, mult_semigroup_gap_closed_form,
-                         n_set_classify, opnorm, quasinilpotent_gap,
+                         n_set_classify, opnorm, orbit_integrals, quasinilpotent_gap,
                          resolvent_product, resolvent_via_laplace)
 from .functionals import (AxisDensity, FBDomainInfo, Functional,
                           NoAdmissibleAnchor, RouteError,

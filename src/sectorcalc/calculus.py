@@ -15,7 +15,7 @@ reduction of the quadrature layer.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,7 +244,7 @@ def _radius_floor(region, eps, tup=None, lam=None):
     return floor
 
 
-def _contour_radius(F, tup, lam, tol):
+def _contour_radius(F, tol):
     if F.exp_rate is not None and F.exp_rate > 0:
         return initial_radius(("exp", F.exp_rate), tol)
     if F.decay is None:
@@ -276,7 +276,7 @@ def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
                 f"{tag} is not admissible for the scaled tuple: "
                 f"anchor={report.anchor_class}, spectrum_inside={report.spectrum_inside}, "
                 f"margins={report.margins} {report.detail}")
-    radius = max(_contour_radius(F, tup, lam, tol), _radius_floor(region, eps, tup, lam))
+    radius = max(_contour_radius(F, tol), _radius_floor(region, eps, tup, lam))
     cq = ContourQuadrature.from_region(region, eps, R=radius)
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
     res = adaptive_contour(
@@ -344,11 +344,7 @@ def functional_calculus_hinf(F, tup, lam, region, tol=1e-9, eps=None, max_rounds
     m_fg = functional_calculus(product_function(F, g), tup, lam, region, eps,
                                tol, max_rounds)
     m_g = functional_calculus(g, tup, lam, region, eps, tol, max_rounds)
-    cond = np.linalg.cond(m_g)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise DenseRangeError(
-            f"quotient image is numerically singular (cond={cond:.3e})")
-    return np.linalg.solve(m_g.T, m_fg.T).T
+    return _quotient(m_fg, m_g, "quotient image")
 
 
 def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None,
@@ -358,17 +354,21 @@ def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None,
     if F.witness is None:
         raise AdmissibilityError(f"{F.label} carries no witness pair")
     gw = F.witness
-    fg = HoloFunction(lambda pts: F(pts) * gw(pts), "Hinf", gw.decay, gw.exp_rate,
-                      None, f"{F.label}*{gw.label}")
+    fg = product_function(F, gw)
     # the witness must keep the product bounded on a region sample
     sup_on_region(fg, region)
     m_fg = functional_calculus_hinf(fg, tup, lam, region, tol, eps, max_rounds)
     m_g = functional_calculus_hinf(gw, tup, lam, region, tol, eps, max_rounds)
-    cond = np.linalg.cond(m_g)
+    return _quotient(m_fg, m_g, "witness image")
+
+
+def _quotient(m_num, m_den, what):
+    """``m_num @ m_den^{-1}``, refused with :class:`DenseRangeError` when
+    ``m_den`` (the image ``what``) is numerically singular."""
+    cond = np.linalg.cond(m_den)
     if not np.isfinite(cond) or cond > 1e10:
-        raise DenseRangeError(
-            f"witness image is numerically singular (cond={cond:.3e})")
-    return np.linalg.solve(m_g.T, m_fg.T).T
+        raise DenseRangeError(f"{what} is numerically singular (cond={cond:.3e})")
+    return np.linalg.solve(m_den.T, m_num.T).T
 
 
 def projection_witness(tup, lam, region, axis=0, margin=2.0):
@@ -381,18 +381,17 @@ def projection_witness(tup, lam, region, axis=0, margin=2.0):
     theta = 0.5 * (ax.alpha + ax.beta)
     nu0 = margin + max(growth.abscissa(axis, theta, lam[axis]),
                        -(ax.z * _unit(theta)).real)
-
-    def fun(pts):
-        return 1.0 / (pts[:, axis] * _unit(theta) + nu0) ** 2
-
-    return HoloFunction(fun, "Hinf", (1.0, 0.0), None, None,
-                        label=f"proj_witness(nu0={nu0:.3g})")
+    u = _unit(theta)
+    term = [(lambda x: 1.0 / (x * u + nu0) ** 2) if j == axis else _ones
+            for j in range(region.k)]
+    return separable_function([term], "Hinf", (1.0, 0.0), None,
+                              label=f"proj_witness(nu0={nu0:.3g})")
 
 
 def projection_function(tup, lam, region, axis=0):
-    f = monomial(region.k, axis)
-    return HoloFunction(f.fun, "Smirnov", None, None,
-                        projection_witness(tup, lam, region, axis), f.label)
+    """The monomial ``-zeta_axis`` with its witness pair (separable terms kept)."""
+    return replace(monomial(region.k, axis),
+                   witness=projection_witness(tup, lam, region, axis))
 
 
 def _default_eps(region, scale=0.25):
@@ -485,8 +484,6 @@ def _abs_radius(F, tol):
 
 
 def _abs_weights(cq):
-    from dataclasses import replace
-
     axes = tuple(
         type(ax)(ax.nodes, np.abs(ax.weights).astype(complex), ax.segments)
         for ax in cq.axes

@@ -27,7 +27,7 @@ from .geometry import ProductSector, _unit, make_region
 from .quadrature import (ContourQuadrature, QuadratureError, _contract, _graded_breaks,
                          _panel_nodes, adaptive_contour, initial_radius, integrate,
                          ray_integral, refine, resolvent_contour_value, richardson)
-from .semigroups import DivergenceError, GrowthProfile, evaluate, expm
+from .semigroups import GrowthProfile, evaluate, expm, orbit_integrals
 
 MAX_DEGREE = 4
 
@@ -290,10 +290,6 @@ class Functional:
                         f"(axis {j} decays like |sigma|^-{prof[1]:g})")
                 radius = max(radius, initial_radius(("alg", scale, power), tol))
         return radius
-
-    def contour_radius(self, tol, extra_power=0.0, extra_scale=1.0):
-        return max(self._axis_radius(j, tol, extra_power, extra_scale)
-                   for j in range(self.k))
 
     # -- serialization --------------------------------------------------------
 
@@ -918,22 +914,20 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
             for j in range(tup.k):
                 term = term @ evaluate(tup, j, lam[j] * eta[j])
             total += term
-        for d in phi.densities:
+        if not phi.densities:
+            return total
+        # per axis, one batch of orbit integrals: one per density
+        orbit = []
+        for j in range(tup.k):
+            axes = [d.axes[j] for d in phi.densities]
+            orbit.append(orbit_integrals(
+                tup, j, [lam[j] * _unit(ax.omega) for ax in axes],
+                [lambda ts, ax=ax: ax.poly(ts) * np.exp(-ax.s * ts) for ax in axes],
+                min(ax.s.real - growth.abscissa(j, ax.omega, lam[j]) for ax in axes), tol))
+        for i, d in enumerate(phi.densities):
             term = d.weight * np.eye(dim, dtype=complex)
-            for j, ax in enumerate(d.axes):
-                term = term @ evaluate(tup, j, lam[j] * d.offset[j])
-                rate = ax.s.real - growth.abscissa(j, ax.omega, lam[j])
-                if rate <= 1e-9:
-                    raise DivergenceError(
-                        f"axis {j}: density weight decays slower than the orbit grows")
-                a = tup.matrices[j]
-                scaled = lam[j] * _unit(ax.omega) * a
-
-                def g(ts, ax=ax, scaled=scaled):
-                    return (ax.poly(ts) * np.exp(-ax.s * ts))[:, None, None] \
-                        * expm(ts[:, None, None] * scaled)
-
-                term = term @ ray_integral(g, 0.0, 1.0, tol=tol, decay=("exp", rate)).value
+            for j in range(tup.k):
+                term = term @ evaluate(tup, j, lam[j] * d.offset[j]) @ orbit[j][i]
             total += term
         return total
 
@@ -1016,17 +1010,8 @@ def fb_of_orbit(tup, lam, z, zeta, u, route="resolvent", tol=1e-10):
                 if best is None or rate > best[1]:
                     best = (omega, rate)
             omega, rate = best
-            if rate <= 1e-9:
-                raise DivergenceError(
-                    f"axis {j}: no ray direction gives a convergent orbit transform")
             udir = _unit(omega)
-            a = tup.matrices[j]
-
-            def g(ts, udir=udir, j=j, a=a):
-                return np.exp((z[j] - zeta[j]) * ts * udir)[:, None, None] \
-                    * expm((ts * lam[j] * udir)[:, None, None] * a)
-
-            m = udir * ray_integral(g, 0.0, 1.0, tol=tol, decay=("exp", rate)).value
-            x = m @ x
+            weight = [lambda ts: np.exp((z[j] - zeta[j]) * ts * udir)]
+            x = udir * orbit_integrals(tup, j, [lam[j] * udir], weight, rate, tol)[0] @ x
         return x
     raise RouteError(f"unknown orbit route {route!r}")

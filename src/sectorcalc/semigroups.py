@@ -5,9 +5,14 @@ matrices ``A_1 .. A_k`` together with per-axis sector domains
 ``(a_j, b_j)``; the j-th semigroup is ``zeta -> Exp(zeta*A_j)`` on the
 closed sector, with value I at zeta = 0.  The matrix exponential uses
 scaling and squaring with the 13th-order diagonal rational approximant,
-on whole stacks at once (an orbit integrand makes one call per round);
-eigendecompositions appear only in growth-rate bookkeeping and test
-oracles, never inside the exponential.
+on whole stacks at once; eigendecompositions appear only in growth-rate
+bookkeeping and test oracles, never inside the exponential.
+
+Every weighted orbit integral ``int_0^inf w(t) Exp(t*u*A_j) dt`` (Laplace
+resolvents, generator recovery, and in :mod:`.functionals` the
+measure-route pairings and orbit transforms) goes through
+:func:`orbit_integrals`: one decay check, one ray integral for a whole
+batch of weights, one ``expm`` call per refinement round.
 
 Tuples are immutable after validation and all operations are pure.
 """
@@ -134,12 +139,6 @@ class CommutingTuple:
     def eigenvalues(self, j):
         return np.linalg.eigvals(self.matrices[j])
 
-    def eig_basis(self, j):
-        """Eigen data (used by oracles): eigenvalues, eigenvector matrix,
-        and its condition number."""
-        vals, vecs = np.linalg.eig(self.matrices[j])
-        return vals, vecs, float(np.linalg.cond(vecs))
-
     def to_json(self):
         return {
             "k": self.k,
@@ -206,6 +205,33 @@ def resolvent_product(tup, lam, zeta):
     return x
 
 
+def orbit_integrals(tup, j, directions, weights, rate, tol=1e-10):
+    """Weighted orbit integrals ``int_0^inf weights[i](t) Exp(t*directions[i]*A_j) dt``,
+    returned as an (n, d, d) stack.
+
+    ``rate`` is the caller's decay margin: how much faster the slowest
+    weight decays than the slowest orbit grows.  All n integrals share one
+    ray integral, whose integrand exponentiates each distinct direction
+    once per round in one :func:`expm` call.
+    """
+    if rate <= 1e-9:
+        raise DivergenceError(
+            f"axis {j}: orbit integral diverges (decay margin {rate:.6g} is not positive)")
+    if len(directions) != len(weights):
+        raise ValueError("need one direction per weight")
+    uniq, which = np.unique(np.asarray(directions, dtype=complex), return_inverse=True)
+    a = tup.matrices[j]
+    n, d = len(weights), tup.dim
+
+    def f(ts):
+        orbits = expm((ts[:, None] * uniq)[:, :, None, None] * a)[:, which]
+        w = np.stack([weight(ts) for weight in weights], axis=1)
+        return (w[:, :, None, None] * orbits).reshape(len(ts), n * d, d)
+
+    res = ray_integral(f, 0.0, 1.0, tol=tol, decay=("exp", rate))
+    return res.value.reshape(n, d, d)
+
+
 def resolvent_via_laplace(tup, j, lam, zeta0=1.0, tol=1e-10):
     """Resolvent ``(lam*I - A_j)^{-1}`` by quadrature of the semigroup
     Laplace transform along the ray of direction ``zeta0``.
@@ -216,40 +242,9 @@ def resolvent_via_laplace(tup, j, lam, zeta0=1.0, tol=1e-10):
     lam = complex(lam)
     zeta0 = complex(zeta0)
     zeta0 /= abs(zeta0)
-    h = GrowthProfile(tup).abscissa(j, float(np.angle(zeta0)))
-    margin = (lam * zeta0).real - h
-    if margin <= 1e-9:
-        raise DivergenceError(
-            f"Re(lam*zeta0)={ (lam * zeta0).real :.6g} does not exceed the "
-            f"spectral abscissa {h:.6g} along the ray")
-    a = tup.matrices[j]
-
-    def f(ts):
-        return np.exp(-ts * zeta0 * lam)[:, None, None] * expm((ts * zeta0)[:, None, None] * a)
-
-    res = ray_integral(f, 0.0, 1.0, tol=tol, decay=("exp", margin))
-    return zeta0 * res.value
-
-
-def laplace_norm_bound(tup, j, lam, zeta0=1.0, tol=1e-10):
-    """Upper bound ``|zeta0| * int exp(-t*Re(lam*zeta0)) |Exp(t*zeta0*A_j)| dt``
-    for the resolvent norm, by scalar ray quadrature."""
-    lam = complex(lam)
-    zeta0 = complex(zeta0)
-    zeta0 /= abs(zeta0)
-    h = GrowthProfile(tup).abscissa(j, float(np.angle(zeta0)))
-    margin = (lam * zeta0).real - h
-    if margin <= 1e-9:
-        raise DivergenceError("norm-bound integral diverges for these parameters")
-    a = tup.matrices[j]
-    r = (lam * zeta0).real
-
-    def f(ts):
-        return np.exp(-ts * r) * np.linalg.norm(expm((ts * zeta0)[:, None, None] * a), 2,
-                                               axis=(-2, -1))
-
-    res = ray_integral(f, 0.0, 1.0, tol=tol, decay=("exp", margin))
-    return abs(res.value)
+    margin = (lam * zeta0).real - GrowthProfile(tup).abscissa(j, float(np.angle(zeta0)))
+    return zeta0 * orbit_integrals(tup, j, [zeta0], [lambda ts: np.exp(-ts * zeta0 * lam)],
+                                   margin, tol)[0]
 
 
 def generator_from_weighted_integrals(tup, j, lam, tol=1e-10):
@@ -260,19 +255,10 @@ def generator_from_weighted_integrals(tup, j, lam, tol=1e-10):
     ``lam`` must exceed the spectral abscissa along the positive axis.
     """
     lam = float(lam)
-    h = GrowthProfile(tup).abscissa(j, 0.0)
-    if lam <= h + 1e-9:
-        raise DivergenceError(f"lam={lam} must exceed the spectral abscissa {h:.6g}")
-    a = tup.matrices[j]
-    margin = lam - h
-
-    def orbit(ts, weight):
-        return weight[:, None, None] * expm(ts[:, None, None] * a)
-
-    b = ray_integral(lambda ts: orbit(ts, ts * np.exp(-lam * ts)), 0.0, 1.0, tol=tol,
-                     decay=("exp", margin)).value
-    c = ray_integral(lambda ts: orbit(ts, (1.0 - lam * ts) * np.exp(-lam * ts)), 0.0, 1.0,
-                     tol=tol, decay=("exp", margin)).value
+    b, c = orbit_integrals(
+        tup, j, [1.0, 1.0],
+        [lambda ts: ts * np.exp(-lam * ts), lambda ts: (1.0 - lam * ts) * np.exp(-lam * ts)],
+        lam - GrowthProfile(tup).abscissa(j, 0.0), tol)
     cond = np.linalg.cond(b)
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(f"weighted integral B is numerically singular (cond={cond:.3e})")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,39 @@ class TestQuotientExtensions:
         f = ca.projection_function(tup, [0.8], u, 0)
         val = ca.functional_calculus_smirnov(f, tup, [0.8], u, tol=1e-9)
         assert sg.opnorm(val - 0.8 * tup.matrices[0]) <= 1e-8
+
+    def test_projection_and_witness_carry_terms(self):
+        tup = sg.CommutingTuple([np.array([[-2.0]]), np.array([[-3.0]])], [DOM] * 2)
+        u = g.make_region([SECT[0]] * 2, [SECT[1]] * 2, [0.0, 0.0])
+        f = ca.projection_function(tup, [1.0, 1.0], u, 1)
+        assert f.terms is not None and f.witness.terms is not None
+        assert len(f.witness.terms[0]) == 2
+        assert ca.product_function(f, f.witness).terms is not None
+        pts = np.array([[0.5 + 0.2j, 1.0 - 0.3j], [2.0, 0.1j]])
+        assert np.allclose(f(pts), -pts[:, 1], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("case", ["scalar", "random3"])
+    def test_separable_projection_matches_dense_path(self, case):
+        # the two projection rows of the special-cases scenario
+        if case == "scalar":
+            tup = sg.CommutingTuple([np.array([[-2.0]])], [DOM])
+            u = g.make_region([SECT[0]], [SECT[1]], [0.0])
+        else:
+            a = sg.random_sectorial_matrix(np.random.default_rng(42), 3)
+            tup = sg.CommutingTuple([a], [DOM])
+            u = ca.default_region(tup, [1.0], ProductSector([SECT]))
+        f = ca.projection_function(tup, [1.0], u, 0)
+        dense = replace(f, terms=None, witness=replace(f.witness, terms=None))
+        got = ca.functional_calculus_smirnov(f, tup, [1.0], u, tol=1e-9)
+        ref = ca.functional_calculus_smirnov(dense, tup, [1.0], u, tol=1e-9)
+        assert sg.opnorm(got - ref) <= 1e-12 * sg.opnorm(ref)
+
+    def test_quotient_solves_or_reports(self):
+        num = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        den = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
+        assert np.allclose(ca._quotient(num, den, "x") @ den, num, atol=1e-14)
+        with pytest.raises(ca.DenseRangeError, match="witness image is numerically singular"):
+            ca._quotient(num, np.diag([1.0, 1e-12]).astype(complex), "witness image")
 
     def test_product_monomial_two_axes(self):
         tup = sg.CommutingTuple([np.array([[-2.0]]), np.array([[-3.0]])], [DOM] * 2)

@@ -323,6 +323,20 @@ class TestPairSemigroup:
             @ np.linalg.inv(2.0 * np.eye(2) - tup.matrices[1])
         assert sg.opnorm(got - oracle) <= 1e-8
 
+    def test_two_densities_on_distinct_rays_match_closed_form(self, rng, ps1):
+        # one orbit batch sees two directions lam*e^{i omega_i}
+        a = sg.random_sectorial_matrix(rng, 3)
+        tup = sg.CommutingTuple([a], [DOM])
+        lam = 0.9
+        dens = [(0.7 - 0.2j, -0.5, 1.3), (-0.4 + 0.1j, 0.3, 2.1)]  # (w, omega, s)
+        phi = fn.Functional(ps1, densities=[
+            fn.TensorDensity(w, (0.0,), (fn.AxisDensity(om, s, (1.0,)),))
+            for w, om, s in dens])
+        got = fn.pair_semigroup(tup, [lam], phi, "measure", tol=1e-11)
+        oracle = sum(w * np.linalg.inv(s * np.eye(3) - lam * np.exp(1j * om) * a)
+                     for w, om, s in dens)
+        assert sg.opnorm(got - oracle) <= 1e-9 * sg.opnorm(oracle)
+
     def test_contour_routes_agree(self, rng, ps1):
         a = sg.random_sectorial_matrix(rng, 3)
         tup = sg.CommutingTuple([a], [DOM])

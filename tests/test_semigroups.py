@@ -155,14 +155,56 @@ class TestResolvents:
         with pytest.raises(sg.DivergenceError):
             sg.resolvent_via_laplace(tup, 0, -1.0)
 
-    def test_norm_bound_holds(self, rng):
-        for _ in range(5):
-            a = sg.random_sectorial_matrix(rng, 3)
-            tup = sg.CommutingTuple([a], [DOM])
-            lam = 1.0 + 0.5 * rng.random()
-            lhs = sg.opnorm(np.linalg.inv(lam * np.eye(3) - a))
-            rhs = sg.laplace_norm_bound(tup, 0, lam, 1.0, tol=1e-8)
-            assert lhs <= rhs + 1e-8
+
+class TestOrbitIntegrals:
+    def test_closed_form_laplace_transforms(self, rng):
+        # int exp(-s t) Exp(t u A) dt = (s I - u A)^{-1}
+        a = sg.random_sectorial_matrix(rng, 3)
+        tup = sg.CommutingTuple([a], [DOM])
+        dirs = [1.0, np.exp(0.4j), 1.0]
+        rates = [1.5, 2.0, 0.8]
+        weights = [lambda ts, s=s: np.exp(-s * ts) for s in rates]
+        got = sg.orbit_integrals(tup, 0, dirs, weights, 0.5, tol=1e-11)
+        assert got.shape == (3, 3, 3)
+        for m, u, s in zip(got, dirs, rates):
+            oracle = np.linalg.inv(s * np.eye(3) - u * a)
+            assert sg.opnorm(m - oracle) <= 1e-9 * sg.opnorm(oracle)
+
+    def test_two_weights_equal_two_single_calls(self, rng):
+        a = sg.random_sectorial_matrix(rng, 4)
+        tup = sg.CommutingTuple([a], [DOM])
+        dirs = [1.0, np.exp(-0.3j)]
+        weights = [lambda ts: np.exp(-1.5 * ts), lambda ts: ts * np.exp(-2.0 * ts)]
+        both = sg.orbit_integrals(tup, 0, dirs, weights, 1.0, tol=1e-10)
+        for i in range(2):
+            one = sg.orbit_integrals(tup, 0, dirs[i:i + 1], weights[i:i + 1], 1.0,
+                                     tol=1e-10)[0]
+            assert sg.opnorm(both[i] - one) <= 1e-14 * sg.opnorm(one)
+
+    def test_one_expm_call_per_round_for_all_directions(self, rng, monkeypatch):
+        tup = sg.CommutingTuple([sg.random_sectorial_matrix(rng, 2)], [DOM])
+        shapes = []
+        real_expm = sg.expm
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return real_expm(a)
+
+        monkeypatch.setattr(sg, "expm", spy)
+        weights = [lambda ts, s=s: np.exp(-s * ts) for s in (1.0, 2.0, 3.0)]
+        sg.orbit_integrals(tup, 0, [1.0, 1j ** 0.2, 1.0], weights, 0.5, tol=1e-9)
+        assert shapes and all(len(sh) == 4 and sh[1:] == (2, 2, 2) for sh in shapes)
+
+    def test_one_direction_per_weight(self):
+        tup = sg.CommutingTuple([np.array([[-1.0]])], [DOM])
+        with pytest.raises(ValueError):
+            sg.orbit_integrals(tup, 0, [1.0], [lambda ts: np.exp(-ts)] * 2, 1.0)
+
+    @pytest.mark.parametrize("rate", [1e-9, 0.0, -0.5])
+    def test_nonpositive_margin_names_the_axis(self, rate):
+        tup = sg.CommutingTuple([np.array([[-1.0]]), np.array([[-2.0]])], [DOM] * 2)
+        with pytest.raises(sg.DivergenceError, match="axis 1"):
+            sg.orbit_integrals(tup, 1, [1.0], [lambda ts: np.exp(-ts)], rate)
 
 
 class TestGeneratorRecovery:
