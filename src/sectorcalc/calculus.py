@@ -9,6 +9,8 @@ with the per-axis orientation from ``exp(1j*(-pi/2-alpha_j))*inf`` to
 ``exp(1j*(pi/2-beta_j))*inf``; the sign of the prefactor is pinned by the
 scalar oracle ``F(-lam*mu)``.  Bounded functions are reached through a
 squared-rational quotient, and quotient classes through a witness pair.
+All integrals of one quotient come from one contour pass, which solves
+each round's resolvent stacks once and accepts on the joint difference.
 
 Everything is pure; contour evaluations inherit the deterministic
 reduction of the quadrature layer.
@@ -262,13 +264,21 @@ def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
     of the admissible ``(region, eps)`` choice within twice the
     tolerance.
     """
+    return _calculus_batch([F], tup, lam, region, eps, tol, max_rounds)[0]
+
+
+def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
+    """(len(Fs), d, d) stack of :func:`functional_calculus` values from one
+    contour pass at the largest radius any ``F`` needs; a round is accepted
+    when the Frobenius difference of the whole stack is below ``tol``."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
-    if F.decay is None and F.exp_rate is None:
-        raise AdmissibilityError(f"{F.label} carries no decay certificate")
-    if F.decay is not None and F.decay[1] < 2.0 - 1e-12 and not F.exp_rate:
-        raise AdmissibilityError(
-            f"{F.label} decay power {F.decay[1]} is below the integrable threshold 2")
+    for F in Fs:
+        if F.decay is None and F.exp_rate is None:
+            raise AdmissibilityError(f"{F.label} carries no decay certificate")
+        if F.decay is not None and F.decay[1] < 2.0 - 1e-12 and not F.exp_rate:
+            raise AdmissibilityError(
+                f"{F.label} decay power {F.decay[1]} is below the integrable threshold 2")
     for tag, reg in (("region", region), ("shifted region", shifted_region(region, eps))):
         report = check_admissible_for(reg, tup, lam)
         if not report.passed:
@@ -276,11 +286,11 @@ def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
                 f"{tag} is not admissible for the scaled tuple: "
                 f"anchor={report.anchor_class}, spectrum_inside={report.spectrum_inside}, "
                 f"margins={report.margins} {report.detail}")
-    radius = max(_contour_radius(F, tol), _radius_floor(region, eps, tup, lam))
+    radius = max([_contour_radius(F, tol) for F in Fs] + [_radius_floor(region, eps, tup, lam)])
     cq = ContourQuadrature.from_region(region, eps, R=radius)
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
     res = adaptive_contour(
-        lambda c: resolvent_contour_value(F, tup.matrices, lam, c),
+        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c),
         cq, tol, max_rounds)
     return pref * res.value
 
@@ -293,9 +303,7 @@ def _sample_points(region, n_boundary=40):
     grids = []
     mids = [_unit(-0.5 * (ax.alpha + ax.beta)) for ax in region.axes]
     for shift in (0.3, 1.0, 3.0, 10.0):
-        row = []
-        for j, ax in enumerate(region.axes):
-            row.append(np.asarray(pts[j]) + shift * mids[j])
+        row = [np.asarray(p) + shift * mid for p, mid in zip(pts, mids)]
         m = min(len(r) for r in row)
         grids.append(np.stack([r[:m] for r in row], axis=1))
     return np.concatenate(grids, axis=0)
@@ -318,48 +326,45 @@ def _quotient_denominator(tup, lam, region):
     ``1 + max(growth abscissa, vertex offset)``; its poles clear the region."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     growth = GrowthProfile(tup)
-    angles = []
-    shifts = []
-    for j, ax in enumerate(region.axes):
-        theta = 0.5 * (ax.alpha + ax.beta)
-        s = 1.0 + max(growth.abscissa(j, theta, lam[j]),
-                      -(ax.z * _unit(theta)).real)
-        angles.append(theta)
-        shifts.append(s)
-    g = rotated_inverse_square(region.k, angles, shifts, label="G_quotient")
-    return g
+    angles = [0.5 * (ax.alpha + ax.beta) for ax in region.axes]
+    shifts = [1.0 + max(growth.abscissa(j, theta, lam[j]), -(ax.z * _unit(theta)).real)
+              for j, (ax, theta) in enumerate(zip(region.axes, angles))]
+    return rotated_inverse_square(region.k, angles, shifts, label="G_quotient")
 
 
 def functional_calculus_hinf(F, tup, lam, region, tol=1e-9, eps=None, max_rounds=8):
     """Extension of the calculus to bounded ``F`` by the quotient
-    ``R_F = calc(F*G) * calc(G)^{-1}`` with the squared-rational ``G``.
+    ``R_F = calc(F*G) * calc(G)^{-1}`` with the squared-rational ``G``;
+    both integrals come from one contour pass (joint acceptance).
 
     Raises :class:`DenseRangeError` when the image of ``G`` is numerically
     singular instead of regularizing it."""
     sup_on_region(F, region)  # bounded-sample check
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if eps is None:
-        eps = _default_eps(region)
     g = _quotient_denominator(tup, lam, region)
-    m_fg = functional_calculus(product_function(F, g), tup, lam, region, eps,
-                               tol, max_rounds)
-    m_g = functional_calculus(g, tup, lam, region, eps, tol, max_rounds)
+    m_fg, m_g = _calculus_batch([product_function(F, g), g], tup, lam, region,
+                                _default_eps(region) if eps is None else eps,
+                                tol, max_rounds)
     return _quotient(m_fg, m_g, "quotient image")
 
 
 def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None,
                                 max_rounds=8):
     """Quotient-class extension through the witness pair carried by ``F``:
-    ``R_F = hinf(F*Gw) * hinf(Gw)^{-1}``."""
+    ``R_F = hinf(F*Gw) * hinf(Gw)^{-1}``; ``calc(F*Gw*G)``, ``calc(Gw*G)``
+    and ``calc(G)`` come from one contour pass (joint acceptance)."""
     if F.witness is None:
         raise AdmissibilityError(f"{F.label} carries no witness pair")
     gw = F.witness
     fg = product_function(F, gw)
     # the witness must keep the product bounded on a region sample
     sup_on_region(fg, region)
-    m_fg = functional_calculus_hinf(fg, tup, lam, region, tol, eps, max_rounds)
-    m_g = functional_calculus_hinf(gw, tup, lam, region, tol, eps, max_rounds)
-    return _quotient(m_fg, m_g, "witness image")
+    sup_on_region(gw, region)
+    g = _quotient_denominator(tup, lam, region)
+    m_fgg, m_gg, m_g = _calculus_batch(
+        [product_function(fg, g), product_function(gw, g), g], tup, lam, region,
+        _default_eps(region) if eps is None else eps, tol, max_rounds)
+    return _quotient(_quotient(m_fgg, m_g, "quotient image"),
+                     _quotient(m_gg, m_g, "quotient image"), "witness image")
 
 
 def _quotient(m_num, m_den, what):

@@ -17,6 +17,7 @@ for sampled functions it is the ray-Laplace transform.
 All values are immutable; every evaluation route is pure.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -456,17 +457,8 @@ def convolve(phi1, phi2):
         for d2 in phi2.densities:
             axis_terms = [_convolve_axis(a1, a2) for a1, a2 in zip(d1.axes, d2.axes)]
             offset = tuple(np.asarray(d1.offset) + np.asarray(d2.offset))
-            idx = [0] * len(axis_terms)
-            while True:
-                axes = tuple(axis_terms[j][idx[j]] for j in range(len(axis_terms)))
+            for axes in itertools.product(*axis_terms):
                 densities.append(TensorDensity(d1.weight * d2.weight, offset, axes))
-                for j in range(len(axis_terms) - 1, -1, -1):
-                    idx[j] += 1
-                    if idx[j] < len(axis_terms[j]):
-                        break
-                    idx[j] = 0
-                else:
-                    break
     return Functional(sectors, atoms, densities, check_degree=False)
 
 
@@ -760,7 +752,9 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
     if route in ("fb_eps", "fb_direct", "wn_limit"):
         if f.fb is None:
             raise RouteError(f"route {route} needs a closed-form transform for {f.label}")
-        z = anchor_like_zero(phi) if z is None else np.atleast_1d(np.asarray(z, dtype=complex))
+        if z is None:  # valid for this measure class: every density has Re(s) > 0
+            z = np.zeros(phi.k, dtype=complex)
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
         if not phi.domain_contains(z):
             raise RouteError(f"anchor {z} outside the transform domain")
         pref = (2j * np.pi) ** -phi.k
@@ -781,9 +775,9 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
 
             return pref * integrate(g, cq, tol).value
 
+        if route != "wn_limit" and not phi.fb_integrable_on_cone():
+            raise RouteError("transform of the functional is not integrable on the contour")
         if route == "fb_direct":
-            if not phi.fb_integrable_on_cone():
-                raise RouteError("transform of the functional is not integrable on the contour")
             if f.sector_decay is None or any(
                     d is None or (d[0] == "alg" and d[1] < 2.0 - 1e-12)
                     for d in f.sector_decay):
@@ -791,8 +785,6 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
             return contour_value(np.zeros(phi.k, dtype=complex), 0)
 
         if route == "fb_eps":
-            if not phi.fb_integrable_on_cone():
-                raise RouteError("transform of the functional is not integrable on the contour")
             vals = [contour_value(eps0 * m * u_dual, 0) for m in EPS_SCHEDULE]
             limit, residual = richardson(vals)
             if residual > 100 * tol * (1 + abs(limit)):
@@ -821,12 +813,6 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
         return limit
 
     raise RouteError(f"unknown pairing route {route!r}")
-
-
-def anchor_like_zero(phi):
-    """Zero anchor; valid for this measure class since every density has
-    Re(s) > 0."""
-    return np.zeros(phi.k, dtype=complex)
 
 
 def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
@@ -956,9 +942,9 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
                 return vals
 
             return pref * adaptive_contour(
-                lambda c: resolvent_contour_value(scalar_fn, tup.matrices, lam, c,
+                lambda c: resolvent_contour_value((scalar_fn,), tup.matrices, lam, c,
                                                   node_offsets=eps),
-                cq, tol).value
+                cq, tol).value[0]
 
         if route == "resolvent_contour":
             return contour_value(np.zeros(tup.k, dtype=complex), 0)

@@ -34,10 +34,6 @@ class GeometryError(ValueError):
     """Raised for invalid sector or region data."""
 
 
-def _as_complex(z):
-    return complex(z)
-
-
 def _unit(angle):
     return complex(np.cos(angle), np.sin(angle))
 
@@ -90,11 +86,11 @@ class Sector:
         return Sector(-np.pi / 2 - self.alpha, np.pi / 2 - self.beta)
 
     def signed_distance(self, zeta):
-        return cone_signed_distance(_as_complex(zeta), self.bisector_angle, 0.5 * self.aperture)
+        return cone_signed_distance(complex(zeta), self.bisector_angle, 0.5 * self.aperture)
 
     def contains(self, zeta, closed=False, tol=TOL):
         """Membership of ``zeta``; 0 belongs only to the closed sector."""
-        zeta = _as_complex(zeta)
+        zeta = complex(zeta)
         if zeta == 0:
             return bool(closed)
         d = self.signed_distance(zeta)
@@ -318,7 +314,7 @@ class AxisRegion:
 
     def boundary_distance(self, zeta):
         """Exact distance from ``zeta`` to the boundary chain."""
-        zeta = _as_complex(zeta)
+        zeta = complex(zeta)
         if self.degenerate:
             return abs(((zeta - self.z) * _unit(self.alpha)).real)
         best = _point_ray_distance(zeta, self.z + self.theta[0], self.d0)
@@ -331,7 +327,7 @@ class AxisRegion:
         return best
 
     def contains(self, zeta, closed=False, tol=TOL):
-        zeta = _as_complex(zeta)
+        zeta = complex(zeta)
         if self.degenerate:
             side = ((zeta - self.z) * _unit(self.alpha)).real
             return side >= -tol if closed else side > tol

@@ -228,10 +228,6 @@ class IntegrationResult:
     node_count: int
     history: tuple = field(default=())
 
-    def __iter__(self):  # allow ``value, err = result``
-        yield self.value
-        yield self.error_estimate
-
 
 def _err_norm(a, b):
     d = np.asarray(a) - np.asarray(b)
@@ -396,13 +392,15 @@ def integrate(f, cq, tol=1e-8, max_rounds=8):
     return adaptive_contour(lambda c: tensor_sum(f, c), cq, tol, max_rounds)
 
 
-def resolvent_contour_value(scalar_fn, matrices, lam, cq, node_offsets=None):
-    """Tensor contour sum of ``scalar_fn(zeta) * prod_j (lam_j A_j + m_j I)^{-1}``
-    where ``m_j = zeta_j - node_offsets[j]``.
+def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None):
+    """Tensor contour sums of ``f(zeta) * prod_j (lam_j A_j + m_j I)^{-1}`` for
+    every ``f`` in ``scalar_fns``, where ``m_j = zeta_j - node_offsets[j]``;
+    shape (len(scalar_fns), d, d).
 
     This is the hot kernel of the calculus: per-axis resolvent stacks are
-    solved in batch and contracted block by block (see :func:`_contract`).
-    The caller applies any scalar prefactor.
+    solved once in batch and every integrand is contracted against them
+    block by block (see :func:`_contract`).  The caller applies any scalar
+    prefactor.
     """
     k = cq.k
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -413,8 +411,9 @@ def resolvent_contour_value(scalar_fn, matrices, lam, cq, node_offsets=None):
                                  cq.axes[j].nodes - offs[j])
         for j in range(k)
     ]
-    return _contract(scalar_fn, [ax.nodes for ax in cq.axes],
-                     [ax.weights for ax in cq.axes], stacks)
+    nodes = [ax.nodes for ax in cq.axes]
+    weights = [ax.weights for ax in cq.axes]
+    return np.stack([_contract(f, nodes, weights, stacks) for f in scalar_fns])
 
 
 def richardson(values, ratio=2.0):

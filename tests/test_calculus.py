@@ -273,6 +273,40 @@ class TestSeparableFunctions:
         assert rep.matrix_rel_err <= 1e-9
 
 
+def _grid_case(seed, dim):
+    """A k=1 cell of the calculus benchmark grid: a random diagonalizable
+    matrix, a scaling inside the window and the default region."""
+    rng = np.random.default_rng(seed)
+    tup = sg.random_commuting_tuple(rng, 1, dim, DOM)
+    lam = rng.uniform(0.8, 1.25, 1) * np.exp(1j * rng.uniform(-0.2, 0.2, 1))
+    region = ca.default_region(tup, lam, ProductSector([SECT]), margin=2.0)
+    return tup, lam, region, rng.uniform(0.5, 1.0)
+
+
+def _special_case(case):
+    # the two projection rows of the special-cases scenario
+    if case == "scalar":
+        return (sg.CommutingTuple([np.array([[-2.0]])], [DOM]),
+                g.make_region([SECT[0]], [SECT[1]], [0.0]))
+    tup = sg.CommutingTuple([sg.random_sectorial_matrix(np.random.default_rng(42), 3)], [DOM])
+    return tup, ca.default_region(tup, [1.0], ProductSector([SECT]))
+
+
+def _hinf_by_parts(F, tup, lam, region, tol=1e-9):
+    """The bounded extension from separate public calculus calls."""
+    gq = ca._quotient_denominator(tup, lam, region)
+    eps = ca._default_eps(region)
+    return ca._quotient(
+        ca.functional_calculus(ca.product_function(F, gq), tup, lam, region, eps, tol),
+        ca.functional_calculus(gq, tup, lam, region, eps, tol), "quotient image")
+
+
+def _smirnov_by_parts(F, tup, lam, region, tol=1e-9):
+    gw = F.witness
+    return ca._quotient(_hinf_by_parts(ca.product_function(F, gw), tup, lam, region, tol),
+                        _hinf_by_parts(gw, tup, lam, region, tol), "witness image")
+
+
 class TestQuotientExtensions:
     def test_constant_gives_identity(self, scalar_tuple, cone):
         one = ca.constant_function(1, 1.0)
@@ -311,19 +345,14 @@ class TestQuotientExtensions:
 
     @pytest.mark.parametrize("case", ["scalar", "random3"])
     def test_separable_projection_matches_dense_path(self, case):
-        # the two projection rows of the special-cases scenario
-        if case == "scalar":
-            tup = sg.CommutingTuple([np.array([[-2.0]])], [DOM])
-            u = g.make_region([SECT[0]], [SECT[1]], [0.0])
-        else:
-            a = sg.random_sectorial_matrix(np.random.default_rng(42), 3)
-            tup = sg.CommutingTuple([a], [DOM])
-            u = ca.default_region(tup, [1.0], ProductSector([SECT]))
+        tup, u = _special_case(case)
         f = ca.projection_function(tup, [1.0], u, 0)
         dense = replace(f, terms=None, witness=replace(f.witness, terms=None))
         got = ca.functional_calculus_smirnov(f, tup, [1.0], u, tol=1e-9)
         ref = ca.functional_calculus_smirnov(dense, tup, [1.0], u, tol=1e-9)
         assert sg.opnorm(got - ref) <= 1e-12 * sg.opnorm(ref)
+        # one contour pass gives the quotient of separate calculus calls exactly
+        assert np.array_equal(got, _smirnov_by_parts(f, tup, [1.0], u))
 
     def test_quotient_solves_or_reports(self):
         num = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
@@ -364,6 +393,57 @@ class TestQuotientExtensions:
         one = ca.constant_function(1, 1.0)
         with pytest.raises(ca.DenseRangeError):
             ca.functional_calculus_hinf(one, tup, [1.0], cone, tol=1e-7)
+
+
+class TestQuotientBatch:
+    """The quotient extensions from one contour pass against the same
+    quotients assembled from one calculus call per integrand."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("seed", [7, 1234])
+    def test_grid_cells_match_separate_calls(self, seed, dim):
+        tup, lam, region, nu = _grid_case(seed, dim)
+        f = ca.exponential_function(1, nu)
+        hinf = ca.functional_calculus_hinf(f, tup, lam, region, tol=1e-9)
+        assert np.array_equal(hinf, _hinf_by_parts(f, tup, lam, region))
+        proj = ca.projection_function(tup, lam, region, 0)
+        smirnov = ca.functional_calculus_smirnov(proj, tup, lam, region, tol=1e-9)
+        assert np.array_equal(smirnov, _smirnov_by_parts(proj, tup, lam, region))
+
+    @pytest.mark.parametrize("kind,parts", [("hinf", 2), ("smirnov", 4)])
+    def test_one_resolvent_stack_per_round(self, kind, parts, monkeypatch):
+        tup, lam, region, nu = _grid_case(5, 4)
+        if kind == "hinf":
+            f, run, by_parts = (ca.exponential_function(1, nu), ca.functional_calculus_hinf,
+                                _hinf_by_parts)
+        else:
+            f, run, by_parts = (ca.projection_function(tup, lam, region, 0),
+                                ca.functional_calculus_smirnov, _smirnov_by_parts)
+        stacks, rounds = [], []
+        solve, adaptive = q._kernels.resolvent_stack, ca.adaptive_contour
+        monkeypatch.setattr(q._kernels, "resolvent_stack",
+                            lambda *a: stacks.append(1) or solve(*a))
+
+        def counted(*a):
+            res = adaptive(*a)
+            rounds.append(res.rounds)
+            return res
+
+        monkeypatch.setattr(ca, "adaptive_contour", counted)
+        run(f, tup, lam, region, tol=1e-9)
+        assert len(rounds) == 1 and len(stacks) == rounds[0]
+        stacks.clear()
+        by_parts(f, tup, lam, region)
+        assert len(stacks) == parts * rounds[0]
+
+    def test_member_without_certificate_is_named(self, scalar_tuple, cone):
+        good = ca.inverse_square(1, [1.0])
+        bare = ca.HoloFunction(lambda p: 1.0 / (p[:, 0] + 1.0) ** 2, label="bare member")
+        with pytest.raises(ca.AdmissibilityError, match="bare member carries no decay"):
+            ca._calculus_batch([good, bare], scalar_tuple, [1.0], cone, [0.25])
+        slow = replace(good, decay=(1.0, 1.0), label="slow member")
+        with pytest.raises(ca.AdmissibilityError, match="slow member decay power 1.0"):
+            ca._calculus_batch([good, slow], scalar_tuple, [1.0], cone, [0.25])
 
 
 class TestTransformConsistency:

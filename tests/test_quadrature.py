@@ -310,14 +310,32 @@ class TestBlockedContraction:
         spec = ",".join([ix] + list(ix) + mat_ix) + "->w" + "wxyz"[cq.k]
         ref = np.einsum(spec, _dense_values(_smooth, cq),
                         *[ax.weights for ax in cq.axes], *stacks)
-        val = q.resolvent_contour_value(_smooth, mats, lam, cq, node_offsets=offs)
+        val = q.resolvent_contour_value([_smooth], mats, lam, cq, node_offsets=offs)[0]
         assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_batch_shares_one_stack_per_axis(self, grid, monkeypatch):
+        # a batch equals its members' one-element calls bit for bit, and
+        # solves each axis's resolvent stack once for all of them
+        cq, rng = grid
+        mats = [rng.standard_normal((3, 3)) for _ in range(cq.k)]
+        lam = 0.5 + 0.2j * np.arange(1, cq.k + 1)
+        fns = [_smooth, lambda p: _smooth(p) ** 2, lambda p: 1.0 / (3.0 + p[:, -1])]
+        singles = [q.resolvent_contour_value([f], mats, lam, cq)[0] for f in fns]
+        calls = []
+        solve = q._kernels.resolvent_stack
+        monkeypatch.setattr(q._kernels, "resolvent_stack",
+                            lambda *a: calls.append(1) or solve(*a))
+        batch = q.resolvent_contour_value(fns, mats, lam, cq)
+        assert batch.shape == (3, 3, 3)
+        assert len(calls) == cq.k
+        for got, ref in zip(batch, singles):
+            assert np.array_equal(got, ref)
 
     def test_resolvent_needs_a_scalar_factor(self, grid):
         cq, rng = grid
         mats = [rng.standard_normal((2, 2)) for _ in range(cq.k)]
         with pytest.raises(q.QuadratureError, match="scalar integrand"):
-            q.resolvent_contour_value(_smooth_matrix, mats, np.ones(cq.k), cq)
+            q.resolvent_contour_value([_smooth_matrix], mats, np.ones(cq.k), cq)
 
     def test_default_block_size_over_several_blocks(self):
         rng = np.random.default_rng(7)
@@ -397,8 +415,7 @@ class TestSeparableContraction:
         spec = ",".join([ix] + list(ix) + mat_ix) + "->w" + "wxyz"[cq.k]
         ref = np.einsum(spec, _dense_values(bare, cq),
                         *[ax.weights for ax in cq.axes], *stacks)
-        val = q.resolvent_contour_value(f, mats, lam, cq, node_offsets=offs)
-        dense = q.resolvent_contour_value(bare, mats, lam, cq, node_offsets=offs)
+        val, dense = q.resolvent_contour_value([f, bare], mats, lam, cq, node_offsets=offs)
         assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.linalg.norm(val - dense) <= 1e-13 * np.linalg.norm(ref)
 

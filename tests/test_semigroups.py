@@ -355,6 +355,38 @@ class TestGaps:
         for t in np.arange(0.01, 0.2001, 0.01):
             assert sg.quasinilpotent_gap(512, float(t)) > 0.25
 
+    @pytest.mark.parametrize("n", [64, 100, 512])
+    def test_shift_gap_matches_dense_norm(self, n):
+        ts = [float(t) for t in np.arange(0.01, 0.2001, 0.01)] + [1 / 511, 0.37, 0.5]
+        for t in ts:
+            ref = np.linalg.norm(sg.shift_matrix(n, t) - sg.shift_matrix(n, 2 * t), 2)
+            assert abs(sg.quasinilpotent_gap(n, t) - ref) <= 1e-12 * ref
+        assert sg.quasinilpotent_gap(n, 1.5) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 64, 100, 512])
+    def test_shift_matrix_matches_row_loop(self, n):
+        def by_rows(t):
+            m = np.zeros((n, n))
+            for i, x in enumerate(np.linspace(0.0, 1.0, n)):
+                y = x - t
+                if y < 0:
+                    continue
+                pos = y * (n - 1)
+                j0 = int(np.floor(pos))
+                frac = pos - j0
+                m[i, j0] += 1.0 - frac
+                if j0 + 1 < n and frac > 0:
+                    m[i, j0 + 1] += frac
+            return m
+
+        for t in [0.0, 0.01, 1 / 511, 0.1, 0.37, 0.5, 0.999, 1.0, 1.5]:
+            assert np.array_equal(sg.shift_matrix(n, t), by_rows(t))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sg.quasinilpotent_gap(32, 0.1)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_shift_gap_rejects_bad_times(self, t):
+        with pytest.raises(ValueError, match="need"):
+            sg.quasinilpotent_gap(64, t)
