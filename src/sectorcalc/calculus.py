@@ -23,8 +23,8 @@ import numpy as np
 
 from ._kernels import resolvent_stack
 from .geometry import AdmissibleRegion, AxisRegion, GeometryError, _unit, make_region
-from .quadrature import (ContourQuadrature, adaptive_contour, initial_radius,
-                         integrate, resolvent_contour_value, tensor_sum)
+from .quadrature import (ContourQuadrature, adaptive_contour, integrate,
+                         resolvent_contour_value, tail_radius, tensor_sum)
 from .semigroups import (GrowthProfile, _validate_lambda, opnorm)
 from .semigroups import IN_N0, n_set_classify
 
@@ -230,30 +230,13 @@ def default_region(tup, lam, sectors, margin=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _radius_floor(region, eps, tup=None, lam=None):
-    """Truncation must clear the shifted excisions and, when a tuple is
-    given, the scaled spectra (the adaptive doubling would recover from a
-    miss, but only within its round budget)."""
-    floor = 0.0
-    eps = np.atleast_1d(np.asarray(eps, dtype=complex))
-    for j, ax in enumerate(region.axes):
-        far = max(abs(ax.z + eps[j] + t) for t in ax.theta)
-        floor = max(floor, 1.3 * far + 1.0)
-    if tup is not None:
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        for j in range(tup.k):
-            floor = max(floor, 2.0 * float(np.max(np.abs(lam[j] * tup.eigenvalues(j)))) + 1.0)
-    return floor
-
-
-def _contour_radius(F, tol):
-    if F.exp_rate is not None and F.exp_rate > 0:
-        return initial_radius(("exp", F.exp_rate), tol)
-    if F.decay is None:
-        return 16.0
-    c, p = F.decay
-    # the resolvent product contributes one extra power per axis
-    return initial_radius(("alg", max(c, 1.0), p + 1.0), tol)
+def _radius_floor(region, eps, tup, lam):
+    """Tail radius of the calculus contours: the contour rule
+    (:func:`~sectorcalc.quadrature.tail_radius`), raised to clear twice the
+    scaled spectra, so the resolvent poles stay away from the mapped tails."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    return max([tail_radius(region, np.atleast_1d(np.asarray(eps, dtype=complex)))] + [
+        2.0 * float(np.max(np.abs(lam[j] * tup.eigenvalues(j)))) + 1.0 for j in range(tup.k)])
 
 
 def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
@@ -269,14 +252,16 @@ def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
 
 def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
     """(len(Fs), d, d) stack of :func:`functional_calculus` values from one
-    contour pass at the largest radius any ``F`` needs; a round is accepted
-    when the Frobenius difference of the whole stack is below ``tol``."""
+    contour pass; a round is accepted when the Frobenius difference of the
+    whole stack is below ``tol``."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     for F in Fs:
-        if F.decay is None and F.exp_rate is None:
+        if _exp_decaying(F):
+            continue
+        if F.decay is None:
             raise AdmissibilityError(f"{F.label} carries no decay certificate")
-        if F.decay is not None and F.decay[1] < 2.0 - 1e-12 and not F.exp_rate:
+        if F.decay[1] < 2.0 - 1e-12:
             raise AdmissibilityError(
                 f"{F.label} decay power {F.decay[1]} is below the integrable threshold 2")
     for tag, reg in (("region", region), ("shifted region", shifted_region(region, eps))):
@@ -286,8 +271,7 @@ def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
                 f"{tag} is not admissible for the scaled tuple: "
                 f"anchor={report.anchor_class}, spectrum_inside={report.spectrum_inside}, "
                 f"margins={report.margins} {report.detail}")
-    radius = max([_contour_radius(F, tol) for F in Fs] + [_radius_floor(region, eps, tup, lam)])
-    cq = ContourQuadrature.from_region(region, eps, R=radius)
+    cq = ContourQuadrature.from_region(region, eps, R=_radius_floor(region, eps, tup, lam))
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
     res = adaptive_contour(
         lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c),
@@ -464,8 +448,7 @@ def spectral_map_check(F, tup, lam, region, tol=1e-9, computed=None):
 
 def boundary_abs_integral(F, region, eps, tol=1e-7, max_rounds=8):
     """``Int |F| |d sigma|`` over the shifted distinguished boundary."""
-    radius = max(_abs_radius(F, tol), _radius_floor(region, eps))
-    cq = ContourQuadrature.from_region(region, eps, R=radius)
+    cq = _boundary_contour(F, region, eps)
 
     if F.terms is not None and len(F.terms) == 1:
         # rank one: |F| = prod_j |f_j| stays separable
@@ -480,12 +463,17 @@ def boundary_abs_integral(F, region, eps, tol=1e-7, max_rounds=8):
     return abs(adaptive_contour(value_of, cq, tol, max_rounds).value)
 
 
-def _abs_radius(F, tol):
-    if F.exp_rate is not None and F.exp_rate > 0:
-        return initial_radius(("exp", F.exp_rate), tol)
-    if F.decay is None or F.decay[1] < 2.0 - 1e-12:
+def _boundary_contour(F, region, eps):
+    """The shifted boundary contour of a boundary integral of ``F``, which
+    must carry a certificate making ``|F|`` integrable on it."""
+    if not _exp_decaying(F) and (F.decay is None or F.decay[1] < 2.0 - 1e-12):
         raise AdmissibilityError("norm integral needs a decay certificate with p >= 2")
-    return initial_radius(("alg", max(F.decay[0], 1.0), F.decay[1]), tol)
+    return ContourQuadrature.from_region(region, eps)
+
+
+def _exp_decaying(F):
+    """Whether ``F`` certifies exponential decay (a positive ``exp_rate``)."""
+    return F.exp_rate is not None and F.exp_rate > 0
 
 
 def _abs_weights(cq):
@@ -624,9 +612,7 @@ def interior_cauchy_value(F, region, eps, point, tol=1e-9):
     """Reproduce ``F(point)`` from its boundary values on the shifted
     distinguished boundary (the interior reproduction identity)."""
     point = np.atleast_1d(np.asarray(point, dtype=complex))
-    radius = max(_abs_radius(F, tol), _radius_floor(region, eps))
-    cq = ContourQuadrature.from_region(region, eps, R=radius)
-
+    cq = _boundary_contour(F, region, eps)
     kernel = separable_function([[lambda x, p=p: 1.0 / (p - x) for p in point]])
     g = product_function(F, kernel)
     pref = (2j * np.pi) ** -region.k
@@ -636,16 +622,15 @@ def interior_cauchy_value(F, region, eps, point, tol=1e-9):
 def boundary_contour_integral(F, region, eps, tol=1e-9):
     """Plain ``Int F(sigma) d sigma`` over the shifted boundary (vanishes
     for integrable holomorphic integrands)."""
-    radius = max(_abs_radius(F, tol), _radius_floor(region, eps))
-    cq = ContourQuadrature.from_region(region, eps, R=radius)
-    return integrate(F, cq, tol).value
+    return integrate(F, _boundary_contour(F, region, eps), tol).value
 
 
-def resolvent_sup_on_contour(tup, lam, region, eps, R=64.0):
-    """Sup of the resolvent-product norm over the (coarsely sampled)
-    shifted boundary; the constant in the boundedness estimate."""
+def resolvent_sup_on_contour(tup, lam, region, eps):
+    """Sup of the resolvent-product norm over the nodes of the shifted
+    boundary contour the calculus builds in its first round; the constant
+    in the boundedness estimate."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    cq = ContourQuadrature.from_region(region, eps, R=R, n_per_unit=2.0)
+    cq = ContourQuadrature.from_region(region, eps, R=_radius_floor(region, eps, tup, lam))
     sup = 1.0
     for j in range(tup.k):
         stack = resolvent_stack(tup.matrices[j], lam[j], cq.axes[j].nodes)

@@ -5,7 +5,9 @@ verification suite (or a JSON scenario file) and writes a machine-readable
 report.  Exit codes: 0 when every row meets its tolerance, 1 when some
 row misses it, 2 for bad input (unreadable file, unknown scenario,
 inadmissible data), 3 when a computation fails (quadrature or
-linear-algebra error).
+linear-algebra error).  A scenario whose computation fails becomes one
+failed row that carries the message; the other scenarios still run and
+the report is still written.
 ``sectorcalc study`` sweeps a discretization parameter and reports the
 observed convergence orders.
 
@@ -28,8 +30,8 @@ from .calculus import (boundary_contour_integral,
                        functional_calculus, functional_calculus_hinf,
                        functional_calculus_smirnov, h1_norm, interior_cauchy_value,
                        inverse_square, outer_diagnostic_disk, pointwise_bound_check,
-                       projection_function, spectral_map_check, strongly_outer_check,
-                       WitnessSequence)
+                       product_function, projection_function, separable_function,
+                       spectral_map_check, strongly_outer_check, WitnessSequence)
 from .functionals import (Functional, bisector_density, convolve, dirac,
                           exp_poly_function, pair_function, pair_semigroup)
 from .geometry import AdmissibleRegion, ProductSector, make_region
@@ -51,7 +53,7 @@ class ReportRow:
     computed: object
     oracle: object
     tol: float
-    check: str = "rel"  # rel | abs | gt
+    check: str = "rel"  # rel | abs | gt | le | error (the computation failed)
     error_estimate: float = 0.0
     wall_time: float = 0.0
 
@@ -69,6 +71,8 @@ class ReportRow:
 
     @property
     def passed(self):
+        if self.check == "error":
+            return False
         if self.check == "gt":
             return float(np.real(np.min(np.asarray(self.computed)))) > float(np.real(self.oracle))
         if self.check == "le":
@@ -536,20 +540,31 @@ def run_scenario_file(path, seed):
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 
+def _rows_or_failure(name, run):
+    """``run()``'s rows, or one failed row carrying the message of the
+    computation failure that stopped it."""
+    try:
+        return run()
+    except (QuadratureError, np.linalg.LinAlgError) as exc:
+        return [ReportRow(name, f"computation failed: {exc}", float("nan"), float("nan"),
+                          0.0, "error")]
+
+
 def collect_rows(scenario, seed, tol_override=None):
     if scenario == "all":
         names = [n for n in SCENARIOS]
     elif scenario in SCENARIOS:
         names = [scenario]
     elif os.path.exists(scenario) or scenario.endswith(".json"):
-        return run_scenario_file(scenario, seed)
+        return _rows_or_failure(scenario, lambda: run_scenario_file(scenario, seed))
     else:
         raise KeyError(
             f"unknown scenario {scenario!r}; built-ins: {', '.join(SCENARIOS)} or a JSON file")
     rows = []
     for n in names:
         fn = SCENARIOS[n]
-        rows.extend(fn(seed) if tol_override is None else fn(seed, tol_override))
+        rows.extend(_rows_or_failure(
+            n, lambda: fn(seed) if tol_override is None else fn(seed, tol_override)))
     return rows
 
 
@@ -566,13 +581,10 @@ def study_nodes(values=None):
     f = inverse_square(1, [2.0])
     point = np.array([1.0 + 0j])
     exact = f.at(point)
+    g = product_function(f, separable_function([[lambda x: 1.0 / (point[0] - x)]]))
     errs = []
     for n in values:
-        cq = ContourQuadrature.from_region(region, [0.5], R=2.0e5, n_per_unit=n)
-
-        def g(pts):
-            return f(pts) / (point[0] - pts[:, 0])
-
+        cq = ContourQuadrature.from_region(region, [0.5], n_per_unit=n)
         val = tensor_sum(g, cq) / (2j * np.pi)
         errs.append(abs(val - exact))
     orders = [float("nan")]
@@ -664,9 +676,14 @@ def main(argv=None):
     write_report(rows, args.out, args.format, args.timings)
     failures = [r for r in rows if not r.passed]
     for r in rows:
+        if r.check == "error":
+            print(f"error: {r.scenario}: {r.case}", file=sys.stderr)
+            continue
         err = r.rel_err if r.check == "rel" else r.abs_err
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.scenario}: {r.case} "
               f"({r.check}_err={err:.3e}, wall={r.wall_time:.3f}s)", file=sys.stderr)
+    if any(r.check == "error" for r in rows):
+        return 3
     if failures:
         print(f"{len(failures)} scenario rows failed their tolerances", file=sys.stderr)
         return 1

@@ -249,48 +249,24 @@ class Functional:
 
     # -- decay bookkeeping ---------------------------------------------------
 
-    def _term_axis_profiles(self, j):
-        """Decay profiles of each transform term along the two dual-cone edge
-        directions of axis ``j``: ``("exp", rate)`` or ``("alg", power, scale)``."""
-        sec = self.sectors.sectors[j]
-        edges = [_unit(-np.pi / 2 - sec.alpha), _unit(np.pi / 2 - sec.beta)]
-        profiles = []
-        for eta, w in self.atoms:
-            rate = min((d * eta[j]).real for d in edges)
-            profiles.append(("exp", rate) if rate > 1e-12 else ("alg", 0.0, abs(w) + 1.0))
-        for d in self.densities:
-            rate = min((e * d.offset[j]).real for e in edges)
-            power = d.axes[j].min_degree + 1.0
-            if rate > 1e-12:
-                profiles.append(("exp", rate))
-            else:
-                scale = abs(d.weight) * sum(abs(c) for c in d.axes[j].coeffs) + 1.0
-                profiles.append(("alg", power, scale))
-        return profiles
-
-    def fb_integrable_on_cone(self, extra_power=0.0):
+    def fb_integrable_on_cone(self, extra_powers=0.0):
         """Whether ``|FB|`` is integrable on every axis of a shifted dual-cone
-        boundary, after multiplying by an extra ``|sigma|^(-extra_power)``."""
-        for j in range(self.k):
-            for prof in self._term_axis_profiles(j):
-                if prof[0] == "alg" and prof[1] + extra_power < 2.0 - 1e-12:
+        boundary, after multiplying axis ``j`` by an extra
+        ``|sigma_j|^(-extra_powers[j])`` (a scalar applies to every axis).
+
+        A term whose exponential factor decays along both dual-cone edges
+        is integrable; any other decays like ``|sigma_j|^-power``, with
+        power 0 for an atom and the lowest degree plus one for a density."""
+        extra = np.broadcast_to(np.asarray(extra_powers, dtype=float), (self.k,))
+        for j, sec in enumerate(self.sectors.sectors):
+            edges = [_unit(-np.pi / 2 - sec.alpha), _unit(np.pi / 2 - sec.beta)]
+            terms = [(eta[j], 0.0) for eta, _ in self.atoms] + [
+                (d.offset[j], d.axes[j].min_degree + 1.0) for d in self.densities]
+            for shift, power in terms:
+                if min((e * shift).real for e in edges) <= 1e-12 \
+                        and power + extra[j] < 2.0 - 1e-12:
                     return False
         return True
-
-    def _axis_radius(self, j, tol, extra_power=0.0, extra_scale=1.0):
-        radius = 16.0
-        for prof in self._term_axis_profiles(j):
-            if prof[0] == "exp":
-                radius = max(radius, initial_radius(("exp", prof[1]), tol))
-            else:
-                power = prof[1] + extra_power
-                scale = prof[2] * extra_scale
-                if power < 2.0 - 1e-12:
-                    raise RouteError(
-                        "transform is not integrable on the contour "
-                        f"(axis {j} decays like |sigma|^-{prof[1]:g})")
-                radius = max(radius, initial_radius(("alg", scale, power), tol))
-        return radius
 
     # -- serialization --------------------------------------------------------
 
@@ -689,32 +665,33 @@ def _fb_terms(phi):
 
 
 def _tensor_density_integral(fvec, d, tol, max_rounds=8):
-    """Tensor ray integral of ``fvec`` against one tensor density; the
-    per-axis truncation radii keep their ratios as :func:`refine` doubles
-    the largest."""
+    """Tensor ray integral of ``fvec`` against one tensor density; each
+    axis is truncated where its exponential envelope drops below tol/100,
+    and the truncations double with the node density each round."""
     r0 = [initial_radius(("exp", ax.s.real), tol) for ax in d.axes]
-    r_max = max(r0)
 
-    def value_at(R, n_per_unit):
+    def value_at(n_per_unit):
         nodes, weights = [], []
         for j, ax in enumerate(d.axes):
-            breaks = _graded_breaks(r0[j] * (R / r_max), 16 / n_per_unit)
+            breaks = _graded_breaks(r0[j] * (n_per_unit / 8.0), 16 / n_per_unit)
             t, wt = _panel_nodes(0.0, 1.0, breaks, 16)
             nodes.append(d.offset[j] + t * _unit(ax.omega))
             weights.append(ax.poly(t) * np.exp(-ax.s * t) * wt)
         return _contract(fvec, nodes, weights), math.prod(len(x) for x in nodes)
 
-    return refine(value_at, r_max, 8.0, tol, max_rounds, "tensor density integral")
+    return refine(value_at, 8.0, tol, max_rounds, "tensor density integral")
 
 
-def _dual_cone_contour(phi, z, tol, extra_powers=None, extra_scale=1.0):
+def _dual_cone_contour(phi, z, extra_powers):
+    """Dual-cone contour at anchor ``z`` for a transform-side integrand
+    that decays ``extra_powers`` faster per axis than ``phi.fb``."""
+    if not phi.fb_integrable_on_cone(extra_powers):
+        raise RouteError("transform is not integrable on the contour "
+                         f"(extra decay powers {np.asarray(extra_powers).tolist()})")
     sectors = phi.sectors
-    extra_powers = np.zeros(phi.k) if extra_powers is None else np.asarray(extra_powers)
-    radius = max(phi._axis_radius(j, tol, float(extra_powers[j]), extra_scale)
-                 for j in range(phi.k))
     region = make_region([s.alpha for s in sectors.sectors],
                          [s.beta for s in sectors.sectors], z)
-    return ContourQuadrature.from_region(region, [0.0] * phi.k, R=radius)
+    return ContourQuadrature.from_region(region, [0.0] * phi.k)
 
 
 def _check_fb_pole_clearance(f, phi, z, eps):
@@ -763,9 +740,7 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
 
         def contour_value(eps, n):
             _check_fb_pole_clearance(f, phi, z, eps)
-            extra = fpow + (2.0 if n else 0.0)
-            scale = (4.0 * n * n) if n else 1.0
-            cq = _dual_cone_contour(phi, z, tol, extra, scale)
+            cq = _dual_cone_contour(phi, z, fpow + (2.0 if n else 0.0))
 
             def g(pts):
                 vals = phi.fb(pts) * np.asarray(f.fb(-pts + eps[None, :]), dtype=complex)
@@ -830,6 +805,22 @@ def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
     z = np.zeros(phi.k, dtype=complex) if z is None else \
         np.atleast_1d(np.asarray(z, dtype=complex))
     pref = (2j * np.pi) ** -phi.k
+    if f.sector_decay is None:
+        raise RouteError(f"{f.label} carries no boundary decay certificate")
+    # per-axis rate of the certified envelope exp(-rate * |sigma|) of the
+    # anchor-weighted integrand along the sector edges (0 for algebraic decay)
+    rates = np.zeros(phi.k)
+    for j, dec in enumerate(f.sector_decay):
+        if dec is None:
+            raise RouteError(f"{f.label} lacks a boundary decay certificate on axis {j}")
+        if dec[0] == "exp":
+            rates[j] = dec[1] - max(0.0, (z[j] * _unit(sectors.sectors[j].alpha)).real,
+                                    (z[j] * _unit(sectors.sectors[j].beta)).real)
+            if rates[j] <= 0:
+                raise RouteError("anchor weight destroys the boundary decay")
+        elif dec[1] <= 0.0:  # with the kernel's 1/sigma the tail needs power > 1
+            raise QuadratureError("algebraic decay needs p > 1 for a convergent tail")
+    resolution = -np.log(np.finfo(float).eps)
 
     def cz(lams):
         out = np.zeros(lams.shape[0], dtype=complex)
@@ -842,29 +833,20 @@ def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
 
     def g(pts):
         shifted = pts - eta[None, :]
-        return np.exp(shifted @ z) * cz(shifted) * np.asarray(f(pts), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(shifted @ z) * cz(shifted) * np.asarray(f(pts), dtype=complex)
+        # far out on the mapped tails the weight overflows while f underflows
+        # to 0; a non-finite value is dropped only where the certified
+        # envelope is below double resolution, and refused anywhere else
+        drop = ~np.isfinite(vals) & (np.abs(pts) @ rates > resolution)
+        return np.where(drop, 0.0, vals)
 
     # contour along the sector boundary: swap the angle roles so the path
     # builder emits rays at angles alpha_j (incoming) and beta_j (outgoing)
     region = make_region([-np.pi / 2 - s.alpha for s in sectors.sectors],
                          [np.pi / 2 - s.beta for s in sectors.sectors],
                          [0.0] * phi.k)
-    radius = 16.0
-    if f.sector_decay is not None:
-        for j, dec in enumerate(f.sector_decay):
-            if dec is None:
-                raise RouteError(f"{f.label} lacks a boundary decay certificate on axis {j}")
-            kind = dec[0]
-            if kind == "exp":
-                rate = dec[1] - max(0.0, (z[j] * _unit(sectors.sectors[j].alpha)).real,
-                                    (z[j] * _unit(sectors.sectors[j].beta)).real)
-                if rate <= 0:
-                    raise RouteError("anchor weight destroys the boundary decay")
-                radius = max(radius, initial_radius(("exp", rate), tol))
-            else:
-                radius = max(radius, initial_radius(("alg", 1.0, dec[1] + 1.0), tol))
-    cq = ContourQuadrature.from_region(region, [0.0] * phi.k, R=radius)
-    return integrate(g, cq, tol).value
+    return integrate(g, ContourQuadrature.from_region(region, [0.0] * phi.k), tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -931,9 +913,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
         u_dual = np.array([_unit(-s.bisector_angle) for s in sectors.sectors])
 
         def contour_value(eps, n):
-            extra = 2.0 if n else 0.0
-            scale = (4.0 * n * n) if n else 1.0
-            cq = _dual_cone_contour(phi, z, tol, np.full(tup.k, extra + 1.0), scale)
+            cq = _dual_cone_contour(phi, z, 3.0 if n else 1.0)
 
             def scalar_fn(pts):
                 vals = phi.fb(pts)

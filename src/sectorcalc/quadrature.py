@@ -3,17 +3,21 @@
 Boundary paths follow the orientation convention used throughout: each
 axis runs from ``exp(1j*(-pi/2 - alpha_j)) * inf`` through the excision
 polyline to ``exp(1j*(pi/2 - beta_j)) * inf``.  Finite pieces carry
-Gauss-Legendre panels, rays carry panels geometrically graded toward the
-vertex (ratio 1.5).  Node weights include the complex ``d sigma`` factor.
+Gauss-Legendre panels.  A contour ray is integrated over its whole
+length: panels geometrically graded away from the vertex (ratio 1.5)
+reach the tail radius ``R``, and the tail beyond, ``t >= t_R``, is mapped
+by ``t = t_R / u`` onto ``u in (0, 1]`` (QUADPACK's QAGI).  ``R`` follows
+one rule, :func:`tail_radius`, which the calculus raises to clear the
+scaled spectra; no radius depends on a decay certificate or a tolerance.
+Node weights include the complex ``d sigma`` factor.
 
 Every adaptive quadrature runs through one driver, :func:`refine`.  Round
-``r`` evaluates the rule at truncation radius ``R0 * 2**r`` and node
-density ``n0 * 2**r``; a value is accepted once it differs from the
-previous round's by less than the tolerance (Frobenius norm for matrix
-values), and that difference is the error estimate.  Contours
-(:func:`adaptive_contour`, :func:`integrate`), rays (:func:`ray_integral`)
-and tensor ray densities are thin callers that only say how one round
-is evaluated.
+``r`` evaluates the rule at node density ``n0 * 2**r``; a value is
+accepted once it differs from the previous round's by less than the
+tolerance (Frobenius norm for matrix values), and that difference is the
+error estimate.  Contours (:func:`adaptive_contour`, :func:`integrate`),
+rays (:func:`ray_integral`) and tensor ray densities are thin callers
+that only say how one round is evaluated.
 
 The tensor sum is one blocked mode-by-mode contraction (:func:`_contract`).
 The index combinations of the leading axes are walked in C order, in
@@ -44,6 +48,8 @@ import numpy as np
 from . import _kernels
 
 _GL_CACHE = {}
+TAIL_RADIUS = 16.0  # the least radius at which a contour ray's mapped tail begins
+_TAIL_DENSITY = 8.0  # node density per panel of a mapped ray tail
 _BLOCK_POINTS = 1 << 15  # integrand points per block of the tensor contraction
 
 
@@ -88,24 +94,21 @@ def _graded_breaks(length, h0, ratio=1.5):
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One oriented piece of a discretized contour.
+    """One oriented piece of a discretized contour, traversed from ``start``
+    to ``end`` in the unit ``direction``.
 
     ``weights`` carry the complex ``d sigma`` factor (traversal direction
-    times the real quadrature weight).  Rays store the truncation radius
-    actually used.
+    times the real quadrature weight).  A ray is infinite: its far end
+    (the ``end`` of an outgoing ray, the ``start`` of an incoming one) is
+    ``complex(inf)``.
     """
 
     kind: str  # "segment" or "ray"
     start: complex
+    end: complex
     direction: complex
-    length: float
     nodes: np.ndarray
     weights: np.ndarray
-    trunc_radius: float = float("inf")
-
-    @property
-    def end(self):
-        return self.start + self.length * self.direction
 
     @staticmethod
     def finite(a, b, n_per_unit, panel_points):
@@ -115,23 +118,28 @@ class PathSegment:
         n_panels = max(1, int(np.ceil(length / h0)))
         breaks = np.linspace(0.0, length, n_panels + 1)
         nodes, weights = _panel_nodes(a, direction, breaks, panel_points)
-        return PathSegment("segment", a, direction, length, nodes, weights)
+        return PathSegment("segment", a, b, direction, nodes, weights)
 
     @staticmethod
-    def ray(anchor, direction, extent, n_per_unit, panel_points, trunc_radius,
-            outward=True):
-        """Truncated ray from ``anchor``; ``outward=False`` traverses from the
-        far end toward ``anchor`` (for incoming rays)."""
-        h0 = panel_points / n_per_unit
-        breaks = _graded_breaks(extent, h0)
+    def ray(anchor, direction, extent, n_per_unit, panel_points, outward=True):
+        """The whole ray ``anchor + t*direction``, ``t >= 0``: graded panels
+        on ``[0, extent]``, then the tail ``t = extent / u`` on equal panels
+        of ``u``, one per ``_TAIL_DENSITY`` units of node density (at least
+        one), all in one :func:`gauss_panel` call.  ``outward=False``
+        traverses it toward ``anchor`` (for incoming rays)."""
+        breaks = _graded_breaks(extent, panel_points / n_per_unit)
+        m = max(1, int(np.ceil(n_per_unit / _TAIL_DENSITY)))
+        u = np.arange(m, -1, -1) / m  # 1 down to 0, so t rises through the tail
+        t, w = gauss_panel(np.concatenate([breaks[:-1], u[:-1]])[:, None],
+                           np.concatenate([breaks[1:], u[1:]])[:, None], panel_points)
+        g = len(breaks) - 1
+        t[g:] = extent / t[g:]
+        w[g:] *= -t[g:] ** 2 / extent  # dt = -(t^2 / extent) du
+        nodes, weights = anchor + t.ravel() * direction, w.ravel() * direction
         if outward:
-            nodes, weights = _panel_nodes(anchor, direction, breaks, panel_points)
-            return PathSegment("ray", anchor, direction, extent, nodes, weights,
-                               trunc_radius)
-        far = anchor + extent * direction
-        nodes, weights = _panel_nodes(anchor, direction, breaks, panel_points)
-        return PathSegment("ray", far, -direction, extent, nodes[::-1].copy(),
-                           -weights[::-1].copy(), trunc_radius)
+            return PathSegment("ray", anchor, complex(np.inf), direction, nodes, weights)
+        return PathSegment("ray", complex(np.inf), anchor, -direction, nodes[::-1].copy(),
+                           -weights[::-1].copy())
 
 
 def _panel_nodes(anchor, direction, breaks, panel_points):
@@ -142,11 +150,11 @@ def _panel_nodes(anchor, direction, breaks, panel_points):
 
 
 def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
-    """Discretize ``(boundary of U_j + eps) intersect B(0, R)``.
+    """Discretize the boundary of ``U_j + eps``, rays mapped beyond radius ``R``.
 
     Returns the ordered list of :class:`PathSegment`, incoming ray first.
-    ``eps`` must lie in the closed dual sector of the axis; ``R`` must
-    exceed the excision extent of the shifted boundary.
+    ``eps`` must lie in the closed dual sector of the axis; the tail
+    radius ``R`` must exceed the excision extent of the shifted boundary.
     """
     ax = region.axes[j]
     eps = complex(eps)
@@ -157,7 +165,7 @@ def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
     far = max(abs(a) for a in anchors)
     if R <= far * 1.05 + 1e-9:
         raise QuadratureError(
-            f"truncation radius {R} too small: excision of axis {j} extends to {far}")
+            f"tail radius {R} too small: excision of axis {j} extends to {far}")
 
     def ray_extent(anchor, d):
         b = (anchor * d.conjugate()).real
@@ -166,15 +174,22 @@ def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
 
     segments = [
         PathSegment.ray(anchors[0], ax.d0, ray_extent(anchors[0], ax.d0),
-                        n_per_unit, panel_points, R, outward=False)
+                        n_per_unit, panel_points, outward=False)
     ]
     for a, b in zip(anchors[:-1], anchors[1:]):
         segments.append(PathSegment.finite(a, b, n_per_unit, panel_points))
     segments.append(
         PathSegment.ray(anchors[-1], ax.d1, ray_extent(anchors[-1], ax.d1),
-                        n_per_unit, panel_points, R, outward=True)
+                        n_per_unit, panel_points)
     )
     return segments
+
+
+def tail_radius(region, eps):
+    """``TAIL_RADIUS``, raised to clear every shifted excision of ``region``
+    by a factor 1.3 plus 1, so each ray's graded panels reach past it."""
+    return max([TAIL_RADIUS] + [1.3 * max(abs(ax.z + e + t) for t in ax.theta) + 1.0
+                                for ax, e in zip(region.axes, eps)])
 
 
 @dataclass(frozen=True)
@@ -186,7 +201,8 @@ class AxisPath:
 
 @dataclass(frozen=True)
 class ContourQuadrature:
-    """Tensor-product discretization of a shifted distinguished boundary."""
+    """Tensor-product discretization of a shifted distinguished boundary;
+    ``R`` is the tail radius of its rays."""
 
     axes: tuple
     region: object
@@ -196,10 +212,13 @@ class ContourQuadrature:
     panel_points: int = 16
 
     @staticmethod
-    def from_region(region, eps, R=16.0, n_per_unit=8.0, panel_points=16):
+    def from_region(region, eps, R=None, n_per_unit=8.0, panel_points=16):
+        """The contour on ``region`` shifted by ``eps``, with tail radius ``R``
+        (by default :func:`tail_radius`)."""
         eps = tuple(complex(e) for e in np.atleast_1d(np.asarray(eps, dtype=complex)))
         if len(eps) != region.k:
             raise QuadratureError("eps must have one entry per axis")
+        R = tail_radius(region, eps) if R is None else R
         axes = []
         for j in range(region.k):
             segs = build_boundary_path(region, j, eps[j], R, n_per_unit, panel_points)
@@ -347,40 +366,41 @@ def tensor_sum(f, cq):
     return _contract(f, [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes])
 
 
-def refine(value_at, R, n_per_unit, tol, max_rounds=8, what="integral"):
+def refine(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
     """The refinement loop of every adaptive quadrature.
 
-    Round ``r`` calls ``value_at(R * 2**r, n_per_unit * 2**r)``, which
-    returns ``(value, node_count)``.  The first value that differs from
-    the previous round's by less than ``tol`` is returned; ``history``
-    holds one ``(R, n_per_unit, node_count, difference)`` record per round
+    Round ``r`` calls ``value_at(n_per_unit * 2**r)``, which returns
+    ``(value, node_count)``.  The first value that differs from the
+    previous round's by less than ``tol`` is returned; ``history`` holds
+    one ``(n_per_unit, node_count, difference)`` record per round
     (difference ``inf`` in the first).  After ``max_rounds`` rounds a
     :class:`ConvergenceError` carries the last value and difference.
     """
     history = []
     prev = None
     for r in range(max_rounds):
-        val, nodes = value_at(R, n_per_unit)
+        val, nodes = value_at(n_per_unit)
         diff = np.inf if prev is None else _err_norm(val, prev)
-        history.append((R, n_per_unit, nodes, diff))
+        history.append((n_per_unit, nodes, diff))
         if diff < tol:
             return IntegrationResult(val, diff, r + 1, nodes, tuple(history))
         prev = val
-        R, n_per_unit = 2.0 * R, 2.0 * n_per_unit
+        n_per_unit = 2.0 * n_per_unit
     raise ConvergenceError(
         f"{what} did not converge to {tol} in {max_rounds} rounds",
-        value=prev, estimate=history[-1][3] if history else np.inf)
+        value=prev, estimate=history[-1][2] if history else np.inf)
 
 
 def adaptive_contour(value_of, cq, tol, max_rounds=8):
     """:func:`refine` over contours like ``cq``: ``value_of`` is called once
-    per round on the contour of that round's radius and density."""
-    def value_at(R, n_per_unit):
-        c = cq if R == cq.R else ContourQuadrature.from_region(
-            cq.region, cq.eps, R, n_per_unit, cq.panel_points)
+    per round on the contour of that round's density and ``cq``'s tail
+    radius."""
+    def value_at(n_per_unit):
+        c = cq if n_per_unit == cq.n_per_unit else ContourQuadrature.from_region(
+            cq.region, cq.eps, cq.R, n_per_unit, cq.panel_points)
         return value_of(c), c.node_count
 
-    return refine(value_at, cq.R, cq.n_per_unit, tol, max_rounds, "contour integral")
+    return refine(value_at, cq.n_per_unit, tol, max_rounds, "contour integral")
 
 
 def integrate(f, cq, tol=1e-8, max_rounds=8):
@@ -441,43 +461,37 @@ def richardson(values, ratio=2.0):
 
 
 def initial_radius(decay, tol, default=16.0):
-    """Truncation radius at which the decay envelope drops below tol/100.
-
-    ``decay`` is ``("exp", rate)`` for an ``exp(-rate*t)`` envelope or
-    ``("alg", c, p)`` for ``c*(1+t)**(-p)`` with ``p > 1``.
-    """
+    """Truncation radius at which an ``exp(-rate*t)`` envelope, given as
+    ``decay = ("exp", rate)``, drops below tol/100; ``default`` without one."""
     if decay is None:
         return default
-    kind = decay[0]
-    if kind == "exp":
-        rate = decay[1]
-        if rate <= 0:
-            raise QuadratureError("exponential decay rate must be positive")
-        return max(default, np.log(100.0 / tol) / rate)
-    if kind == "alg":
-        c, p = decay[1], decay[2]
-        if p <= 1:
-            raise QuadratureError("algebraic decay needs p > 1 for a convergent tail")
-        return max(default, (100.0 * max(c, 1e-300) / tol) ** (1.0 / (p - 1.0)))
-    raise QuadratureError(f"unknown decay kind {kind!r}")
+    if decay[0] != "exp":
+        raise QuadratureError(f"unknown decay kind {decay[0]!r}")
+    rate = decay[1]
+    if rate <= 0:
+        raise QuadratureError("exponential decay rate must be positive")
+    return max(default, np.log(100.0 / tol) / rate)
 
 
 def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8,
                  n_per_unit=8.0, panel_points=16):
     """Adaptive integral of ``f`` along ``start + t*direction``, ``t >= 0``.
 
-    The caller asserts integrability; ``decay`` supplies the envelope used
-    to choose the initial truncation (see :func:`initial_radius`).  Same
-    refinement contract as :func:`integrate`.
+    The caller asserts integrability; ``decay`` supplies the envelope that
+    sets the first round's truncation (see :func:`initial_radius`), and the
+    truncation doubles with the node density each round.  Under an
+    exponential envelope the cut tail is below tol/100, and an orbit
+    ``Exp(t*A)`` that grows is never evaluated far beyond it, where it
+    would overflow.  Same refinement contract as :func:`integrate`.
     """
     direction = complex(direction)
     direction /= abs(direction)
+    r0 = initial_radius(decay, tol)
 
-    def value_at(R, n):
-        breaks = _graded_breaks(R, panel_points / n)
+    def value_at(n):
+        breaks = _graded_breaks(r0 * (n / n_per_unit), panel_points / n)
         nodes, weights = _panel_nodes(complex(start), direction, breaks, panel_points)
         vals = _call_integrand(lambda q: f(q[:, 0]), nodes[:, None])
         return _kernels.reduce_weighted(weights, vals), len(nodes)
 
-    return refine(value_at, initial_radius(decay, tol), n_per_unit, tol, max_rounds,
-                  "ray integral")
+    return refine(value_at, n_per_unit, tol, max_rounds, "ray integral")

@@ -158,6 +158,16 @@ class TestMainCalculus:
         with pytest.raises(ca.AdmissibilityError):
             ca.functional_calculus(f, scalar_tuple, [1.0], cone, [0.25])
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_nonpositive_exp_rate_is_no_certificate(self, scalar_tuple, cone, rate):
+        # F = 1 is not integrable against the resolvent; a rate that
+        # certifies no decay must not let it through to the mapped tails
+        one = ca.HoloFunction(lambda p: np.ones(p.shape[0], dtype=complex), "H1", None, rate)
+        with pytest.raises(ca.AdmissibilityError, match="carries no decay certificate"):
+            ca.functional_calculus(one, scalar_tuple, [1.0], cone, [0.25])
+        with pytest.raises(ca.AdmissibilityError):
+            ca.boundary_abs_integral(one, cone, [0.25])
+
     def test_inadmissible_region_rejected(self, scalar_tuple):
         u_bad = g.make_region([SECT[0]], [SECT[1]], [5.0])
         with pytest.raises(ca.AdmissibilityError):
@@ -165,15 +175,42 @@ class TestMainCalculus:
                                    [1.0], u_bad, [0.25])
 
     def test_resolvent_sup_matches_the_per_node_norms(self, rng):
+        # the sup runs over the nodes of the calculus's first-round contour
         tup = sg.random_commuting_tuple(rng, 2, 3, DOM)
         u = ca.default_region(tup, [1.0, 1.0], ProductSector([SECT] * 2))
-        cq = q.ContourQuadrature.from_region(u, [0.25, 0.25], R=64.0, n_per_unit=2.0)
+        cq = q.ContourQuadrature.from_region(
+            u, [0.25, 0.25], R=ca._radius_floor(u, [0.25, 0.25], tup, [1.0, 1.0]))
         ref = 1.0
         for j in range(2):
             stack = resolvent_stack(tup.matrices[j], 1.0, cq.axes[j].nodes)
             ref *= max(sg.opnorm(m) for m in stack)
         val = ca.resolvent_sup_on_contour(tup, [1.0, 1.0], u, [0.25, 0.25])
         assert val == pytest.approx(ref, rel=1e-14)
+
+    def test_looser_certificate_changes_nothing(self, rng, monkeypatch):
+        # the contour depends on the region, the shift and the tuple, never
+        # on the decay constant: same nodes per axis, same bits
+        tup = sg.random_commuting_tuple(rng, 2, 3, DOM)
+        u = ca.default_region(tup, [1.0, 1.0], ProductSector([SECT] * 2))
+        eps = ca._default_eps(u)
+        seen, adaptive = [], ca.adaptive_contour
+
+        def recorded(value_of, cq, *a):
+            def counted(c):
+                seen[-1].append(tuple(len(ax.nodes) for ax in c.axes))
+                return value_of(c)
+            return adaptive(counted, cq, *a)
+
+        monkeypatch.setattr(ca, "adaptive_contour", recorded)
+        f = ca.inverse_square(2, 1.0 - u.vertex)
+        out = []
+        for F in (f, replace(f, decay=(1e6, 2.0))):
+            seen.append([])
+            out.append((ca.functional_calculus(F, tup, [1.0, 1.0], u, eps),
+                        ca.boundary_abs_integral(F, u, eps)))
+        (calc, norm), (calc_loose, norm_loose) = out
+        assert np.array_equal(calc, calc_loose) and norm == norm_loose
+        assert seen[0] == seen[1] and len(seen[0]) >= 4
 
     def test_boundedness_estimate(self, scalar_tuple, cone):
         f = ca.inverse_square(1, [1.0])
@@ -239,13 +276,14 @@ class TestSeparableFunctions:
         assert ca.product_function(bare, two).terms is None
 
     def test_bare_integrand_keeps_the_dense_result(self, scalar_tuple, cone):
-        # a function without terms takes the blocked dense contraction,
-        # whose value on this input was recorded before the separable
-        # path existed; it must not move by a single bit
+        # a function without terms takes the blocked dense contraction; its
+        # value on this input was recorded with the mapped ray tails and must
+        # not move by a single bit; the exact value is (1 - mu)^-2 = 1/9
         f = ca.inverse_square(1, [1.0])
         bare = ca.HoloFunction(lambda p: f(p), "H1", (1.0, 2.0))
         val = ca.functional_calculus(bare, scalar_tuple, [1.0], cone, [0.25], tol=1e-9)
-        assert complex(val[0, 0]) == (0.11111111111071319 - 3.9687911064269143e-19j)
+        assert complex(val[0, 0]) == (0.11111111111111113 - 1.466727148027338e-19j)
+        assert abs(val[0, 0] - 1.0 / 9.0) <= 1e-15
 
     def test_separable_and_dense_boundary_integrals_agree(self):
         u = g.make_region([SECT[0]] * 2, [SECT[1]] * 2, [0.0, 0.0])
@@ -307,6 +345,18 @@ def _smirnov_by_parts(F, tup, lam, region, tol=1e-9):
                         _hinf_by_parts(gw, tup, lam, region, tol), "witness image")
 
 
+def _smirnov_on_contour(F, tup, lam, region, cq):
+    """The Smirnov quotient from one contour sum per integrand on ``cq``."""
+    gw, gq = F.witness, ca._quotient_denominator(tup, lam, region)
+    pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
+    m_fgg, m_gg, m_g = [
+        pref * q.resolvent_contour_value([h], tup.matrices, lam, cq)[0]
+        for h in (ca.product_function(ca.product_function(F, gw), gq),
+                  ca.product_function(gw, gq), gq)]
+    return ca._quotient(ca._quotient(m_fgg, m_g, "quotient image"),
+                        ca._quotient(m_gg, m_g, "quotient image"), "witness image")
+
+
 class TestQuotientExtensions:
     def test_constant_gives_identity(self, scalar_tuple, cone):
         one = ca.constant_function(1, 1.0)
@@ -344,15 +394,23 @@ class TestQuotientExtensions:
         assert np.allclose(f(pts), -pts[:, 1], rtol=0, atol=0)
 
     @pytest.mark.parametrize("case", ["scalar", "random3"])
-    def test_separable_projection_matches_dense_path(self, case):
+    def test_separable_projection_matches_dense_path(self, case, monkeypatch):
         tup, u = _special_case(case)
         f = ca.projection_function(tup, [1.0], u, 0)
         dense = replace(f, terms=None, witness=replace(f.witness, terms=None))
+        contours, adaptive = [], ca.adaptive_contour
+
+        def recorded(value_of, cq, *a):
+            return adaptive(lambda c: contours.append(c) or value_of(c), cq, *a)
+
+        monkeypatch.setattr(ca, "adaptive_contour", recorded)
         got = ca.functional_calculus_smirnov(f, tup, [1.0], u, tol=1e-9)
+        accepted = contours[-1]
         ref = ca.functional_calculus_smirnov(dense, tup, [1.0], u, tol=1e-9)
         assert sg.opnorm(got - ref) <= 1e-12 * sg.opnorm(ref)
-        # one contour pass gives the quotient of separate calculus calls exactly
-        assert np.array_equal(got, _smirnov_by_parts(f, tup, [1.0], u))
+        # the one contour pass gives the quotient of separate sums on the
+        # contour it accepted exactly (its members alone may accept earlier)
+        assert np.array_equal(got, _smirnov_on_contour(f, tup, [1.0], u, accepted))
 
     def test_quotient_solves_or_reports(self):
         num = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)

@@ -103,6 +103,22 @@ class TestRun:
                         "--out", str(tmp_path / "x.csv")]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_failed_scenario_becomes_a_row(self, tmp_path, capsys, monkeypatch):
+        def broken(seed, tol=1e-6):
+            raise cli.QuadratureError("ray integral did not converge to 1e-30")
+
+        monkeypatch.setattr(cli, "SCENARIOS", {"broken": broken, "gaps": cli.scenario_gaps})
+        out = tmp_path / "r.csv"
+        assert run_cli(["run", "--scenario", "all", "--out", str(out)]) == 3
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        failed, rest = rows[0], rows[1:]
+        assert failed["scenario"] == "broken" and failed["passed"] == "False"
+        assert "did not converge to 1e-30" in failed["case"]
+        # the scenario after the failure still ran
+        assert rest and all(r["scenario"] == "gaps" and r["passed"] == "True" for r in rest)
+        assert "error: broken: computation failed" in capsys.readouterr().err
+
     def test_failing_tolerance_exits_one(self, tmp_path, capsys):
         assert run_cli(["run", "--scenario", "calculus-k1",
                         "--tol-override", "1e-18",

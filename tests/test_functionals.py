@@ -252,6 +252,39 @@ class TestPairFunction:
         with pytest.raises(fn.RouteError):
             fn.pair_function(f, phi, "cauchy")  # density unsupported on this route
 
+    @pytest.mark.parametrize("z", [0.3, 0.5, 0.7, 0.9])
+    def test_translated_cauchy_with_a_growing_anchor_weight(self, ps1, z):
+        # far out on the mapped ray tails exp(sigma z) overflows while f
+        # underflows to 0; the certified envelope is below double
+        # resolution there, so those nodes contribute nothing
+        f = fn.exp_poly_function(ps1, [1.0])
+        val = fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3], z=[z])
+        assert abs(val - np.exp(-1.1)) <= 1e-12
+
+    def test_translated_cauchy_keeps_genuine_nonfinite_values(self, ps1):
+        # a non-finite value where the certified envelope exp(-0.35 |sigma|)
+        # is above double resolution (tail nodes at |sigma| 44 to 84) is
+        # still refused
+        f = fn.exp_poly_function(ps1, [1.0])
+        bad = fn.SectorFunction(
+            lambda p: np.where(abs(np.abs(p[:, 0]) - 70.0) < 30.0, np.nan, f(p)),
+            sector_decay=f.sector_decay, label="nan far out")
+        with pytest.raises(fn.QuadratureError, match="non-finite"):
+            fn.pair_translated_cauchy(bad, fn.dirac(ps1, [0.8]), [0.3], z=[0.5])
+
+    def test_translated_cauchy_needs_a_boundary_certificate(self, ps1):
+        f = fn.SectorFunction(lambda p: np.exp(-p[:, 0]), label="bare exp")
+        with pytest.raises(fn.RouteError, match="bare exp carries no boundary decay"):
+            fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3])
+
+    def test_contour_integrability_per_axis(self, ps2):
+        phi = fn.bisector_density(ps2)  # transform decays like 1/|sigma_j| per axis
+        assert not phi.fb_integrable_on_cone()
+        assert not phi.fb_integrable_on_cone([1.0, 0.0])
+        assert phi.fb_integrable_on_cone([1.0, 1.0]) and phi.fb_integrable_on_cone(1.0)
+        with pytest.raises(fn.RouteError, match="not integrable on the contour"):
+            fn._dual_cone_contour(phi, np.zeros(2), [0.0, 1.0])
+
     def test_translation_law(self, rng, ps1):
         # pairing against the shifted functional equals the translated pairing
         phi = random_atomic(rng, ps1, 2)
@@ -313,6 +346,16 @@ class TestPairSemigroup:
         phi = fn.dirac(ps2, [nu, 0.0])
         got = fn.pair_semigroup(tup, [1.0, 1.0], phi, "measure")
         assert np.allclose(got, sg.expm(nu * tup.matrices[0]), atol=1e-12)
+
+    @pytest.mark.parametrize("route", ["resolvent_contour", "eps_shift"])
+    def test_contour_anchored_beyond_the_least_tail_radius(self, ps1, route):
+        # a fast-decaying orbit pushes the anchor out to |z| = 19, past
+        # TAIL_RADIUS; the contour's tail radius must clear it
+        tup = sg.CommutingTuple([np.array([[-20.0]])], [DOM])
+        phi = fn.dirac(ps1, [0.5])
+        ref = fn.pair_semigroup(tup, [1.0], phi, "measure")
+        got = fn.pair_semigroup(tup, [1.0], phi, route)  # absolute tolerance 1e-9
+        assert sg.opnorm(got - ref) <= 1e-11
 
     def test_bisector_density_gives_resolvent_product(self, ps2):
         tup = sg.CommutingTuple([np.diag([-1.0, -2.0]), np.diag([-3.0, -0.5])],

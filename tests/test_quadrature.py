@@ -51,22 +51,23 @@ class TestRefine:
     def test_schedule_and_acceptance(self):
         calls = []
 
-        def value_at(R, n):
-            calls.append((R, n))
+        def value_at(n):
+            calls.append(n)
             return 1.0 / n, 3
 
-        res = q.refine(value_at, 5.0, 2.0, tol=0.1)
+        res = q.refine(value_at, 2.0, tol=0.1)
         # differences 0.25, 0.125, 0.0625: accepted in the fourth round
-        assert calls == [(5.0, 2.0), (10.0, 4.0), (20.0, 8.0), (40.0, 16.0)]
+        assert calls == [2.0, 4.0, 8.0, 16.0]
         assert (res.value, res.rounds, res.node_count) == (1.0 / 16.0, 4, 3)
-        assert [h[3] for h in res.history] == [np.inf, 0.25, 0.125, 0.0625]
+        assert [h[2] for h in res.history] == [np.inf, 0.25, 0.125, 0.0625]
 
     def test_failure_carries_value_and_estimate(self):
         with pytest.raises(q.ConvergenceError, match="thing did not converge") as info:
-            q.refine(lambda R, n: (R, 1), 1.0, 1.0, tol=0.5, max_rounds=3, what="thing")
+            q.refine(lambda n: (n, 1), 1.0, tol=0.5, max_rounds=3, what="thing")
         assert (info.value.value, info.value.estimate) == (4.0, 2.0)
 
     def test_adaptive_contour_sees_doubled_contours(self):
+        # each round doubles the node density; the tail radius stays put
         cq = q.ContourQuadrature.from_region(cone_region(), [0.5], R=32.0)
         seen = []
 
@@ -77,8 +78,9 @@ class TestRefine:
         res = q.adaptive_contour(value_of, cq, tol=0.2)
         assert seen[0] is cq and len(seen) == res.rounds == 3
         for r, c in enumerate(seen):
-            assert (c.R, c.n_per_unit) == (32.0 * 2 ** r, 8.0 * 2 ** r)
-            assert res.history[r][:3] == (c.R, c.n_per_unit, c.node_count)
+            assert (c.R, c.n_per_unit) == (32.0, 8.0 * 2 ** r)
+            assert res.history[r][:2] == (c.n_per_unit, c.node_count)
+        assert seen[0].node_count < seen[1].node_count < seen[2].node_count
 
 
 class TestRayIntegral:
@@ -103,14 +105,21 @@ class TestRayIntegral:
                            max_rounds=3)
 
     def test_history_has_one_record_per_round(self):
-        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, tol=1e-12,
-                             decay=("exp", 1.0))
-        assert len(res.history) == res.rounds >= 2
+        # a ray integral doubles its truncation with the node density
+        reach = []
+
+        def f(t):
+            reach.append(np.max(t.real))
+            return np.exp(-t)
+
+        res = q.ray_integral(f, 0.0, 1.0, tol=1e-12, decay=("exp", 1.0))
+        assert len(res.history) == res.rounds == len(reach) >= 2
         r0 = q.initial_radius(("exp", 1.0), 1e-12)
-        for r, (R, n, nodes, diff) in enumerate(res.history):
-            assert (R, n) == (r0 * 2.0 ** r, 8.0 * 2.0 ** r)
+        for r, (n, nodes, diff) in enumerate(res.history):
+            assert n == 8.0 * 2.0 ** r
+            assert 0.9 * r0 * 2.0 ** r < reach[r] < r0 * 2.0 ** r
             assert nodes > 0 and (diff == np.inf) == (r == 0)
-        assert res.history[-1][2:] == (res.node_count, res.error_estimate)
+        assert res.history[-1][1:] == (res.node_count, res.error_estimate)
 
 
 class TestBoundaryPath:
@@ -120,7 +129,10 @@ class TestBoundaryPath:
         n = sum(len(s.nodes) for s in segs)
         assert 0.5 * 20 * 8 <= n <= 2 * 20 * 8
         assert all(s.kind == "ray" for s in segs)
-        assert segs[0].trunc_radius == 10.0
+        # both rays run to infinity: nodes reach far beyond the tail radius
+        assert np.isinf(segs[0].start) and np.isinf(segs[-1].end)
+        for s in segs:
+            assert np.max(np.abs(s.nodes)) > 100 * 10.0
 
     def test_pure_cone_gives_two_rays(self):
         segs = q.build_boundary_path(cone_region(), 0, 0.1, 16.0)
@@ -132,8 +144,14 @@ class TestBoundaryPath:
                           radius=0.5)
         segs = q.build_boundary_path(u, 0, 0.2, 16.0)
         assert segs[0].kind == "ray" and segs[-1].kind == "ray"
+        # from infinity along the incoming ray, through the excision, to
+        # infinity along the outgoing ray; nodes follow the traversal
+        assert np.isinf(segs[0].start) and np.isinf(segs[-1].end)
         for a, b in zip(segs[:-1], segs[1:]):
             assert abs(a.end - b.start) <= 1e-12
+        for s in segs:
+            steps = np.diff(s.nodes) / s.direction
+            assert np.all(steps.real > 0) and np.allclose(steps.imag, 0.0, atol=1e-9)
 
     def test_weights_carry_the_direction(self):
         segs = q.build_boundary_path(cone_region(), 0, 0.0, 16.0)
@@ -159,22 +177,19 @@ class TestContourIntegrals:
         assert res.value == 0.0
 
     def test_holomorphic_integrand_has_zero_integral(self):
-        r0 = q.initial_radius(("alg", 1.0, 2.0), 1e-8)
-        cq = q.ContourQuadrature.from_region(cone_region(), [0.5], R=r0)
+        cq = q.ContourQuadrature.from_region(cone_region(), [0.5])
         res = q.integrate(lambda p: 1.0 / (p[:, 0] + 2.0) ** 2, cq, tol=1e-8)
         assert abs(res.value) <= 1e-8
 
     def test_interior_point_reproduction(self):
-        r0 = q.initial_radius(("alg", 1.0, 3.0), 1e-10)
-        cq = q.ContourQuadrature.from_region(cone_region(), [0.5], R=r0)
+        cq = q.ContourQuadrature.from_region(cone_region(), [0.5])
         res = q.integrate(lambda p: 1.0 / ((p[:, 0] + 2.0) ** 2 * (1.0 - p[:, 0])),
                           cq, tol=1e-10)
         target = 2j * PI / 9.0
         assert abs(res.value - target) <= 1e-10 * abs(target)
 
     def test_runs_are_bit_identical(self):
-        r0 = q.initial_radius(("alg", 1.0, 3.0), 1e-9)
-        cq = q.ContourQuadrature.from_region(cone_region(), [0.5], R=r0)
+        cq = q.ContourQuadrature.from_region(cone_region(), [0.5])
 
         def f(p):
             return 1.0 / ((p[:, 0] + 2.0) ** 2 * (1.0 - p[:, 0]))
@@ -184,12 +199,10 @@ class TestContourIntegrals:
         assert a == b
 
     def test_error_estimates_decrease(self):
-        r0 = q.initial_radius(("alg", 1.0, 3.0), 1e-9)
-        cq = q.ContourQuadrature.from_region(cone_region(), [0.5], R=r0,
-                                             n_per_unit=1.0)
+        cq = q.ContourQuadrature.from_region(cone_region(), [0.5], n_per_unit=1.0)
         res = q.integrate(lambda p: 1.0 / ((p[:, 0] + 2.0) ** 2 * (1.0 - p[:, 0])),
                           cq, tol=1e-9, max_rounds=8)
-        diffs = [h[3] for h in res.history if np.isfinite(h[3])]
+        diffs = [h[2] for h in res.history if np.isfinite(h[2])]
         assert len(diffs) >= 2
         assert diffs[-1] < diffs[-2]
 
