@@ -660,8 +660,6 @@ def main(argv=None):
         if args.command == "run":
             rows = collect_rows(args.scenario, args.seed, args.tol_override)
         else:
-            if not getattr(args, "sweep", None):
-                raise ValueError("study needs --sweep")
             rows = run_study(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed scenario JSON: {exc.msg} at line {exc.lineno} "

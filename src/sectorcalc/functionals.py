@@ -760,34 +760,28 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
             return contour_value(np.zeros(phi.k, dtype=complex), 0)
 
         if route == "fb_eps":
-            vals = [contour_value(eps0 * m * u_dual, 0) for m in EPS_SCHEDULE]
-            limit, residual = richardson(vals)
-            if residual > 100 * tol * (1 + abs(limit)):
-                raise RouteError(f"eps-limit extrapolant is not Cauchy (residual {residual:.3e})")
-            return limit
-
+            return _cauchy_limit([contour_value(eps0 * m * u_dual, 0) for m in EPS_SCHEDULE],
+                                 100 * tol, "eps-limit")
         # wn_limit: extrapolate n inside, then the exponential weight
-        per_m = []
-        for m in EPS_SCHEDULE:
-            seq = [contour_value(eps0 * m * u_dual, n) for n in WN_SCHEDULE]
-            lim_n, _ = richardson(seq)
-            per_m.append(lim_n)
-        limit, residual = richardson(per_m)
-        if residual > 1e3 * tol * (1 + abs(limit)):
-            raise RouteError(f"limit extrapolant is not Cauchy (residual {residual:.3e})")
-        return limit
+        return _cauchy_limit([richardson([contour_value(eps0 * m * u_dual, n)
+                                          for n in WN_SCHEDULE])[0] for m in EPS_SCHEDULE],
+                             1e3 * tol, "limit")
 
     if route == "cauchy":
-        vals = []
         u_sec = np.array([_unit(s.bisector_angle) for s in sectors.sectors])
-        for m in EPS_SCHEDULE:
-            vals.append(pair_translated_cauchy(f, phi, eta0 * m * u_sec, z=z, tol=tol))
-        limit, residual = richardson(vals)
-        if residual > 100 * tol * (1 + abs(limit)):
-            raise RouteError(f"translation-limit extrapolant is not Cauchy ({residual:.3e})")
-        return limit
+        return _cauchy_limit([pair_translated_cauchy(f, phi, eta0 * m * u_sec, z=z, tol=tol)
+                              for m in EPS_SCHEDULE], 100 * tol, "translation-limit")
 
     raise RouteError(f"unknown pairing route {route!r}")
+
+
+def _cauchy_limit(vals, slack, what):
+    """Richardson limit of ``vals``, refused unless its residual is below
+    ``slack * (1 + |limit|)``."""
+    limit, residual = richardson(vals)
+    if residual > slack * (1 + np.linalg.norm(limit)):
+        raise RouteError(f"{what} extrapolant is not Cauchy (residual {residual:.3e})")
+    return limit
 
 
 def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
@@ -808,18 +802,20 @@ def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
     if f.sector_decay is None:
         raise RouteError(f"{f.label} carries no boundary decay certificate")
     # per-axis rate of the certified envelope exp(-rate * |sigma|) of the
-    # anchor-weighted integrand along the sector edges (0 for algebraic decay)
+    # anchor-weighted integrand along the sector edges (0 for algebraic
+    # decay, which no growing anchor weight leaves integrable)
     rates = np.zeros(phi.k)
     for j, dec in enumerate(f.sector_decay):
         if dec is None:
             raise RouteError(f"{f.label} lacks a boundary decay certificate on axis {j}")
-        if dec[0] == "exp":
-            rates[j] = dec[1] - max(0.0, (z[j] * _unit(sectors.sectors[j].alpha)).real,
-                                    (z[j] * _unit(sectors.sectors[j].beta)).real)
-            if rates[j] <= 0:
-                raise RouteError("anchor weight destroys the boundary decay")
-        elif dec[1] <= 0.0:  # with the kernel's 1/sigma the tail needs power > 1
+        exp = dec[0] == "exp"
+        if not exp and dec[1] <= 0.0:  # with the kernel's 1/sigma the tail needs power > 1
             raise QuadratureError("algebraic decay needs p > 1 for a convergent tail")
+        growth = max(0.0, (z[j] * _unit(sectors.sectors[j].alpha)).real,
+                     (z[j] * _unit(sectors.sectors[j].beta)).real)
+        rates[j] = dec[1] - growth if exp else 0.0
+        if rates[j] <= 0 and (exp or growth > 0):
+            raise RouteError("anchor weight destroys the boundary decay")
     resolution = -np.log(np.finfo(float).eps)
 
     def cz(lams):
@@ -929,20 +925,11 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
         if route == "resolvent_contour":
             return contour_value(np.zeros(tup.k, dtype=complex), 0)
         if route == "eps_shift":
-            vals = [contour_value(eps0 * m * u_dual, 0) for m in EPS_SCHEDULE]
-            limit, residual = richardson(vals)
-            if residual > 1e3 * tol * (1 + np.linalg.norm(limit)):
-                raise RouteError(f"eps-limit extrapolant is not Cauchy ({residual:.3e})")
-            return np.asarray(limit)
-        per_m = []
-        for m in EPS_SCHEDULE[:5]:
-            seq = [contour_value(eps0 * m * u_dual, n) for n in WN_SCHEDULE]
-            lim_n, _ = richardson(seq)
-            per_m.append(lim_n)
-        limit, residual = richardson(per_m)
-        if residual > 1e4 * tol * (1 + np.linalg.norm(limit)):
-            raise RouteError(f"double-limit extrapolant is not Cauchy ({residual:.3e})")
-        return np.asarray(limit)
+            return _cauchy_limit([contour_value(eps0 * m * u_dual, 0) for m in EPS_SCHEDULE],
+                                 1e3 * tol, "eps-limit")
+        return _cauchy_limit([richardson([contour_value(eps0 * m * u_dual, n)
+                                          for n in WN_SCHEDULE])[0] for m in EPS_SCHEDULE[:5]],
+                             1e4 * tol, "double-limit")
 
     raise RouteError(f"unknown semigroup pairing route {route!r}")
 

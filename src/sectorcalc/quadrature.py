@@ -157,10 +157,7 @@ def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
     radius ``R`` must exceed the excision extent of the shifted boundary.
     """
     ax = region.axes[j]
-    eps = complex(eps)
-    if not ax.dual_sector.contains(eps, closed=True, tol=1e-9):
-        raise QuadratureError(f"shift {eps} is outside the closed dual sector of axis {j}")
-    z = ax.z + eps
+    z = ax.z + _axis_shift(region, j, eps)
     anchors = [z + t for t in ax.theta]
     far = max(abs(a) for a in anchors)
     if R <= far * 1.05 + 1e-9:
@@ -183,6 +180,22 @@ def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
                         n_per_unit, panel_points)
     )
     return segments
+
+
+def _shift_tuple(region, eps):
+    """``eps`` as one complex shift per axis of ``region``."""
+    eps = tuple(complex(e) for e in np.atleast_1d(np.asarray(eps, dtype=complex)))
+    if len(eps) != region.k:
+        raise QuadratureError("eps must have one entry per axis")
+    return eps
+
+
+def _axis_shift(region, j, eps):
+    """``eps`` as the complex shift of axis ``j``, in its closed dual sector."""
+    eps = complex(eps)
+    if not region.axes[j].dual_sector.contains(eps, closed=True, tol=1e-9):
+        raise QuadratureError(f"shift {eps} is outside the closed dual sector of axis {j}")
+    return eps
 
 
 def tail_radius(region, eps):
@@ -215,9 +228,7 @@ class ContourQuadrature:
     def from_region(region, eps, R=None, n_per_unit=8.0, panel_points=16):
         """The contour on ``region`` shifted by ``eps``, with tail radius ``R``
         (by default :func:`tail_radius`)."""
-        eps = tuple(complex(e) for e in np.atleast_1d(np.asarray(eps, dtype=complex)))
-        if len(eps) != region.k:
-            raise QuadratureError("eps must have one entry per axis")
+        eps = _shift_tuple(region, eps)
         R = tail_radius(region, eps) if R is None else R
         axes = []
         for j in range(region.k):

@@ -127,6 +127,9 @@ class CommutingTuple:
                         f"(relative defect {defect / (norms[i] * norms[j]):.3e})")
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "_spectra", tuple(np.linalg.eigvals(m) for m in matrices))
+        for mu in self._spectra:
+            mu.setflags(write=False)
 
     @property
     def k(self):
@@ -137,7 +140,8 @@ class CommutingTuple:
         return self.matrices[0].shape[0]
 
     def eigenvalues(self, j):
-        return np.linalg.eigvals(self.matrices[j])
+        """Spectrum of ``A_j``, computed once at construction (read-only)."""
+        return self._spectra[j]
 
     def to_json(self):
         return {
@@ -165,10 +169,9 @@ class GrowthProfile:
 
     def __init__(self, tup):
         self.tup = tup
-        self._eigs = [tup.eigenvalues(j) for j in range(tup.k)]
 
     def abscissa(self, j, omega, lam=1.0):
-        return float(np.max((lam * _unit(omega) * self._eigs[j]).real))
+        return float(np.max((lam * _unit(omega) * self.tup.eigenvalues(j)).real))
 
 
 def evaluate(tup, j, zeta):

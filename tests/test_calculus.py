@@ -618,6 +618,113 @@ class TestHardyDiagnostics:
         assert abs(val - 1.0 / 9.0) <= 1e-10
 
 
+def _abs_reference(F, region, eps, tol):
+    """``Int |F| |d sigma|`` on the contour built for the shift ``eps``
+    itself, with ``|weights|``: the per-shift reference of the batch."""
+    def value_of(c):
+        axes = tuple(q.AxisPath(ax.nodes, np.abs(ax.weights), ax.segments) for ax in c.axes)
+        return q.tensor_sum(lambda p: np.abs(F(p)), replace(c, axes=axes))
+
+    cq = q.ContourQuadrature.from_region(region, eps)
+    return abs(q.adaptive_contour(value_of, cq, tol).value)
+
+
+def _hardy_region(kind, k):
+    if kind == "halfplane":
+        return g.make_region([0.0] * k, [0.0] * k, [0.0] * k)
+    params = {"radius": 0.5} if kind == "cone_minus_disk" else {}
+    return g.make_region([SECT[0]] * k, [SECT[1]] * k, [0.0] * k, kind=kind, **params)
+
+
+def _hardy_function(form, k):
+    f = ca.inverse_square(k, 1.5 + 0.2j * np.arange(k))
+    if form == "rank1":
+        return f
+    if form == "rank2":
+        other = ca.inverse_square(k, 2.0 - 0.3j * np.arange(k))
+        return ca.separable_function(f.terms + other.terms, "H1", (2.0, 2.0), label="rank2")
+    return ca.HoloFunction(lambda p: f(p), "H1", f.decay, label="bare")
+
+
+class TestAbsIntegralBatch:
+    @pytest.mark.parametrize("form", ["rank1", "rank2", "bare"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", ["halfplane", "cone", "cone_minus_disk"])
+    def test_batch_matches_the_per_shift_reference(self, kind, k, form):
+        # the reference's tail radius grows with the shift (modulus 16), the
+        # batch translates the unshifted contour with the unshifted radius
+        u, F, tol = _hardy_region(kind, k), _hardy_function(form, k), 1e-6
+        grid = ca.default_eps_grid(u, directions=2, moduli=[0.25, 16.0])
+        assert q.tail_radius(u, grid[-1]) > q.tail_radius(u, np.zeros(k))
+        refs = np.array([_abs_reference(F, u, eps, tol) for eps in grid])
+        batch = ca._abs_integrals(F, u, grid, tol)
+        assert batch.shape == (len(grid),)
+        assert np.max(np.abs(batch - refs)) <= 2 * tol
+        assert abs(ca.h1_norm(F, u, grid, tol) - refs.max()) <= 2 * tol
+        assert abs(ca.boundary_abs_integral(F, u, grid[-1], tol) - refs[-1]) <= 2 * tol
+
+    def test_joint_acceptance_waits_for_the_slowest_member(self):
+        # the pole at -0.1 sits 0.1 from the unshifted line: that member
+        # needs rounds the far shift does not
+        u, f, tol = _hardy_region("halfplane", 1), ca.inverse_square(1, [0.1]), 1e-7
+        grid = [np.array([2.0 + 0j]), np.array([0.0 + 0j])]
+        batch = ca._abs_integrals(f, u, grid, tol)
+        assert np.allclose(batch, PI / (0.1 + np.array([2.0, 0.0])), rtol=1e-6, atol=0)
+        for val, eps in zip(batch, grid):
+            assert abs(val - _abs_reference(f, u, eps, tol)) <= 2 * tol
+
+    def test_h1_norm_builds_one_contour_per_round(self, cone, monkeypatch):
+        passes, contours, builds = [], [], []
+        adaptive, build = ca.adaptive_contour, q.ContourQuadrature.from_region
+
+        def counted(value_of, cq, *a):
+            passes.append(cq)
+            return adaptive(lambda c: contours.append(c) or value_of(c), cq, *a)
+
+        monkeypatch.setattr(ca, "adaptive_contour", counted)
+        monkeypatch.setattr(q.ContourQuadrature, "from_region", staticmethod(
+            lambda *a, **kw: builds.append(a) or build(*a, **kw)))
+        grid = ca.default_eps_grid(cone)
+        assert len(grid) == 48
+        ca.h1_norm(ca.inverse_square(1, [1.0]), cone, tol=1e-7)
+        assert len(passes) == 1 and len(builds) == len(contours) >= 2
+        assert all(c.eps == (0j,) for c in contours)
+
+    @pytest.mark.parametrize("form", ["rank1", "bare"])
+    def test_member_round_values_do_not_depend_on_the_grid(self, form, monkeypatch):
+        seen, adaptive = [], ca.adaptive_contour
+
+        def recorded(value_of, cq, *a):
+            seen.append([])
+            return adaptive(lambda c: seen[-1].append(value_of(c)) or seen[-1][-1], cq, *a)
+
+        monkeypatch.setattr(ca, "adaptive_contour", recorded)
+        u, F = _hardy_region("cone_minus_disk", 2), _hardy_function(form, 2)
+        grid = ca.default_eps_grid(u, directions=3, moduli=[0.25, 16.0])
+        ca._abs_integrals(F, u, grid[:1], 1e-6)
+        ca._abs_integrals(F, u, grid, 1e-6)
+        alone, batch = seen
+        assert len(alone) >= 2
+        for a, b in zip(alone, batch):
+            assert b[0] == a[0]  # same round, same contour: same bits
+
+    def test_shifts_are_checked_before_any_contour(self, monkeypatch):
+        builds, build = [], q.ContourQuadrature.from_region
+        monkeypatch.setattr(q.ContourQuadrature, "from_region", staticmethod(
+            lambda *a, **kw: builds.append(a) or build(*a, **kw)))
+        u, f = _hardy_region("cone", 2), ca.inverse_square(2, [1.0, 1.0])
+        with pytest.raises(q.QuadratureError,
+                           match=r"shift \(-1\+0j\) is outside the closed dual sector of axis 1"):
+            ca.h1_norm(f, u, [np.array([0.25, 0.25]), np.array([0.25, -1.0])])
+        with pytest.raises(q.QuadratureError, match="one entry per axis"):
+            ca.h1_norm(f, u, [np.array([0.25, 0.25]), np.array([0.25])])
+        with pytest.raises(ca.AdmissibilityError, match="below the integrable threshold"):
+            ca.h1_norm(ca.HoloFunction(lambda p: 1.0 / (p[:, 0] + 1.0), "H1", (1.0, 1.0)), u)
+        with pytest.raises(ca.AdmissibilityError, match="carries no decay certificate"):
+            ca.boundary_abs_integral(replace(f, decay=None), u, [0.25, 0.25])
+        assert builds == []
+
+
 class TestOuterDiagnostics:
     def test_disk_witness_passes(self):
         f = lambda s: (1.0 - s) / 2.0

@@ -261,6 +261,22 @@ class TestPairFunction:
         val = fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3], z=[z])
         assert abs(val - np.exp(-1.1)) <= 1e-12
 
+    @pytest.mark.parametrize("z", [0.001, 0.01, 0.05, 0.5j])
+    def test_translated_cauchy_refuses_a_growing_weight_on_algebraic_decay(self, ps1, z):
+        # exp(sigma z) grows along a sector edge, and no power of 1/|sigma|
+        # can make up for it
+        f = fn.SectorFunction(lambda p: 1.0 / (p[:, 0] + 1.0) ** 2,
+                              sector_decay=(("alg", 2.0),), label="invsq")
+        with pytest.raises(fn.RouteError, match="anchor weight destroys the boundary decay"):
+            fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3], z=[z])
+
+    @pytest.mark.parametrize("z", [0.0, -0.5, -0.05])
+    def test_translated_cauchy_with_a_decaying_weight_on_algebraic_decay(self, ps1, z):
+        f = fn.SectorFunction(lambda p: 1.0 / (p[:, 0] + 1.0) ** 2,
+                              sector_decay=(("alg", 2.0),), label="invsq")
+        val = fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3], z=[z])
+        assert abs(val - 1.0 / (1.1 + 1.0) ** 2) <= 1e-9
+
     def test_translated_cauchy_keeps_genuine_nonfinite_values(self, ps1):
         # a non-finite value where the certified envelope exp(-0.35 |sigma|)
         # is above double resolution (tail nodes at |sigma| 44 to 84) is

@@ -68,6 +68,15 @@ class TestCommutingTuple:
         with pytest.raises(sg.CommutationError):
             sg.CommutingTuple([a, b], [DOM, DOM])
 
+    def test_spectra_are_computed_once_and_read_only(self, rng):
+        tup = sg.random_commuting_tuple(rng, 2, 3)
+        for j, a in enumerate(tup.matrices):
+            mu = tup.eigenvalues(j)
+            assert np.array_equal(mu, np.linalg.eigvals(a))
+            assert tup.eigenvalues(j) is mu
+            with pytest.raises(ValueError):
+                mu[0] = 0.0
+
     def test_json_round_trip(self, rng):
         tup = sg.random_commuting_tuple(rng, 2, 3)
         tup2 = sg.CommutingTuple.from_json(tup.to_json())
