@@ -23,9 +23,9 @@ import numpy as np
 
 from ._kernels import resolvent_stack
 from .geometry import AdmissibleRegion, AxisRegion, GeometryError, _unit, make_region
-from .quadrature import (ContourQuadrature, _axis_shift, _call_factor, _contract,
-                         _shift_tuple, adaptive_contour, integrate, resolvent_contour_value,
-                         tail_radius)
+from .quadrature import (ContourQuadrature, _axis_shift, _call_factor, _contract, _product,
+                         _separable, _shift_tuple, adaptive_contour, integrate,
+                         resolvent_contour_value, tail_radius)
 from .semigroups import (GrowthProfile, _validate_lambda, opnorm)
 from .semigroups import IN_N0, n_set_classify
 
@@ -72,12 +72,8 @@ class HoloFunction:
 def separable_function(terms, klass="H1", decay=None, exp_rate=None, label="F"):
     """``HoloFunction`` given by its separable terms; ``fun`` evaluates
     ``sum_r prod_j terms[r][j](pts[:, j])``, so the two cannot disagree."""
-    terms = tuple(tuple(term) for term in terms)
-
-    def fun(pts):
-        return sum(math.prod(f(pts[:, j]) for j, f in enumerate(term)) for term in terms)
-
-    return HoloFunction(fun, klass, decay, exp_rate, None, label, terms)
+    fun = _separable(terms)
+    return HoloFunction(fun, klass, decay, exp_rate, None, label, fun.terms)
 
 
 def _ones(x):
@@ -98,13 +94,9 @@ def product_function(f, g, label=None):
     for r in (f.exp_rate, g.exp_rate):
         if r is not None:
             rate = r if rate is None else max(rate, r)
-    terms = None
-    if f.terms is not None and g.terms is not None:
-        terms = tuple(
-            tuple((lambda x, a=a, b=b: a(x) * b(x)) for a, b in zip(tf, tg))
-            for tf in f.terms for tg in g.terms)
-    return HoloFunction(lambda pts: f(pts) * g(pts), "H1", decay, rate, None,
-                        label or f"{f.label}*{g.label}", terms)
+    fun = _product(f, g)
+    return HoloFunction(fun, "H1", decay, rate, None, label or f"{f.label}*{g.label}",
+                        getattr(fun, "terms", None))
 
 
 def constant_function(k, value, label=None):

@@ -26,8 +26,9 @@ import numpy as np
 
 from .geometry import ProductSector, _unit, make_region
 from .quadrature import (ContourQuadrature, QuadratureError, _contract, _graded_breaks,
-                         _panel_nodes, adaptive_contour, initial_radius, integrate,
-                         ray_integral, refine, resolvent_contour_value, richardson)
+                         _panel_nodes, _product, _separable, adaptive_contour,
+                         initial_radius, integrate, ray_integral, refine,
+                         resolvent_contour_value, richardson)
 from .semigroups import GrowthProfile, evaluate, expm, orbit_integrals
 
 MAX_DEGREE = 4
@@ -42,6 +43,24 @@ class RouteError(ValueError):
 
 class NoAdmissibleAnchor(ValueError):
     """No anchor point satisfies the boundedness and domain constraints."""
+
+
+def _horner(coeffs, x):
+    """The polynomial ``sum_m coeffs[m] x**m`` by Horner's rule."""
+    out = np.zeros_like(np.asarray(x, dtype=complex))
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _laplace(coeffs, u):
+    """Laplace factor ``sum_m coeffs[m] m! / u**(m+1)``: the transform of
+    ``sum_m coeffs[m] t**m exp(-u t)`` on a ray."""
+    out = np.zeros_like(u)
+    for m, c in enumerate(coeffs):
+        if abs(c) > 0:
+            out = out + c * math.factorial(m) / u ** (m + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -70,19 +89,11 @@ class AxisDensity:
         return next(m for m, c in enumerate(self.coeffs) if abs(c) > 0)
 
     def poly(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=complex))
-        for m, c in list(enumerate(self.coeffs))[::-1]:
-            out = out * t + c
-        return out
+        return _horner(self.coeffs, t)
 
     def fb_factor(self, x):
         """Laplace factor ``sum_m coeffs[m] m! / (s + x e^{i omega})^(m+1)``."""
-        u = self.s + np.asarray(x, dtype=complex) * _unit(self.omega)
-        out = np.zeros_like(u)
-        for m, c in enumerate(self.coeffs):
-            if abs(c) > 0:
-                out = out + c * math.factorial(m) / u ** (m + 1)
-        return out
+        return _laplace(self.coeffs, self.s + np.asarray(x, dtype=complex) * _unit(self.omega))
 
     def fb_factor_matrix(self, x):
         """``fb_factor`` evaluated at a matrix argument ``x``."""
@@ -203,27 +214,30 @@ class Functional:
         anchors.append(tight)
         return FBDomainInfo(self, tuple(map(tuple, anchors)))
 
+    @property
+    def fb_terms(self):
+        """Separable (CP) form of the transform,
+        ``fb(z) = sum_r prod_j fb_terms[r][j](z_j)``: one term per atom, then
+        one per density, each a tuple of k per-axis factors with the
+        weight folded into the first."""
+        terms = [(w, [lambda x, e=e: np.exp(-x * e) for e in eta]) for eta, w in self.atoms]
+        terms += [(d.weight, [lambda x, ax=ax, o=o: np.exp(-x * o) * ax.fb_factor(x)
+                              for ax, o in zip(d.axes, d.offset)]) for d in self.densities]
+        return tuple((lambda x, w=w, f=fs[0]: w * f(x),) + tuple(fs[1:]) for w, fs in terms)
+
     def fb(self, z, check_domain=False):
         """Closed-form transform value at ``z`` of shape (k,) or (N, k).
 
         The closed form continues meromorphically past the domain; pass
         ``check_domain=True`` to reject arguments outside it."""
         z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        pts = z[None, :] if single else z
+        pts = np.atleast_2d(z)
         if check_domain:
             for p in pts:
                 if not self.domain_contains(p):
                     raise RouteError(f"transform argument {p} outside the domain")
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for eta, w in self.atoms:
-            out = out + w * np.exp(-pts @ np.asarray(eta))
-        for d in self.densities:
-            term = d.weight * np.exp(-pts @ np.asarray(d.offset))
-            for j, ax in enumerate(d.axes):
-                term = term * ax.fb_factor(pts[:, j])
-            out = out + term
-        return out[0] if single else out
+        out = _separable(self.fb_terms)(pts)
+        return out[0] if z.ndim == 1 else out
 
     def fb_at_tuple(self, tup, lam, eps=None):
         """Transform evaluated at the commuting matrix argument
@@ -342,12 +356,14 @@ def wn_regularizer(zeta, n, sectors):
     if not isinstance(sectors, ProductSector):
         sectors = ProductSector(sectors)
     zeta = np.asarray(zeta, dtype=complex)
-    single = zeta.ndim == 1
-    pts = zeta[None, :] if single else zeta
-    out = np.ones(pts.shape[0], dtype=complex)
-    for j, s in enumerate(sectors.sectors):
-        out = out * (n ** 2 / (n + pts[:, j] * _unit(s.bisector_angle)) ** 2)
-    return out[0] if single else out
+    out = _wn(sectors, n, np.zeros(sectors.k))(np.atleast_2d(zeta))
+    return out[0] if zeta.ndim == 1 else out
+
+
+def _wn(sectors, n, z):
+    """``zeta -> wn_regularizer(zeta - z, n, sectors)`` as a separable function."""
+    return _separable([[lambda x, u=_unit(s.bisector_angle), zj=zj:
+                        n ** 2 / (n + (x - zj) * u) ** 2 for s, zj in zip(sectors.sectors, z)]])
 
 
 # ---------------------------------------------------------------------------
@@ -513,34 +529,11 @@ def exp_poly_function(sectors, w, coeffs=None, label=None):
     transform ``prod_j sum_m c_m m! / (lam_j + w_j)^(m+1)``."""
     if not isinstance(sectors, ProductSector):
         sectors = ProductSector(sectors)
-    k = sectors.k
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    coeffs = [[1.0]] * k if coeffs is None else [list(c) for c in coeffs]
-
-    def _poly(c, x):
-        out = np.zeros_like(x)
-        for m in range(len(c) - 1, -1, -1):
-            out = out * x + c[m]
-        return out
-
-    def fun(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=complex))
-        out = np.exp(-pts @ w)
-        for j in range(k):
-            out = out * _poly(coeffs[j], pts[:, j])
-        return out
-
-    def fb(lams):
-        lams = np.atleast_2d(np.asarray(lams, dtype=complex))
-        out = np.ones(lams.shape[0], dtype=complex)
-        for j in range(k):
-            u = lams[:, j] + w[j]
-            fac = np.zeros_like(u)
-            for m, c in enumerate(coeffs[j]):
-                if abs(c) > 0:
-                    fac = fac + c * math.factorial(m) / u ** (m + 1)
-            out = out * fac
-        return out
+    coeffs = [[1.0]] * sectors.k if coeffs is None else [list(c) for c in coeffs]
+    fun = _separable([[lambda x, c=c, wj=wj: _horner(c, x) * np.exp(-wj * x)
+                       for c, wj in zip(coeffs, w)]])
+    fb = _separable([[lambda x, c=c, wj=wj: _laplace(c, x + wj) for c, wj in zip(coeffs, w)]])
 
     decay = []
     for j, s in enumerate(sectors.sectors):
@@ -627,36 +620,19 @@ def cauchy_transform(phi, lam, z=None, route="measure", tol=1e-10):
         return pref * total
     if route == "fb":
         # the transform factorizes per term; integrate term by term
-        total = 0j
-        for term_fn, axis_factors in _fb_terms(phi):
-            prod = term_fn(z)
-            for j, fac in enumerate(axis_factors):
-                omega, rate = _cauchy_window(lam[j], phi.sectors.sectors[j])
-                u = _unit(omega)
+        def axis_integral(j, fac):
+            omega, rate = _cauchy_window(lam[j], phi.sectors.sectors[j])
+            u = _unit(omega)
 
-                def g(ts, fac=fac, u=u, j=j):
-                    sigma = ts * u
-                    return np.exp(lam[j] * sigma) * fac(sigma + z[j]) * u
+            def g(ts):
+                sigma = ts * u
+                return np.exp(lam[j] * sigma) * fac(sigma + z[j]) * u
 
-                prod = prod * ray_integral(g, 0.0, 1.0, tol=tol,
-                                           decay=("exp", max(rate * 0.9, 1e-3))).value
-            total += prod
-        return pref * total
+            return ray_integral(g, 0.0, 1.0, tol=tol, decay=("exp", max(rate * 0.9, 1e-3))).value
+
+        return pref * sum(math.prod(axis_integral(j, fac) for j, fac in enumerate(term))
+                          for term in phi.fb_terms)
     raise RouteError(f"unknown cauchy route {route!r}")
-
-
-def _fb_terms(phi):
-    """Tensor factorization of the transform: a list of
-    ``(scalar_weight_fn(z), [per-axis factor callables])``."""
-    out = []
-    for eta, w in phi.atoms:
-        out.append((lambda z, w=w: w,
-                    [lambda x, e=eta[j]: np.exp(-x * e) for j in range(phi.k)]))
-    for d in phi.densities:
-        out.append((lambda z, d=d: d.weight,
-                    [lambda x, ax=d.axes[j], off=d.offset[j]:
-                     np.exp(-x * off) * ax.fb_factor(x) for j in range(phi.k)]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +699,7 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
         for eta, w in phi.atoms:
             total += w * complex(np.asarray(f(np.asarray(eta, dtype=complex)[None, :]))[0])
         for d in phi.densities:
-            total += d.weight * _tensor_density_integral(f, d, tol).value
+            total += d.weight * _tensor_density_integral(f.fun, d, tol).value
         return total
 
     if route in ("fb_eps", "fb_direct", "wn_limit"):
@@ -737,17 +713,13 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
         pref = (2j * np.pi) ** -phi.k
         fpow = np.zeros(phi.k) if f.fb_powers is None else np.asarray(f.fb_powers, float)
         u_dual = np.array([_unit(-s.bisector_angle) for s in sectors.sectors])
+        fb = _separable(phi.fb_terms)
 
         def contour_value(eps, n):
             _check_fb_pole_clearance(f, phi, z, eps)
             cq = _dual_cone_contour(phi, z, fpow + (2.0 if n else 0.0))
-
-            def g(pts):
-                vals = phi.fb(pts) * np.asarray(f.fb(-pts + eps[None, :]), dtype=complex)
-                if n:
-                    vals = vals * wn_regularizer(pts - z[None, :], n, sectors)
-                return vals
-
+            g = _product(fb, _reflected(f.fb, eps), _wn(sectors, n, z)) if n else \
+                _product(fb, _reflected(f.fb, eps))
             return pref * integrate(g, cq, tol).value
 
         if route != "wn_limit" and not phi.fb_integrable_on_cone():
@@ -773,6 +745,15 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
                               for m in EPS_SCHEDULE], 100 * tol, "translation-limit")
 
     raise RouteError(f"unknown pairing route {route!r}")
+
+
+def _reflected(fun, eps):
+    """``zeta -> fun(eps - zeta)`` on (M, k) points, separable when ``fun`` is."""
+    terms = getattr(fun, "terms", None)
+    if terms is None:
+        return lambda pts: np.asarray(fun(eps[None, :] - pts), dtype=complex)
+    return _separable([[lambda x, h=h, e=e: h(e - x) for h, e in zip(term, eps)]
+                       for term in terms])
 
 
 def _cauchy_limit(vals, slack, what):
@@ -907,16 +888,11 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
             raise RouteError("transform of the functional is not integrable on the contour")
         pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
         u_dual = np.array([_unit(-s.bisector_angle) for s in sectors.sectors])
+        fb = _separable(phi.fb_terms)
 
         def contour_value(eps, n):
             cq = _dual_cone_contour(phi, z, 3.0 if n else 1.0)
-
-            def scalar_fn(pts):
-                vals = phi.fb(pts)
-                if n:
-                    vals = vals * wn_regularizer(pts - z[None, :], n, sectors)
-                return vals
-
+            scalar_fn = _product(fb, _wn(sectors, n, z)) if n else fb
             return pref * adaptive_contour(
                 lambda c: resolvent_contour_value((scalar_fn,), tup.matrices, lam, c,
                                                   node_offsets=eps),

@@ -30,7 +30,8 @@ Integrands must be pure and vectorized: they are called on (M, k) point
 arrays and return (M,) or (M, d, d).
 
 An integrand that carries separable ``terms`` (a sum of products of
-per-axis functions, ``F = sum_r prod_j f_rj(z_j)``) skips the grid: by
+per-axis functions, ``F = sum_r prod_j f_rj(z_j)``, built by
+:func:`_separable` and multiplied by :func:`_product`) skips the grid: by
 Fubini the tensor sum is ``sum_r prod_j (weights_j . f_rj(nodes_j))``, and
 with resolvent stacks ``sum_r S_r0 @ S_r1 @ ...`` in axis order, each
 ``S_rj`` one weighted 1-D reduction of axis ``j``'s stack
@@ -40,6 +41,7 @@ terms take the blocked contraction above.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -352,9 +354,10 @@ def _contract_terms(terms, nodes, weights, stacks=None):
     with ``stacks`` it is ``sum_r S_r0 @ S_r1 @ ...`` in axis order, where
     ``S_rj = sum_n weights[j][n] f_rj(nodes[j][n]) stacks[j][n]``.  The cost
     is linear in the node count of each axis instead of their product.
+    Without terms the sum is a zero of the same shape: scalar, or (d, d).
     """
     k = len(nodes)
-    total = 0
+    total = 0j if stacks is None else np.zeros(stacks[0].shape[1:], dtype=complex)
     for term in terms:
         if len(term) != k:
             raise QuadratureError(f"separable term has {len(term)} factors for {k} axes")
@@ -366,6 +369,33 @@ def _contract_terms(terms, nodes, weights, stacks=None):
             total = total + functools.reduce(np.matmul, [
                 _kernels.reduce_weighted(w * v, s) for w, v, s in zip(weights, vals, stacks)])
     return total
+
+
+def _separable(terms):
+    """The function ``sum_r prod_j terms[r][j](pts[:, j])`` on (M, k) points,
+    (M,) zeros for no terms; it carries ``terms``, so :func:`_contract`
+    factorizes its tensor sums."""
+    terms = tuple(tuple(term) for term in terms)
+
+    def fun(pts):
+        out = np.zeros(len(pts), dtype=complex)
+        for term in terms:
+            out = out + math.prod(f(pts[:, j]) for j, f in enumerate(term))
+        return out
+
+    fun.terms = terms
+    return fun
+
+
+def _product(*fns):
+    """Pointwise product of functions on (M, k) points.  When every factor
+    carries separable ``terms`` the product is separable, with the pairwise
+    products of their terms (ranks multiply); otherwise it carries none."""
+    if all(getattr(f, "terms", None) is not None for f in fns):
+        return _separable(
+            tuple(lambda x, fs=fs: math.prod(f(x) for f in fs) for fs in zip(*combo))
+            for combo in itertools.product(*(f.terms for f in fns)))
+    return lambda pts: math.prod(f(pts) for f in fns)
 
 
 def tensor_sum(f, cq):

@@ -275,6 +275,15 @@ class TestSeparableFunctions:
         assert ca.product_function(two, bare).terms is None
         assert ca.product_function(bare, two).terms is None
 
+    def test_rank_zero_function_is_the_zero_matrix(self, rng):
+        zero = ca.separable_function([], decay=(1.0, 2.0))
+        vals = zero(np.ones((3, 2), dtype=complex))
+        assert vals.shape == (3,) and not vals.any()
+        tup = sg.random_commuting_tuple(rng, 2, 2, sector=DOM)
+        region = ca.default_region(tup, [1.0, 1.0], ProductSector([SECT] * 2))
+        val = ca.functional_calculus(zero, tup, [1.0, 1.0], region, ca._default_eps(region))
+        assert val.shape == (2, 2) and not val.any()
+
     def test_bare_integrand_keeps_the_dense_result(self, scalar_tuple, cone):
         # a function without terms takes the blocked dense contraction; its
         # value on this input was recorded with the mapped ray tails and must

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from sectorcalc import functionals as fn
+from sectorcalc import quadrature as q
 from sectorcalc import semigroups as sg
 from sectorcalc.geometry import ProductSector
 from sectorcalc.quadrature import ConvergenceError
@@ -37,7 +40,58 @@ def random_atomic(rng, ps, n_atoms=2):
     return fn.Functional(ps, atoms)
 
 
+def _fb_reference(phi, pts):
+    """The transform summed atom by atom and density by density, each
+    density's Laplace factors written out term by term, and the sum of the
+    moduli of those terms (the scale of the rounding error of any order of
+    summation; convolved densities cancel)."""
+    out = np.zeros(pts.shape[0], dtype=complex)
+    scale = np.zeros(pts.shape[0])
+    for eta, w in phi.atoms:
+        out = out + w * np.exp(-pts @ np.asarray(eta))
+        scale = scale + np.abs(w * np.exp(-pts @ np.asarray(eta)))
+    for d in phi.densities:
+        term = d.weight * np.exp(-pts @ np.asarray(d.offset))
+        for j, ax in enumerate(d.axes):
+            u = ax.s + pts[:, j] * np.exp(1j * ax.omega)
+            fac = np.zeros_like(u)
+            for m, c in enumerate(ax.coeffs):
+                if abs(c) > 0:
+                    fac = fac + c * math.factorial(m) / u ** (m + 1)
+            term = term * fac
+        out = out + term
+        scale = scale + np.abs(term)
+    return out, scale
+
+
+def _mixed(rng, ps):
+    """Two random atoms and one random bisector density of degree 1 per axis."""
+    dens = fn.bisector_density(ps, s=rng.uniform(0.8, 2.0, ps.k) + 0.2j * rng.standard_normal(ps.k),
+                               coeffs=[[rng.uniform(0.2, 1.0), rng.standard_normal()]
+                                       for _ in range(ps.k)],
+                               weight=rng.standard_normal() + 0.5j)
+    return fn.Functional(ps, random_atomic(rng, ps, 2).atoms, dens.densities)
+
+
+def _integrable(ps):
+    """An atom inside the sector plus a density of degree at least 1 on every
+    axis: a transform integrable on the dual-cone contour (k <= 3)."""
+    dens = fn.bisector_density(ps, s=[1.3, 1.1, 1.2][:ps.k],
+                               coeffs=[[0.0, 1.0, 0.3], [0.0, 1.0], [0.0, 0.5]][:ps.k])
+    return fn.Functional(ps, [([0.6, 0.4 + 0.1j, 0.5][:ps.k], 0.7)], dens.densities)
+
+
 class TestTransform:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_transform_matches_the_atom_and_density_sums(self, rng, k):
+        ps = ProductSector([SECT] * k)
+        pts = rng.uniform(0.0, 2.0, (40, k)) + 1j * rng.uniform(-2.0, 2.0, (40, k))
+        p1, p2 = _mixed(rng, ps), _mixed(rng, ps)
+        for phi in (p1, fn.convolve(p1, p2)):
+            ref, scale = _fb_reference(phi, pts)
+            assert np.all(np.abs(phi.fb(pts) - ref) <= 1e-14 * scale)
+            assert phi.fb(pts[0]) == phi.fb(pts[:1])[0]
+
     def test_atom_value(self, ps2):
         phi = fn.dirac(ps2, [1.0, 2.0])
         z = np.array([1.0 + 0j, 1.0 + 0j])
@@ -347,6 +401,13 @@ class TestPairFunction:
         assert all(b < a for a, b in zip(sups[:-1], sups[1:]))
         assert sups[-1] < 2e-2
 
+    def test_two_axis_density_routes(self, rng, ps2):
+        phi = _integrable(ps2)
+        f = fn.exp_poly_function(ps2, [1.0, 1.2], [[0.2, 1.0], [1.0]])
+        oracle = fn.pair_function(f, phi, "measure", tol=1e-11)
+        assert abs(fn.pair_function(f, phi, "fb_eps", tol=1e-10) - oracle) <= 1e-8
+        assert abs(fn.pair_function(f, phi, "wn_limit", tol=1e-9) - oracle) <= 1e-5
+
     def test_anchor_independence(self, ps1):
         phi = fn.bisector_density(ps1, s=[2.0], coeffs=[[0.0, 1.0]])
         f = fn.exp_poly_function(ps1, [1.0], [[0.0, 1.0]])
@@ -422,13 +483,19 @@ class TestPairSemigroup:
             assert np.linalg.norm(got @ vec - expect * vec) \
                 <= 1e-9 * np.linalg.norm(vec)
 
-    def test_contour_route_on_two_axes(self, rng, ps2):
+    # the regularized route's double limit reaches only 6.8e-7 here, on the
+    # dense grid as on the separable one, so it keeps the 1e-5 bound it has
+    # on one axis (test_contour_routes_agree)
+    @pytest.mark.parametrize("route, bound", [("resolvent_contour", 1e-7), ("eps_shift", 1e-7),
+                                              ("regularized", 1e-5)],
+                             ids=["resolvent_contour", "eps_shift", "regularized"])
+    def test_contour_route_on_two_axes(self, rng, ps2, route, bound):
         # tensor resolvent engine through the pairing path
         tup = sg.random_commuting_tuple(rng, 2, 2, sector=DOM)
         phi = fn.dirac(ps2, [0.6, 0.4], 1.2)
         ref = fn.pair_semigroup(tup, [1.0, 1.0], phi, "measure")
-        got = fn.pair_semigroup(tup, [1.0, 1.0], phi, "resolvent_contour", tol=1e-9)
-        assert sg.opnorm(got - ref) <= 1e-7
+        got = fn.pair_semigroup(tup, [1.0, 1.0], phi, route, tol=1e-9)
+        assert sg.opnorm(got - ref) <= bound
 
     def test_pairing_multiplicative_under_convolution(self, rng, ps1):
         tup = sg.CommutingTuple([sg.random_sectorial_matrix(rng, 3)], [DOM])
@@ -530,3 +597,59 @@ class TestDomainInfo:
             phi.fb(np.array([-1.0 + 0j]), check_domain=True)
         # the unchecked call continues the closed form
         assert np.isfinite(phi.fb(np.array([-1.0 + 0j])))
+
+
+# every pairing route whose integrand the library builds from separable parts
+SEPARABLE_ROUTES = [("semigroup", r) for r in ("resolvent_contour", "eps_shift", "regularized")] \
+    + [("function", r) for r in ("measure", "fb_direct", "fb_eps", "wn_limit")]
+
+
+def _pairing(k, kind, route):
+    """A call of ``pair_semigroup`` (two atoms, a 2x2 tuple) or of
+    ``pair_function`` (an exp-poly function) by ``route`` on k axes."""
+    ps = ProductSector([SECT] * k)
+    rng = np.random.default_rng(k)
+    if kind == "semigroup":
+        tup, phi = sg.random_commuting_tuple(rng, k, 2, sector=DOM), random_atomic(rng, ps, 2)
+        return lambda: fn.pair_semigroup(tup, [1.0] * k, phi, route, tol=1e-7)
+    f = fn.exp_poly_function(ps, [1.0, 1.2][:k], [[0.2, 1.0], [1.0]][:k])
+    return lambda: fn.pair_function(f, _integrable(ps), route, tol=1e-7)
+
+
+def _without_terms(call):
+    """``call()`` with the terms of every integrand stripped before the
+    tensor contraction, which then walks the dense grid."""
+    contract = q._contract
+
+    def dense(f, *args):
+        return contract(lambda pts: f(pts), *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(q, "_contract", dense)
+        mp.setattr(fn, "_contract", dense)
+        return call()
+
+
+class TestSeparablePairings:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind, route", SEPARABLE_ROUTES)
+    def test_pairing_integrands_never_take_the_dense_grid(self, monkeypatch, k, kind, route):
+        call = _pairing(k, kind, route)
+
+        def refuse(*_):
+            raise AssertionError("a pairing integrand reached the dense tensor grid")
+
+        monkeypatch.setattr(q, "_call_integrand", refuse)
+        assert np.all(np.isfinite(call()))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind, route", SEPARABLE_ROUTES)
+    def test_factorized_sums_agree_with_the_dense_grid(self, k, kind, route):
+        call = _pairing(k, kind, route)
+        sep, dense = call(), _without_terms(call)
+        assert np.linalg.norm(sep - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_zero_functional_pairs_to_the_zero_matrix(self, rng, ps2):
+        tup = sg.random_commuting_tuple(rng, 2, 2, sector=DOM)
+        got = fn.pair_semigroup(tup, [1.0, 1.0], fn.Functional(ps2), "resolvent_contour")
+        assert got.shape == (2, 2) and not got.any()

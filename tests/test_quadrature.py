@@ -450,6 +450,15 @@ class TestSeparableContraction:
         with pytest.raises(q.QuadratureError, match="one scalar per node"):
             q.tensor_sum(ca.separable_function([[lambda x: np.ones(1)] * cq.k]), cq)
 
+    def test_rank_zero_sum_is_a_zero_of_the_contraction_shape(self, case):
+        cq, _, _, _ = case
+        nodes, weights = [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes]
+        assert q._contract_terms((), nodes, weights) == 0
+        assert np.ndim(q._contract_terms((), nodes, weights)) == 0
+        stacks = [np.ones((len(x), 3, 3), dtype=complex) for x in nodes]
+        val = q._contract_terms((), nodes, weights, stacks)
+        assert val.shape == (3, 3) and not val.any()
+
     def test_factors_cannot_write_into_the_nodes(self, case):
         cq, _, _, _ = case
 
