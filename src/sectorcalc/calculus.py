@@ -181,17 +181,14 @@ def check_admissible_for(region, tup, lam, tol=1e-9):
         detail.append(str(exc))
     margins = []
     spectrum_inside = True
-    for j in range(region.k):
-        ax = region.axes[j]
-        worst = np.inf
-        for mu in tup.eigenvalues(j):
-            point = -lam[j] * mu
-            if ax.contains(point, closed=False, tol=tol):
-                worst = min(worst, ax.boundary_distance(point))
-            else:
-                worst = min(worst, -ax.boundary_distance(point))
-                spectrum_inside = False
-        margins.append(float(worst))
+    for j, ax in enumerate(region.axes):
+        # -lam_j * spec(A_j), written out as scalar complex arithmetic rounds it
+        c, mu = -lam[j], tup.eigenvalues(j)
+        points = (c.real * mu.real - c.imag * mu.imag) + 1j * (c.real * mu.imag + c.imag * mu.real)
+        inside = ax.contains(points, closed=False, tol=tol)
+        dist = ax.boundary_distance(points)
+        spectrum_inside = spectrum_inside and bool(inside.all())
+        margins.append(float(np.min(np.where(inside, dist, -dist), initial=np.inf)))
     return AdmissibilityReport(region_ok, anchor_class, spectrum_inside,
                                tuple(margins), "; ".join(detail))
 
@@ -283,7 +280,7 @@ def _sample_points(region, n_boundary=40):
 def sup_on_region(F, region):
     """Sample-based sup of ``|F|`` over the region (boundary-biased grid)."""
     pts = _sample_points(region)
-    keep = np.array([region.contains(p) for p in pts])
+    keep = region.contains(pts)
     if not keep.any():
         raise GeometryError("no interior sample points found")
     vals = np.abs(F(pts[keep]))
@@ -447,9 +444,10 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
     against ``|weights|``: a rank-one ``F`` evaluates each axis factor once
     on all translated nodes, any other takes the dense contraction per
     member.  A round is accepted on the Frobenius difference of the vector."""
-    shifts = np.array([[_axis_shift(region, j, e)
-                        for j, e in enumerate(_shift_tuple(region, eps))]
-                       for eps in eps_grid], dtype=complex).reshape(-1, region.k)
+    shifts = np.array([_shift_tuple(region, eps) for eps in eps_grid],
+                      dtype=complex).reshape(-1, region.k)
+    for j in range(region.k):
+        _axis_shift(region, j, shifts[:, j])
 
     def value_of(c):
         weights = [np.abs(ax.weights) for ax in c.axes]
@@ -512,15 +510,14 @@ def pointwise_bound_check(F, region, samples, norm_lower=None, tol=1e-7):
     over the samples; at most 1 + slack when the norm bound is sharp."""
     if norm_lower is None:
         norm_lower = h1_norm(F, region, tol=tol)
-    ratios = []
-    for p in samples:
-        p = np.atleast_1d(np.asarray(p, dtype=complex))
-        if not region.contains(p):
-            raise GeometryError(f"sample {p} is not inside the region")
-        dist = math.prod(ax.boundary_distance(p[j]) for j, ax in enumerate(region.axes))
-        val = abs(complex(F(p[None, :])[0]))
-        ratios.append(val * dist * (2 * np.pi) ** region.k / norm_lower)
-    return max(ratios), ratios
+    pts = np.asarray(samples, dtype=complex).reshape(len(samples), -1)
+    outside = ~region.contains(pts)
+    if outside.any():
+        raise GeometryError(f"sample {pts[outside][0]} is not inside the region")
+    dist = math.prod(ax.boundary_distance(pts[:, j]) for j, ax in enumerate(region.axes))
+    vals = np.asarray(F(pts), dtype=complex)
+    ratios = np.hypot(vals.real, vals.imag) * dist * (2 * np.pi) ** region.k / norm_lower
+    return float(ratios.max()), ratios.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,6 @@ class Functional:
             eta = tuple(complex(e) for e in np.atleast_1d(np.asarray(eta, dtype=complex)))
             if len(eta) != sectors.k:
                 raise ValueError("atom position must have one entry per axis")
-            for j, s in enumerate(sectors.sectors):
-                if not s.contains(eta[j], closed=True, tol=1e-9):
-                    raise ValueError(f"atom coordinate {eta[j]} outside closed sector axis {j}")
             norm_atoms.append((eta, complex(w)))
         norm_dens = []
         for d in densities:
@@ -169,9 +166,16 @@ class Functional:
                     raise ValueError(f"ray direction {ax.omega} outside [alpha, beta] on axis {j}")
                 if check_degree and ax.degree > MAX_DEGREE:
                     raise ValueError(f"density degree {ax.degree} exceeds {MAX_DEGREE}")
-                if not s.contains(d.offset[j], closed=True, tol=1e-9):
-                    raise ValueError(f"density offset outside closed sector on axis {j}")
             norm_dens.append(d)
+        # atom positions, then density offsets: one membership call per axis
+        pts = np.array([eta for eta, _ in norm_atoms] + [d.offset for d in norm_dens],
+                       dtype=complex).reshape(-1, sectors.k)
+        for j, s in enumerate(sectors.sectors):
+            bad = np.flatnonzero(~s.contains(pts[:, j], closed=True, tol=1e-9))
+            if bad.size and bad[0] < len(norm_atoms):
+                raise ValueError(f"atom coordinate {pts[bad[0], j]} outside closed sector axis {j}")
+            if bad.size:
+                raise ValueError(f"density offset outside closed sector on axis {j}")
         object.__setattr__(self, "sectors", sectors)
         object.__setattr__(self, "atoms", tuple(norm_atoms))
         object.__setattr__(self, "densities", tuple(norm_dens))

@@ -21,6 +21,12 @@ the rays having directions ``exp(1j*(-pi/2 - alpha))`` and
 half-planes ``Re(zeta*exp(1j*alpha)) > c`` with the full boundary line and
 an empty polyline.  Boundary membership is decided with absolute
 tolerance ``TOL`` on signed distances.
+
+Membership and distance take one point or an array of points; the product
+forms read the last axis as the ``k`` coordinates and refuse any other
+length.  Complex products are written out in real arithmetic and moduli
+taken with ``np.hypot`` (NumPy's array ``*`` and ``abs`` round differently),
+so array answers equal the one-point answers bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -39,16 +45,25 @@ def _unit(angle):
 
 
 def cone_signed_distance(zeta, mid, half):
-    """Signed distance from ``zeta`` to the closed cone about angle ``mid``
-    with half-aperture ``half`` (vertex 0); negative inside."""
-    r = abs(zeta)
-    if r == 0.0:
-        return 0.0
-    u = zeta * _unit(-mid)
-    phi = abs(np.arctan2(u.imag, u.real)) - half
-    if phi >= np.pi / 2:
-        return r
-    return r * np.sin(phi)
+    """Signed distance from ``zeta`` (a point or an array of points) to the
+    closed cone about angle ``mid`` with half-aperture ``half`` (vertex 0);
+    negative inside, zero at the vertex."""
+    zeta = np.asarray(zeta, dtype=complex)
+    # [()] makes one point NumPy scalars, whose arithmetic is cheaper than 0-d arrays'
+    x, y, c = zeta.real[()], zeta.imag[()], _unit(-mid)
+    # arg of zeta * c, the product written out as in scalar complex arithmetic
+    phi = np.abs(np.arctan2(x * c.imag + y * c.real, x * c.real - y * c.imag)) - half
+    # sin(pi/2) is exactly 1: past a right angle the distance is |zeta|
+    return np.hypot(x, y) * np.sin(np.minimum(phi, np.pi / 2))
+
+
+def _product_contains(factors, point, closed, tol):
+    """Membership of ``point`` (one coordinate per factor on its last axis)."""
+    point = np.atleast_1d(np.asarray(point, dtype=complex))
+    if point.shape[-1] != len(factors):
+        raise GeometryError(f"point has dimension {point.shape[-1]}, expected {len(factors)}")
+    return np.logical_and.reduce(
+        [f.contains(point[..., j], closed, tol) for j, f in enumerate(factors)])
 
 
 @dataclass(frozen=True)
@@ -86,17 +101,13 @@ class Sector:
         return Sector(-np.pi / 2 - self.alpha, np.pi / 2 - self.beta)
 
     def signed_distance(self, zeta):
-        return cone_signed_distance(complex(zeta), self.bisector_angle, 0.5 * self.aperture)
+        return cone_signed_distance(zeta, self.bisector_angle, 0.5 * self.aperture)
 
     def contains(self, zeta, closed=False, tol=TOL):
-        """Membership of ``zeta``; 0 belongs only to the closed sector."""
-        zeta = complex(zeta)
-        if zeta == 0:
-            return bool(closed)
+        """Membership of ``zeta`` (a point or an array of points); 0 belongs
+        only to the closed sector, where its signed distance is 0."""
         d = self.signed_distance(zeta)
-        if closed:
-            return d <= tol
-        return d < -tol
+        return d <= tol if closed else d < -tol
 
 
 @dataclass(frozen=True)
@@ -129,10 +140,8 @@ class ProductSector:
         return ProductSector([s.dual() for s in self.sectors])
 
     def contains(self, point, closed=False, tol=TOL):
-        point = np.atleast_1d(np.asarray(point, dtype=complex))
-        if point.shape != (self.k,):
-            raise GeometryError(f"point has dimension {point.shape}, expected ({self.k},)")
-        return all(s.contains(point[j], closed=closed, tol=tol) for j, s in enumerate(self.sectors))
+        """Membership of ``point``, shape ``(..., k)``."""
+        return _product_contains(self.sectors, point, closed, tol)
 
 
 def preceq(z, zp, ps, tol=TOL):
@@ -141,9 +150,7 @@ def preceq(z, zp, ps, tol=TOL):
     zp = np.atleast_1d(np.asarray(zp, dtype=complex))
     if z.shape != (ps.k,) or zp.shape != (ps.k,):
         raise GeometryError("points must have dimension k")
-    return all(
-        s.dual().contains(zp[j] - z[j], closed=True, tol=tol) for j, s in enumerate(ps.sectors)
-    )
+    return ps.dual().contains(zp - z, closed=True, tol=tol)
 
 
 def _oblique_coords(p, d0, d1):
@@ -181,45 +188,14 @@ def sup_points(points, ps, tol=TOL):
         else:
             d0 = _unit(-np.pi / 2 - s.alpha)
             d1 = _unit(np.pi / 2 - s.beta)
-            xs, ys = zip(*[_oblique_coords(p, d0, d1) for p in col])
-            out[j] = max(xs) * d0 + max(ys) * d1
+            xs, ys = _oblique_coords(col, d0, d1)
+            out[j] = xs.max() * d0 + ys.max() * d1
     return out, unique
 
 
 # ---------------------------------------------------------------------------
 # per-axis admissible sets
 # ---------------------------------------------------------------------------
-
-
-def _point_segment_distance(p, a, b):
-    ab = b - a
-    denom = (ab * ab.conjugate()).real
-    if denom <= TOL * TOL:
-        return abs(p - a)
-    t = ((p - a) * ab.conjugate()).real / denom
-    t = min(max(t, 0.0), 1.0)
-    return abs(p - (a + t * ab))
-
-
-def _point_ray_distance(p, a, d):
-    t = ((p - a) * d.conjugate()).real
-    t = max(t, 0.0)
-    return abs(p - (a + t * d))
-
-
-def _point_in_polygon(p, verts):
-    """Even-odd crossing test; boundary points give unspecified results,
-    callers must handle them with a distance check first."""
-    inside = False
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        if (a.imag > p.imag) != (b.imag > p.imag):
-            xcross = a.real + (p.imag - a.imag) * (b.real - a.real) / (b.imag - a.imag)
-            if p.real < xcross:
-                inside = not inside
-    return inside
 
 
 @dataclass(frozen=True)
@@ -229,16 +205,28 @@ class AxisRegion:
     ``theta`` holds the excision polyline relative to the vertex ``z``;
     its endpoints are ``s0*d0`` and ``s1*d1`` where ``d0``, ``d1`` are the
     asymptotic ray directions.  Degenerate axes (``alpha == beta``) are
-    half-planes with an empty polyline.
+    half-planes with an empty polyline.  The sector, its dual, the
+    boundary pieces and the excision polygon are built once, at
+    construction.
     """
 
     alpha: float
     beta: float
     z: complex
     theta: tuple = field(default=(0j,))
+    sector: Sector = field(init=False, repr=False, compare=False)
+    dual_sector: Sector = field(init=False, repr=False, compare=False)
+    # pieces anchor + t*step, 0 <= t <= reach: the two unit-step rays (reach
+    # inf), then the segments (reach 1); as (anchor.real, anchor.imag,
+    # step.real, step.imag, |step|^2 taken as 1 on the rays, reach)
+    _pieces: tuple = field(init=False, repr=False, compare=False, default=None)
+    # edges a -> b of the excised polygon z, z + theta..., z as (a.real, a.imag,
+    # b.imag, b.real - a.real, b.imag - a.imag or 1 on level edges), or None
+    _polygon: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        Sector(self.alpha, self.beta)  # validates the angle pair
+        object.__setattr__(self, "sector", Sector(self.alpha, self.beta))
+        object.__setattr__(self, "dual_sector", self.sector.dual())
         theta = tuple(complex(t) for t in self.theta)
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "theta", theta)
@@ -250,18 +238,24 @@ class AxisRegion:
         if not theta:
             raise GeometryError("polyline needs at least the vertex sample")
         self._validate_polyline()
+        verts = self.z + np.array(theta)
+        steps = np.diff(verts)
+        anchor = np.concatenate([[verts[0], verts[-1]], verts[:-1]])
+        step = np.concatenate([[self.d0, self.d1], steps])
+        object.__setattr__(self, "_pieces", (
+            anchor.real, anchor.imag, step.real, step.imag,
+            np.concatenate([[1.0, 1.0], steps.real * steps.real + steps.imag * steps.imag]),
+            np.concatenate([[np.inf, np.inf], np.ones(len(steps))])))
+        if len(theta) > 1:
+            poly = np.concatenate([[self.z], verts, [self.z]])
+            a, b = poly[:-1], poly[1:]
+            object.__setattr__(self, "_polygon", (
+                a.real, a.imag, b.imag, b.real - a.real,
+                np.where(b.imag == a.imag, 1.0, b.imag - a.imag)))
 
     @property
     def degenerate(self):
         return abs(self.beta - self.alpha) <= TOL
-
-    @property
-    def sector(self):
-        return Sector(self.alpha, self.beta)
-
-    @property
-    def dual_sector(self):
-        return self.sector.dual()
 
     @property
     def d0(self):
@@ -285,82 +279,77 @@ class AxisRegion:
         return max(abs(t) for t in self.theta)
 
     def _validate_polyline(self):
-        dual = self.dual_sector
         th = self.theta
         if abs(th[0] - self.s0 * self.d0) > 1e-9 * (1 + self.s0):
             raise GeometryError("polyline must start on the incoming ray direction")
         if abs(th[-1] - self.s1 * self.d1) > 1e-9 * (1 + self.s1):
             raise GeometryError("polyline must end on the outgoing ray direction")
-        for t in th:
-            if t != 0 and dual.signed_distance(t) > 1e-9 * (1 + abs(t)):
-                raise GeometryError("polyline sample outside the closed dual cone")
-        for i in range(1, len(th)):
-            if abs(th[i] - th[i - 1]) <= TOL:
-                raise GeometryError("polyline samples must be pairwise distinct")
+        if len(th) == 1:  # on both ray directions: the vertex, nothing more to check
+            return
+        th = np.array(th)
+        if np.any((th != 0) & (self.dual_sector.signed_distance(th)
+                               > 1e-9 * (1 + np.hypot(th.real, th.imag)))):
+            raise GeometryError("polyline sample outside the closed dual cone")
+        steps = np.diff(th)
+        if np.any(np.hypot(steps.real, steps.imag) <= TOL):
+            raise GeometryError("polyline samples must be pairwise distinct")
         # cone stability <=> the polyline is a monotone staircase in the
         # oblique (d0, d1) coordinates
-        if len(th) > 1:
-            coords = [_oblique_coords(t, self.d0, self.d1) for t in th]
-            for (x0, y0), (x1, y1) in zip(coords, coords[1:]):
-                if x1 > x0 + 1e-9 or y1 < y0 - 1e-9:
-                    raise GeometryError("excision boundary violates cone stability")
+        x, y = _oblique_coords(th, self.d0, self.d1)
+        if np.any((x[1:] > x[:-1] + 1e-9) | (y[1:] < y[:-1] - 1e-9)):
+            raise GeometryError("excision boundary violates cone stability")
 
     # -- membership ---------------------------------------------------------
 
-    def _excision_polygon(self):
-        if len(self.theta) <= 1:
-            return None
-        return [self.z] + [self.z + t for t in self.theta]
+    def _side(self, zeta):
+        """Offset of ``zeta`` from a half-plane axis's boundary line,
+        ``Re((zeta - z) * exp(1j*alpha))``; positive inside."""
+        u = _unit(self.alpha)
+        return (zeta.real - self.z.real) * u.real - (zeta.imag - self.z.imag) * u.imag
 
     def boundary_distance(self, zeta):
-        """Exact distance from ``zeta`` to the boundary chain."""
-        zeta = complex(zeta)
+        """Exact distance from ``zeta`` (a point or an array of points) to
+        the boundary chain: the least distance to its pieces, each
+        projection clamped to the piece."""
+        zeta = np.asarray(zeta, dtype=complex)
         if self.degenerate:
-            return abs(((zeta - self.z) * _unit(self.alpha)).real)
-        best = _point_ray_distance(zeta, self.z + self.theta[0], self.d0)
-        best = min(best, _point_ray_distance(zeta, self.z + self.theta[-1], self.d1))
-        for i in range(1, len(self.theta)):
-            best = min(
-                best,
-                _point_segment_distance(zeta, self.z + self.theta[i - 1], self.z + self.theta[i]),
-            )
-        return best
+            return np.abs(self._side(zeta))
+        ax, ay, sx, sy, norm, reach = self._pieces
+        x, y = zeta.real[..., None], zeta.imag[..., None]
+        t = np.minimum(np.maximum(((x - ax) * sx + (y - ay) * sy) / norm, 0.0), reach)
+        return np.hypot(x - (ax + t * sx), y - (ay + t * sy)).min(axis=-1)
+
+    def _in_excision(self, zeta):
+        """Even-odd crossing count of a rightward ray from ``zeta`` against
+        the excision polygon.  Points on the polygon get an unspecified
+        answer: callers settle them by boundary distance first."""
+        ax, ay, by, dx, dy = self._polygon
+        x, y = zeta.real[..., None], zeta.imag[..., None]
+        hits = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
+        return np.count_nonzero(hits, axis=-1) % 2 == 1
 
     def contains(self, zeta, closed=False, tol=TOL):
-        zeta = complex(zeta)
+        """Membership of ``zeta`` (a point or an array of points)."""
+        zeta = np.asarray(zeta, dtype=complex)
         if self.degenerate:
-            side = ((zeta - self.z) * _unit(self.alpha)).real
+            side = self._side(zeta)
             return side >= -tol if closed else side > tol
-        rel = zeta - self.z
-        dual = self.dual_sector
-        cone_d = dual.signed_distance(rel)
-        if closed:
-            if cone_d > tol:
-                return False
-        else:
-            if cone_d >= -tol:
-                return False
-        poly = self._excision_polygon()
-        if poly is None:
-            return True
-        bdist = self.boundary_distance(zeta)
-        if bdist <= tol:
-            return bool(closed)
-        if max(abs(zeta - v) for v in poly) < 2 * self.excision_radius + 1.0:
-            if _point_in_polygon(zeta, poly):
-                return False
-        return True
+        cone_d = self.dual_sector.signed_distance(zeta - self.z)
+        inside = cone_d <= tol if closed else cone_d < -tol
+        if self._polygon is None:
+            return inside
+        on_boundary = self.boundary_distance(zeta) <= tol
+        clear = ~self._in_excision(zeta)  # outside the excised set
+        return inside & (on_boundary | clear) if closed else inside & ~on_boundary & clear
 
     def sample_boundary(self, radius, per_piece=8):
         """Deterministic boundary samples out to ``radius`` (absolute points)."""
-        pts = []
         ts = np.linspace(0.2, 1.0, per_piece)
         far0 = self._ray_extent(self.theta[0], self.d0, radius)
         far1 = self._ray_extent(self.theta[-1], self.d1, radius)
-        pts.extend(self.z + self.theta[0] + t * far0 * self.d0 for t in ts)
-        pts.extend(self.z + self.theta[-1] + t * far1 * self.d1 for t in ts)
-        pts.extend(self.z + t for t in self.theta)
-        return pts
+        return np.concatenate([self.z + self.theta[0] + ts * far0 * self.d0,
+                               self.z + self.theta[-1] + ts * far1 * self.d1,
+                               self.z + np.array(self.theta)])
 
     def _ray_extent(self, rel_anchor, d, radius):
         # largest t with |anchor + t*d| = radius (anchor measured from 0)
@@ -432,34 +421,30 @@ class AdmissibleRegion:
 
     @property
     def sectors(self):
-        return ProductSector([Sector(a.alpha, a.beta) for a in self.axes])
+        return ProductSector([a.sector for a in self.axes])
 
     @property
     def vertex(self):
         return np.array([a.z for a in self.axes])
 
     def contains(self, point, closed=False, tol=TOL):
-        point = np.atleast_1d(np.asarray(point, dtype=complex))
-        return all(ax.contains(point[j], closed=closed, tol=tol) for j, ax in enumerate(self.axes))
+        """Membership of ``point``, shape ``(..., k)``."""
+        return _product_contains(self.axes, point, closed, tol)
 
     def validate(self, rng=None, n_offsets=100):
         """Check cone stability on the stored boundary samples plus random
         dual-cone offsets; raises :class:`GeometryError` on failure."""
         rng = rng if rng is not None else np.random.default_rng(0)
         for ax in self.axes:
-            dual = ax.dual_sector
             lo, hi = -np.pi / 2 - ax.alpha, np.pi / 2 - ax.beta
             angs = rng.uniform(min(lo, hi), max(lo, hi), n_offsets)
             mags = 10.0 ** rng.uniform(-2, 1, n_offsets)
             offsets = mags * np.exp(1j * angs)
-            for t in ax.theta:
-                base = ax.z + t
-                for eps in offsets:
-                    probe = base + eps
-                    if not ax.contains(probe, closed=True, tol=1e-9):
-                        raise GeometryError(
-                            f"cone stability violated at {base} + {eps}"
-                        )
+            bases = ax.z + np.array(ax.theta)
+            bad = ~ax.contains(bases[:, None] + offsets, closed=True, tol=1e-9)
+            if bad.any():
+                i, e = np.argwhere(bad)[0]
+                raise GeometryError(f"cone stability violated at {bases[i]} + {offsets[e]}")
         return True
 
     def to_json(self):
@@ -519,11 +504,13 @@ def make_region(alpha, beta, vertex, kind="cone", **params):
 
 
 def dist_to_boundary(region, j, zeta):
-    """Distance from ``zeta`` to the boundary of axis ``j``; requires
-    ``zeta`` inside the open axis set."""
+    """Distance from ``zeta`` (a point or an array of points) to the
+    boundary of axis ``j``; requires every point inside the open axis set."""
     ax = region.axes[j]
-    if not ax.contains(zeta, closed=False):
-        raise GeometryError(f"point {zeta} is not inside axis {j}")
+    zeta = np.asarray(zeta, dtype=complex)
+    outside = ~ax.contains(zeta)
+    if outside.any():
+        raise GeometryError(f"point {zeta[outside][0]} is not inside axis {j}")
     return ax.boundary_distance(zeta)
 
 
@@ -532,22 +519,20 @@ def dist_to_boundary(region, j, zeta):
 # ---------------------------------------------------------------------------
 
 
-def _segments_of_chain(chain):
-    return list(zip(chain[:-1], chain[1:]))
-
-
-def _segment_crossings(seg_a, seg_b):
-    (a0, a1), (b0, b1) = seg_a, seg_b
-    da, db = a1 - a0, b1 - b0
+def _chain_crossings(chain1, chain2):
+    """Crossing points of every segment of ``chain1`` with every segment of
+    ``chain2``, in row order; nearly parallel segments never cross."""
+    da, db = np.diff(chain1)[:, None], np.diff(chain2)
+    rhs = np.array(chain2[:-1]) - np.array(chain1[:-1])[:, None]
     den = da.real * db.imag - da.imag * db.real
-    if abs(den) < 1e-14 * (abs(da) * abs(db) + 1e-300):
-        return None
-    rhs = b0 - a0
-    t = (rhs.real * db.imag - rhs.imag * db.real) / den
-    s = (rhs.real * da.imag - rhs.imag * da.real) / den
-    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= s <= 1 + 1e-12:
-        return a0 + t * da
-    return None
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel pairs are masked
+        t = (rhs.real * db.imag - rhs.imag * db.real) / den
+        s = (rhs.real * da.imag - rhs.imag * da.real) / den
+    scale = np.hypot(da.real, da.imag) * np.hypot(db.real, db.imag) + 1e-300
+    hit = ~(np.abs(den) < 1e-14 * scale) & (-1e-12 <= t) & (t <= 1 + 1e-12) \
+        & (-1e-12 <= s) & (s <= 1 + 1e-12)
+    # the few crossing points in Python complex arithmetic, as the chains are
+    return [chain1[i] + float(t[i, j]) * (chain1[i + 1] - chain1[i]) for i, j in np.argwhere(hit)]
 
 
 def _axis_chain(ax, z_ref, radius, min_extent=0.0):
@@ -626,13 +611,9 @@ def _intersect_axis(a1, a2):
     chain1 = _axis_chain(a1, z3, radius, min_extent)
     chain2 = _axis_chain(a2, z3, radius, min_extent)
 
-    kept = [p for p in chain1 if a2.contains(p, closed=True, tol=1e-9)]
-    kept += [p for p in chain2 if a1.contains(p, closed=True, tol=1e-9)]
-    for sa in _segments_of_chain(chain1):
-        for sb in _segments_of_chain(chain2):
-            x = _segment_crossings(sa, sb)
-            if x is not None:
-                kept.append(x)
+    kept = (np.array(chain1)[a2.contains(chain1, closed=True, tol=1e-9)].tolist()
+            + np.array(chain2)[a1.contains(chain2, closed=True, tol=1e-9)].tolist())
+    kept += _chain_crossings(chain1, chain2)
     if not kept:
         raise GeometryError("empty axis intersection")
 

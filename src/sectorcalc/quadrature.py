@@ -158,8 +158,13 @@ def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
     ``eps`` must lie in the closed dual sector of the axis; the tail
     radius ``R`` must exceed the excision extent of the shifted boundary.
     """
-    ax = region.axes[j]
-    z = ax.z + _axis_shift(region, j, eps)
+    return _axis_path(region.axes[j], j, _axis_shift(region, j, complex(eps)), R, n_per_unit,
+                      panel_points)
+
+
+def _axis_path(ax, j, eps, R, n_per_unit, panel_points):
+    """:func:`build_boundary_path` of axis ``ax`` (index ``j``), ``eps`` checked."""
+    z = ax.z + eps
     anchors = [z + t for t in ax.theta]
     far = max(abs(a) for a in anchors)
     if R <= far * 1.05 + 1e-9:
@@ -193,10 +198,13 @@ def _shift_tuple(region, eps):
 
 
 def _axis_shift(region, j, eps):
-    """``eps`` as the complex shift of axis ``j``, in its closed dual sector."""
-    eps = complex(eps)
-    if not region.axes[j].dual_sector.contains(eps, closed=True, tol=1e-9):
-        raise QuadratureError(f"shift {eps} is outside the closed dual sector of axis {j}")
+    """``eps``, one complex shift or an array of them for axis ``j``, after
+    checking that each lies in the axis's closed dual sector; the error
+    names the first that does not."""
+    outside = ~region.axes[j].dual_sector.contains(eps, closed=True, tol=1e-9)
+    if outside.any():
+        bad = complex(np.asarray(eps, dtype=complex)[outside][0])
+        raise QuadratureError(f"shift {bad} is outside the closed dual sector of axis {j}")
     return eps
 
 
@@ -230,15 +238,9 @@ class ContourQuadrature:
     def from_region(region, eps, R=None, n_per_unit=8.0, panel_points=16):
         """The contour on ``region`` shifted by ``eps``, with tail radius ``R``
         (by default :func:`tail_radius`)."""
-        eps = _shift_tuple(region, eps)
+        eps = tuple(_axis_shift(region, j, e) for j, e in enumerate(_shift_tuple(region, eps)))
         R = tail_radius(region, eps) if R is None else R
-        axes = []
-        for j in range(region.k):
-            segs = build_boundary_path(region, j, eps[j], R, n_per_unit, panel_points)
-            nodes = np.concatenate([s.nodes for s in segs])
-            weights = np.concatenate([s.weights for s in segs])
-            axes.append(AxisPath(nodes, weights, tuple(segs)))
-        return ContourQuadrature(tuple(axes), region, eps, R, n_per_unit, panel_points)
+        return _contour(region, eps, R, n_per_unit, panel_points)
 
     @property
     def k(self):
@@ -250,6 +252,17 @@ class ContourQuadrature:
         for ax in self.axes:
             n *= len(ax.nodes)
         return n
+
+
+def _contour(region, eps, R, n_per_unit, panel_points):
+    """The :class:`ContourQuadrature` of ``region`` shifted by the checked
+    per-axis shifts ``eps`` (Python complex), with tail radius ``R``."""
+    axes = []
+    for j, (ax, e) in enumerate(zip(region.axes, eps)):
+        segs = _axis_path(ax, j, e, R, n_per_unit, panel_points)
+        axes.append(AxisPath(np.concatenate([s.nodes for s in segs]),
+                             np.concatenate([s.weights for s in segs]), tuple(segs)))
+    return ContourQuadrature(tuple(axes), region, eps, R, n_per_unit, panel_points)
 
 
 @dataclass(frozen=True)
@@ -435,9 +448,9 @@ def refine(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
 def adaptive_contour(value_of, cq, tol, max_rounds=8):
     """:func:`refine` over contours like ``cq``: ``value_of`` is called once
     per round on the contour of that round's density and ``cq``'s tail
-    radius."""
+    radius; the shifts of ``cq`` were checked when it was built."""
     def value_at(n_per_unit):
-        c = cq if n_per_unit == cq.n_per_unit else ContourQuadrature.from_region(
+        c = cq if n_per_unit == cq.n_per_unit else _contour(
             cq.region, cq.eps, cq.R, n_per_unit, cq.panel_points)
         return value_of(c), c.node_count
 

@@ -684,15 +684,14 @@ class TestAbsIntegralBatch:
 
     def test_h1_norm_builds_one_contour_per_round(self, cone, monkeypatch):
         passes, contours, builds = [], [], []
-        adaptive, build = ca.adaptive_contour, q.ContourQuadrature.from_region
+        adaptive, build = ca.adaptive_contour, q._contour
 
         def counted(value_of, cq, *a):
             passes.append(cq)
             return adaptive(lambda c: contours.append(c) or value_of(c), cq, *a)
 
         monkeypatch.setattr(ca, "adaptive_contour", counted)
-        monkeypatch.setattr(q.ContourQuadrature, "from_region", staticmethod(
-            lambda *a, **kw: builds.append(a) or build(*a, **kw)))
+        monkeypatch.setattr(q, "_contour", lambda *a: builds.append(a) or build(*a))
         grid = ca.default_eps_grid(cone)
         assert len(grid) == 48
         ca.h1_norm(ca.inverse_square(1, [1.0]), cone, tol=1e-7)

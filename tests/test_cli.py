@@ -1,7 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sectorcalc import cli
 
@@ -32,6 +37,20 @@ class TestRun:
         run_cli(["run", "--scenario", "fb-cauchy", "--out", str(out1)])
         run_cli(["run", "--scenario", "fb-cauchy", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("scenario", ["hardy", "calculus-k2"])
+    def test_report_does_not_depend_on_the_blas_thread_count(self, scenario):
+        # the geometry-heavy scenarios; some rows of `all` still differ
+        # between thread counts
+        src = str(Path(cli.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "sectorcalc.cli", "run", "--scenario", scenario,
+                 "--seed", "0"], env=env, capture_output=True, timeout=300, check=True)
+            reports.append(proc.stdout)
+        assert reports[0] and reports[0] == reports[1]
 
     def test_timings_flag_breaks_byte_identity_but_adds_column(self, tmp_path):
         out = tmp_path / "t.csv"

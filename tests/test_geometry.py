@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorcalc import geometry as g
 
@@ -181,6 +183,13 @@ class TestRegions:
             assert ax_u.z == ax_v.z
             assert np.allclose(ax_u.theta, ax_v.theta)
 
+    def test_point_dimension_must_match_the_region(self):
+        u = g.make_region([-.5, -.5], [.5, .5], [0, 0])
+        assert u.contains([1, 1]) and u.contains([[1, 1], [2, 1]]).all()
+        for point in ([1, 1, -5], [1], [[1, 1, -5]]):
+            with pytest.raises(g.GeometryError, match="expected 2"):
+                u.contains(point)
+
     def test_preset_descriptor_parsing(self):
         desc = {"alpha": [-PI / 4], "beta": [PI / 4], "vertex": [[0.0, 0.0]],
                 "excision": {"kind": "cone_minus_disk", "radius": [0.5]}}
@@ -291,3 +300,63 @@ class TestIntersect:
                 both = u1.contains([p]) and u2.contains([p])
                 assert w.contains([p]) == both, (trial, p)
         assert checked >= 15
+
+
+def _random_axis(kind, rng):
+    """One axis of the given kind with random angles (aperture above pi/2,
+    as the disk excision needs), vertex and excision."""
+    a = rng.uniform(-0.9, -PI / 4)
+    b = rng.uniform(-a + 0.01, 0.95)
+    z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+    if kind == "halfplane":
+        return g.make_region([a], [a], [z]).axes[0]
+    if kind == "intersection":
+        u1 = g.make_region([a], [b], [z], kind="cone_minus_disk", radius=rng.uniform(0.2, 0.6))
+        u2 = g.make_region([a + 0.1], [b - 0.1], [z + rng.uniform(-0.5, 0.5)],
+                           kind="cone_minus_rect", s0=rng.uniform(0.1, 0.5),
+                           s1=rng.uniform(0.1, 0.5))
+        return g.intersect_admissible(u1, u2).axes[0]
+    return g.make_region([a], [b], [z], kind=kind, radius=rng.uniform(0.2, 0.6),
+                         s0=rng.uniform(0.0, 0.5), s1=rng.uniform(0.0, 0.5)).axes[0]
+
+
+def _sampled_chain(ax, reach, step):
+    """Points every ``step`` or closer along the boundary chain of ``ax``:
+    both rays out to ``reach`` from their anchors, and the polyline."""
+    corners = ([ax.z + ax.theta[0] + reach * ax.d0] + [ax.z + t for t in ax.theta]
+               + [ax.z + ax.theta[-1] + reach * ax.d1])
+    pieces = [np.linspace(p, q, int(np.ceil(abs(q - p) / step)) + 1)
+              for p, q in zip(corners[:-1], corners[1:])]
+    return np.concatenate(pieces)
+
+
+class TestArrayForms:
+    KINDS = ["cone", "cone_minus_disk", "cone_minus_rect", "halfplane", "intersection"]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
+           seed=st.integers(0, 2 ** 16))
+    def test_array_membership_and_distance(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        u = g.AdmissibleRegion([_random_axis(kind, rng) for kind in kinds])
+        # uniform points, plus points on and a hair off each boundary
+        m, step = 40, 1e-2
+        pts = rng.uniform(-3, 6, (m, u.k)) + 1j * rng.uniform(-5, 5, (m, u.k))
+        for j, ax in enumerate(u.axes):
+            chain = _sampled_chain(ax, 2.0, 0.37)
+            near = chain[rng.integers(0, len(chain), m)]
+            pts[: m // 2, j] = near[: m // 2] + 1e-10 * rng.standard_normal(m // 2)
+        for closed in (False, True):
+            batch = u.contains(pts, closed=closed)
+            assert batch.shape == (m,)
+            assert batch.tolist() == [bool(u.contains(p, closed=closed)) for p in pts]
+        assert np.all(~u.contains(pts) | u.contains(pts, closed=True))
+        # a densely sampled chain bounds the exact distance from above, and
+        # lies within half a sampling step of every nearest boundary point
+        for j, ax in enumerate(u.axes):
+            dist = ax.boundary_distance(pts[:, j])
+            chain = _sampled_chain(ax, 40.0, step)
+            oracle = np.abs(pts[:, j, None] - chain).min(axis=1)
+            assert np.all(dist <= oracle + 1e-12)
+            assert np.all(oracle <= dist + step / 2 + 1e-12)
+            assert dist.tolist() == [ax.boundary_distance(p) for p in pts[:, j]]
