@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import resolvent_stack
-from .geometry import AdmissibleRegion, AxisRegion, GeometryError, _unit, make_region
-from .quadrature import (ContourQuadrature, _axis_shift, _call_factor, _contract, _product,
-                         _separable, _shift_tuple, adaptive_contour, integrate,
-                         resolvent_contour_value, tail_radius)
+from .geometry import AdmissibleRegion, GeometryError, _unit, make_region
+from .quadrature import (ContourQuadrature, _axis_shift, _call_factor, _contract, _panel_error,
+                         _parts_error, _product, _separable, _shift_tuple, adaptive_contour,
+                         integrate, resolvent_contour_value, tail_radius)
 from .semigroups import (GrowthProfile, _validate_lambda, opnorm)
 from .semigroups import IN_N0, n_set_classify
 
@@ -185,8 +185,8 @@ def check_admissible_for(region, tup, lam, tol=1e-9):
         # -lam_j * spec(A_j), written out as scalar complex arithmetic rounds it
         c, mu = -lam[j], tup.eigenvalues(j)
         points = (c.real * mu.real - c.imag * mu.imag) + 1j * (c.real * mu.imag + c.imag * mu.real)
-        inside = ax.contains(points, closed=False, tol=tol)
         dist = ax.boundary_distance(points)
+        inside = ax._contains(points, False, tol, dist)
         spectrum_inside = spectrum_inside and bool(inside.all())
         margins.append(float(np.min(np.where(inside, dist, -dist), initial=np.inf)))
     return AdmissibilityReport(region_ok, anchor_class, spectrum_inside,
@@ -195,10 +195,7 @@ def check_admissible_for(region, tup, lam, tol=1e-9):
 
 def shifted_region(region, eps):
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
-    return AdmissibleRegion([
-        AxisRegion(ax.alpha, ax.beta, ax.z + eps[j], ax.theta)
-        for j, ax in enumerate(region.axes)
-    ])
+    return AdmissibleRegion([ax.translated(e) for ax, e in zip(region.axes, eps)])
 
 
 def default_region(tup, lam, sectors, margin=1.0):
@@ -242,8 +239,7 @@ def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
 
 def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
     """(len(Fs), d, d) stack of :func:`functional_calculus` values from one
-    contour pass; a round is accepted when the Frobenius difference of the
-    whole stack is below ``tol``."""
+    contour pass, each member accepted in its own round (as its own call)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     for F in Fs:
@@ -258,7 +254,7 @@ def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
     cq = ContourQuadrature.from_region(region, eps, R=_radius_floor(region, eps, tup, lam))
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
     res = adaptive_contour(
-        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c),
+        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c, estimate=True),
         cq, tol, max_rounds)
     return pref * res.value
 
@@ -443,7 +439,7 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
     and member ``e`` sums ``|F|`` on its nodes translated by ``eps_e``
     against ``|weights|``: a rank-one ``F`` evaluates each axis factor once
     on all translated nodes, any other takes the dense contraction per
-    member.  A round is accepted on the Frobenius difference of the vector."""
+    member.  Each member is accepted in its own round."""
     shifts = np.array([_shift_tuple(region, eps) for eps in eps_grid],
                       dtype=complex).reshape(-1, region.k)
     for j in range(region.k):
@@ -452,14 +448,20 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
     def value_of(c):
         weights = [np.abs(ax.weights) for ax in c.axes]
         if F.terms is not None and len(F.terms) == 1:  # |F| = prod_j |f_j|
+            wf = [np.abs(_call_factor(f, (shift[:, None] + ax.nodes).ravel()))
+                  .reshape(len(shift), len(w)) * w
+                  for f, ax, shift, w in zip(F.terms[0], c.axes, shifts.T, weights)]
             # row sums, not a matrix product: a member's bits never depend on E
-            return math.prod(
-                (np.abs(_call_factor(f, (shift[:, None] + ax.nodes).ravel()))
-                 .reshape(len(shift), len(w)) * w).sum(axis=1)
-                for f, ax, shift, w in zip(F.terms[0], c.axes, shifts.T, weights))
-        return np.array([_contract(lambda pts: np.abs(F(pts)),
-                                   [ax.nodes + e for ax, e in zip(c.axes, eps)], weights).real
-                         for eps in shifts])
+            sums = [x.sum(axis=1) for x in wf]
+            # the product rule, one row of panels per member
+            parts = [x * math.prod(sums[:j] + sums[j + 1:], start=np.ones(len(x)))[:, None]
+                     for j, x in enumerate(wf)]
+            return math.prod(sums), _panel_error(np.concatenate(parts, axis=1).ravel(),
+                                                 c.panel_points).reshape(len(shifts), -1).sum(1)
+        values, parts = zip(*[
+            _contract(lambda pts: np.abs(F(pts)), [ax.nodes + e for ax, e in zip(c.axes, eps)],
+                      weights, None, c.panel_points) for eps in shifts])
+        return np.array(values).real, _parts_error(parts, c.panel_points)
 
     cq = _boundary_contour(F, region, np.zeros(region.k))
     return adaptive_contour(value_of, cq, tol, max_rounds).value

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ProductSector, _unit, make_region
-from .quadrature import (ContourQuadrature, QuadratureError, _contract, _graded_breaks,
-                         _panel_nodes, _product, _separable, adaptive_contour,
-                         initial_radius, integrate, ray_integral, refine,
+from .quadrature import (ContourQuadrature, QuadratureError, _contract, _cut_tail,
+                         _graded_breaks, _panel_nodes, _parts_error, _product, _separable,
+                         adaptive_contour, initial_radius, integrate, ray_integral, refine,
                          resolvent_contour_value, richardson)
 from .semigroups import GrowthProfile, evaluate, expm, orbit_integrals
 
@@ -647,17 +647,21 @@ def cauchy_transform(phi, lam, z=None, route="measure", tol=1e-10):
 def _tensor_density_integral(fvec, d, tol, max_rounds=8):
     """Tensor ray integral of ``fvec`` against one tensor density; each
     axis is truncated where its exponential envelope drops below tol/100,
-    and the truncations double with the node density each round."""
+    and the truncations double with the node density each round; each
+    axis's estimate adds its cut tail at the envelope's rate."""
     r0 = [initial_radius(("exp", ax.s.real), tol) for ax in d.axes]
 
     def value_at(n_per_unit):
-        nodes, weights = [], []
+        nodes, weights, rule = [], [], []
         for j, ax in enumerate(d.axes):
             breaks = _graded_breaks(r0[j] * (n_per_unit / 8.0), 16 / n_per_unit)
             t, wt = _panel_nodes(0.0, 1.0, breaks, 16)
             nodes.append(d.offset[j] + t * _unit(ax.omega))
             weights.append(ax.poly(t) * np.exp(-ax.s * t) * wt)
-        return _contract(fvec, nodes, weights), math.prod(len(x) for x in nodes)
+            rule.append(wt)
+        value, parts = _contract(fvec, nodes, weights, None, 16)
+        return value, math.prod(len(x) for x in nodes), _parts_error([parts], 16)[0] + sum(
+            _cut_tail(g, rule[j], nodes[j], d.axes[j].s.real) for j, g, _ in parts)
 
     return refine(value_at, 8.0, tol, max_rounds, "tensor density integral")
 
@@ -899,7 +903,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
             scalar_fn = _product(fb, _wn(sectors, n, z)) if n else fb
             return pref * adaptive_contour(
                 lambda c: resolvent_contour_value((scalar_fn,), tup.matrices, lam, c,
-                                                  node_offsets=eps),
+                                                  node_offsets=eps, estimate=True),
                 cq, tol).value[0]
 
         if route == "resolvent_contour":

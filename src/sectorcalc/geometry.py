@@ -29,6 +29,7 @@ taken with ``np.hypot`` (NumPy's array ``*`` and ``abs`` round differently),
 so array answers equal the one-point answers bit for bit.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,7 +239,20 @@ class AxisRegion:
         if not theta:
             raise GeometryError("polyline needs at least the vertex sample")
         self._validate_polyline()
-        verts = self.z + np.array(theta)
+        self._place()
+
+    def translated(self, eps):
+        """This axis moved by ``eps``: the sectors and polyline checks are
+        translation invariant, only the pieces are placed again."""
+        out = copy.copy(self)
+        object.__setattr__(out, "z", self.z + complex(eps))
+        if not out.degenerate:
+            out._place()
+        return out
+
+    def _place(self):
+        """The boundary pieces and excision polygon at the vertex ``z``."""
+        verts = self.z + np.array(self.theta)
         steps = np.diff(verts)
         anchor = np.concatenate([[verts[0], verts[-1]], verts[:-1]])
         step = np.concatenate([[self.d0, self.d1], steps])
@@ -246,7 +260,7 @@ class AxisRegion:
             anchor.real, anchor.imag, step.real, step.imag,
             np.concatenate([[1.0, 1.0], steps.real * steps.real + steps.imag * steps.imag]),
             np.concatenate([[np.inf, np.inf], np.ones(len(steps))])))
-        if len(theta) > 1:
+        if len(self.theta) > 1:
             poly = np.concatenate([[self.z], verts, [self.z]])
             a, b = poly[:-1], poly[1:]
             object.__setattr__(self, "_polygon", (
@@ -330,7 +344,10 @@ class AxisRegion:
 
     def contains(self, zeta, closed=False, tol=TOL):
         """Membership of ``zeta`` (a point or an array of points)."""
-        zeta = np.asarray(zeta, dtype=complex)
+        return self._contains(np.asarray(zeta, dtype=complex), closed, tol)
+
+    def _contains(self, zeta, closed, tol, distance=None):
+        """:meth:`contains` of complex ``zeta``, with its ``distance`` if known."""
         if self.degenerate:
             side = self._side(zeta)
             return side >= -tol if closed else side > tol
@@ -338,7 +355,7 @@ class AxisRegion:
         inside = cone_d <= tol if closed else cone_d < -tol
         if self._polygon is None:
             return inside
-        on_boundary = self.boundary_distance(zeta) <= tol
+        on_boundary = (self.boundary_distance(zeta) if distance is None else distance) <= tol
         clear = ~self._in_excision(zeta)  # outside the excised set
         return inside & (on_boundary | clear) if closed else inside & ~on_boundary & clear
 

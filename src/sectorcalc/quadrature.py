@@ -12,12 +12,12 @@ scaled spectra; no radius depends on a decay certificate or a tolerance.
 Node weights include the complex ``d sigma`` factor.
 
 Every adaptive quadrature runs through one driver, :func:`refine`.  Round
-``r`` evaluates the rule at node density ``n0 * 2**r``; a value is
-accepted once it differs from the previous round's by less than the
-tolerance (Frobenius norm for matrix values), and that difference is the
-error estimate.  Contours (:func:`adaptive_contour`, :func:`integrate`),
-rays (:func:`ray_integral`) and tensor ray densities are thin callers
-that only say how one round is evaluated.
+``r`` evaluates the rule at node density ``n0 * 2**r`` and estimates its
+error panel by panel (:func:`_panel_error`); a value is accepted in the
+first round whose estimate, or whose difference from the previous round,
+is below the tolerance.  Contours (:func:`adaptive_contour`,
+:func:`integrate`), rays (:func:`ray_integral`) and tensor ray densities
+are thin callers that only say how one round is evaluated.
 
 The tensor sum is one blocked mode-by-mode contraction (:func:`_contract`).
 The index combinations of the leading axes are walked in C order, in
@@ -53,6 +53,9 @@ _GL_CACHE = {}
 TAIL_RADIUS = 16.0  # the least radius at which a contour ray's mapped tail begins
 _TAIL_DENSITY = 8.0  # node density per panel of a mapped ray tail
 _BLOCK_POINTS = 1 << 15  # integrand points per block of the tensor contraction
+_NULL_ORDERS = 6  # top Legendre coefficients of a panel that its error estimate reads
+_STALL_RATIO = 0.8  # coefficient decay ratio from which the top coefficient is the estimate
+_ROUNDOFF = 100 * np.finfo(float).eps  # estimate floor, relative to a panel's sum of |w f|
 
 
 class QuadratureError(RuntimeError):
@@ -274,11 +277,68 @@ class IntegrationResult:
     history: tuple = field(default=())
 
 
-def _err_norm(a, b):
-    d = np.asarray(a) - np.asarray(b)
-    if d.ndim == 0:
-        return abs(complex(d))
-    return float(np.linalg.norm(d.ravel()))
+@functools.cache
+def _null_rows(n):
+    """Rows taking an n-point panel's weighted values to the integrand's top
+    ``_NULL_ORDERS`` Legendre coefficients."""
+    m = np.arange(n - _NULL_ORDERS, n)
+    return (m[:, None] + 0.5) * np.polynomial.legendre.legvander(
+        np.polynomial.legendre.leggauss(n)[0], n - 1)[:, m].T
+
+
+def _panel_error(wf, n, stack=None):
+    """Error estimates of the panels of ``n`` nodes of the (N, ...) weighted
+    values ``wf``, or with a (N, d, d) ``stack`` of ``wf[i] * stack[i]`` (not
+    formed): the top coefficients' decay ratio (their norms paired over
+    consecutive degrees, so parity cannot fake it) extrapolated to the
+    degrees ``2n`` and up, or from ``_STALL_RATIO`` on the top pair itself,
+    at least ``_ROUNDOFF * sqrt(n sum |w f|^2) >= _ROUNDOFF * sum |w f|``."""
+    if stack is not None:
+        s = stack.reshape(len(wf), -1)
+        a = ((_null_rows(n) * wf.reshape(-1, 1, n)) @ s.reshape(-1, n, s.shape[1])).view(float)
+        size = np.abs(wf) ** 2 * np.einsum("id,id->i", s.view(float), s.view(float))
+    else:
+        x = wf.reshape(-1, n, math.prod(wf.shape[1:])).view(float)  # (panels, n, entries)
+        if x.shape[-1] > 2:  # matrix values: one product per panel
+            a = _null_rows(n) @ x
+        else:  # scalars: one product for all panels
+            a = (np.swapaxes(x, 1, 2).reshape(-1, n) @ _null_rows(n).T).reshape(
+                len(x), -1, _NULL_ORDERS).swapaxes(1, 2)
+        size = np.einsum("pid,pid->pi", x, x)
+    a = a.reshape(len(a), _NULL_ORDERS // 2, 2, -1)
+    top = np.einsum("pkjd,pkjd->pk", a, a)  # squared norms of the degree pairs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = (top[:, 1:] / top[:, :-1]).max(axis=-1) ** 0.25  # nan: no decay seen
+        gain = np.where(rho < _STALL_RATIO, 2.0 * rho ** (n + 1) / (1.0 - rho), 1.0)
+    return np.maximum(np.sqrt(top[:, -1]) * gain,
+                      _ROUNDOFF * np.sqrt(n * size.reshape(len(a), n).sum(axis=1)))
+
+
+def _parts_error(members, n):
+    """Error estimates of several sums: per sum, ``members`` holds its
+    ``(axis, weighted values, stack or None)`` parts (see :func:`_panel_error`).
+    The parts without a stack share one :func:`_panel_error` call."""
+    parts = [(i, x, s) for i, member in enumerate(members) for _, x, s in member]
+    owner, est = [np.zeros(0, int)], [np.zeros(0)]
+    for i, x, s in parts:
+        if s is not None:
+            est.append(_panel_error(x, n, s))
+            owner.append(np.full(len(est[-1]), i))
+    plain = [(i, x.reshape(len(x), -1)) for i, x, s in parts if s is None]
+    if plain:
+        est.append(_panel_error(np.concatenate([x for _, x in plain]), n))
+        owner.append(np.repeat([i for i, _ in plain], [len(x) // n for _, x in plain]))
+    return np.bincount(np.concatenate(owner), np.concatenate(est), len(members))
+
+
+def _cut_tail(wf, w, nodes, rate):
+    """The tail ``|f(t_cut)| / rate`` of a ray cut after its last node, from
+    the weighted values ``wf`` (N, ...) at ``nodes`` with weights ``w``; the
+    certified ``rate`` is lowered to the decay the last two nodes show."""
+    f = np.linalg.norm(wf[-2:].reshape(2, -1), axis=1) / np.abs(w[-2:])
+    if f[1] == 0.0 or f[0] <= f[1]:  # nothing left, or no decay seen
+        return 0.0 if f[1] == 0.0 else np.inf
+    return f[1] / min(rate, np.log(f[0] / f[1]) / abs(nodes[-1] - nodes[-2]))
 
 
 def _call_integrand(f, pts):
@@ -293,7 +353,7 @@ def _call_integrand(f, pts):
     return vals
 
 
-def _contract(f, nodes, weights, stacks=None):
+def _contract(f, nodes, weights, stacks=None, panels=None):
     """Tensor sum over the grid of per-axis ``nodes``.
 
     Without ``stacks`` this is ``sum_i prod_j weights[j][i_j] * f(z_i)``;
@@ -304,10 +364,14 @@ def _contract(f, nodes, weights, stacks=None):
     When ``f`` carries separable ``terms`` (see :func:`_contract_terms`)
     the sum factorizes per axis; otherwise it is the blocked mode-by-mode
     contraction over the full grid.
+
+    With ``panels``, the node count of the panels the nodes lie in, the result
+    is ``(value, parts)``, the :func:`_parts_error` parts: each axis's
+    weighted sums over the other axes.
     """
     terms = getattr(f, "terms", None)
     if terms is not None:
-        return _contract_terms(terms, nodes, weights, stacks)
+        return _contract_terms(terms, nodes, weights, stacks, panels)
     k = len(nodes)
     lead = tuple(len(x) for x in nodes[:-1])
     n_last = len(nodes[-1])
@@ -317,7 +381,7 @@ def _contract(f, nodes, weights, stacks=None):
     # the last-axis column is filled once and the buffer reused by full blocks
     grid = np.empty((n_last, rows, k), dtype=complex)
     grid[:, :, -1] = nodes[-1][:, None]
-    total = 0
+    total = parts = 0
     for start in range(0, n_lead, rows):
         stop = min(start + rows, n_lead)
         idx = np.unravel_index(np.arange(start, stop), lead) if lead else ()
@@ -329,8 +393,8 @@ def _contract(f, nodes, weights, stacks=None):
         view.flags.writeable = False  # integrands must not write into the reused buffer
         vals = _call_integrand(f, view)
         if stacks is None:
-            block = _kernels.reduce_weighted(
-                weights[-1], vals.reshape((n_last, m) + vals.shape[1:]))
+            by_last = vals.reshape((n_last, m) + vals.shape[1:])
+            block = _kernels.reduce_weighted(weights[-1], by_last)
         else:
             if vals.ndim != 1:
                 raise QuadratureError("resolvent contour needs a scalar integrand factor")
@@ -342,7 +406,24 @@ def _contract(f, nodes, weights, stacks=None):
         for j, i in enumerate(idx):
             lead_w = lead_w * weights[j][i]
         total = total + _kernels.reduce_weighted(lead_w, block)
-    return total
+        if panels is None:
+            continue
+        row_sums = lead_w[:, None] * block.reshape(m, -1)
+        parts = parts or [np.zeros((len(x), row_sums.shape[1]), complex) for x in nodes]
+        for j, i in enumerate(idx):  # a leading axis: the rows by their index on it
+            np.add.at(parts[j], i, row_sums)
+        if stacks is None:  # the last axis: its values, the leading axes contracted
+            parts[-1] += lead_w @ by_last.reshape(n_last, m, -1)
+        else:  # the same, before the last axis's stack (applied below)
+            chain = functools.reduce(np.matmul, [stacks[j][i] for j, i in enumerate(idx)],
+                                     np.eye(len(block[0]))[None])
+            parts[-1] += (vals.reshape(n_last, m) * lead_w) @ chain.reshape(m, -1)
+    if panels is None:
+        return total
+    if stacks is not None:
+        parts[-1] = (parts[-1].reshape(stacks[-1].shape) @ stacks[-1]).reshape(n_last, -1)
+    parts[-1] *= weights[-1][:, None]
+    return total, [(j, g, None) for j, g in enumerate(parts)]
 
 
 def _call_factor(f, x):
@@ -359,7 +440,7 @@ def _call_factor(f, x):
     return vals
 
 
-def _contract_terms(terms, nodes, weights, stacks=None):
+def _contract_terms(terms, nodes, weights, stacks=None, panels=None):
     """Tensor sum of a separable integrand ``sum_r prod_j terms[r][j](z_j)``.
 
     By Fubini the grid sum factorizes: without ``stacks`` it is
@@ -368,20 +449,34 @@ def _contract_terms(terms, nodes, weights, stacks=None):
     ``S_rj = sum_n weights[j][n] f_rj(nodes[j][n]) stacks[j][n]``.  The cost
     is linear in the node count of each axis instead of their product.
     Without terms the sum is a zero of the same shape: scalar, or (d, d).
+
+    With ``panels`` (see :func:`_contract`) axis ``j``'s parts are its factor
+    values times the other axes' sums (their norms, term by term, for matrix
+    sums on both sides): nothing k-dimensional is estimated.
     """
     k = len(nodes)
     total = 0j if stacks is None else np.zeros(stacks[0].shape[1:], dtype=complex)
-    for term in terms:
+    partial = {}  # (axis, term or None): factor values times the other axes' sums
+    for r, term in enumerate(terms):
         if len(term) != k:
             raise QuadratureError(f"separable term has {len(term)} factors for {k} axes")
         vals = [_call_factor(fj, x) for fj, x in zip(term, nodes)]
         if stacks is None:
-            total = total + math.prod(
-                _kernels.reduce_weighted(w, v) for w, v in zip(weights, vals))
+            sums = [_kernels.reduce_weighted(w, v) for w, v in zip(weights, vals)]
+            total = total + math.prod(sums)
         else:
-            total = total + functools.reduce(np.matmul, [
-                _kernels.reduce_weighted(w * v, s) for w, v, s in zip(weights, vals, stacks)])
-    return total
+            sums = [_kernels.reduce_weighted(w * v, s) for w, v, s in zip(weights, vals, stacks)]
+            total = total + functools.reduce(np.matmul, sums)
+        for j, v in enumerate(vals if panels else ()):
+            others = sums[:j] + sums[j + 1:]
+            if stacks is None or k == 1:  # scalar sums commute: the terms add up per axis
+                partial[j, None] = partial.get((j, None), 0) + math.prod(others) * v
+            else:  # matrix sums on both sides of the factor: their norms, term by term
+                partial[j, r] = math.prod(map(np.linalg.norm, others)) * v
+    if panels is None:
+        return total
+    return total, [(j, weights[j] * p, None if stacks is None else stacks[j])
+                   for (j, _), p in partial.items()]
 
 
 def _separable(terms):
@@ -411,65 +506,81 @@ def _product(*fns):
     return lambda pts: math.prod(f(pts) for f in fns)
 
 
-def tensor_sum(f, cq):
+def _estimated(fns, cq, stacks, estimate):
+    """The :func:`_contract` sums of ``fns`` over ``cq`` and their estimates
+    (``inf`` without ``estimate`` or without ``cq.panel_points``)."""
+    nodes, weights = [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes]
+    n = getattr(cq, "panel_points", None) if estimate else None
+    if n is None:
+        return [_contract(f, nodes, weights, stacks) for f in fns], np.full(len(fns), np.inf)
+    values, parts = zip(*[_contract(f, nodes, weights, stacks, n) for f in fns])
+    return values, _parts_error(parts, n)
+
+
+def tensor_sum(f, cq, estimate=False):
     """Single tensor-product quadrature pass over ``cq``.
 
     ``f`` maps C^k to a scalar or a fixed-size matrix; it is called with
-    (M, k) arrays of points and returns (M,) or (M, d, d).
+    (M, k) arrays of points and returns (M,) or (M, d, d).  With
+    ``estimate`` the result is ``(value, error estimate)``.
     """
-    return _contract(f, [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes])
+    (value,), (error,) = _estimated([f], cq, None, estimate)
+    return (value, error) if estimate else value
 
 
 def refine(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
     """The refinement loop of every adaptive quadrature.
 
     Round ``r`` calls ``value_at(n_per_unit * 2**r)``, which returns
-    ``(value, node_count)``.  The first value that differs from the
-    previous round's by less than ``tol`` is returned; ``history`` holds
-    one ``(n_per_unit, node_count, difference)`` record per round
-    (difference ``inf`` in the first).  After ``max_rounds`` rounds a
-    :class:`ConvergenceError` carries the last value and difference.
+    ``(value, node_count, estimate)``: one estimate (``inf`` if unknown), or
+    one per member of a ``value`` stacked along its first axis.  A member is
+    accepted, and keeps its value, in the first round where its estimate or
+    its difference from the previous round (Frobenius norm) is below
+    ``tol``.  ``history`` holds ``(n_per_unit, node_count, largest error)``
+    per round; after ``max_rounds`` a :class:`ConvergenceError` carries the
+    value and that error.
     """
-    history = []
-    prev = None
+    history, prev, value, best = [], None, None, np.full(1, np.inf)
     for r in range(max_rounds):
-        val, nodes = value_at(n_per_unit)
-        diff = np.inf if prev is None else _err_norm(val, prev)
-        history.append((n_per_unit, nodes, diff))
-        if diff < tol:
-            return IntegrationResult(val, diff, r + 1, nodes, tuple(history))
-        prev = val
-        n_per_unit = 2.0 * n_per_unit
-    raise ConvergenceError(
-        f"{what} did not converge to {tol} in {max_rounds} rounds",
-        value=prev, estimate=history[-1][2] if history else np.inf)
+        val, nodes, est = value_at(n_per_unit)
+        cur = np.asarray(val).reshape(np.size(est), -1)  # one row per member
+        diff = np.inf if prev is None else np.linalg.norm(cur - prev, axis=1)
+        err = np.fmin(np.ravel(est), diff)
+        if prev is None:
+            out, best = cur.copy(), err
+        live = best >= tol
+        out[live], best[live] = cur[live], err[live]
+        history.append((n_per_unit, nodes, float(err.max())))
+        value = out.reshape(np.shape(val))[()]
+        if (best < tol).all():
+            return IntegrationResult(value, float(best.max()), r + 1, nodes, tuple(history))
+        prev, n_per_unit = cur, 2.0 * n_per_unit
+    raise ConvergenceError(f"{what} did not converge to {tol} in {max_rounds} rounds",
+                           value=value, estimate=float(best.max()))
 
 
 def adaptive_contour(value_of, cq, tol, max_rounds=8):
     """:func:`refine` over contours like ``cq``: ``value_of`` is called once
     per round on the contour of that round's density and ``cq``'s tail
-    radius; the shifts of ``cq`` were checked when it was built."""
+    radius, returning ``(value, estimate)``; ``cq``'s shifts are checked."""
     def value_at(n_per_unit):
         c = cq if n_per_unit == cq.n_per_unit else _contour(
             cq.region, cq.eps, cq.R, n_per_unit, cq.panel_points)
-        return value_of(c), c.node_count
+        value, estimate = value_of(c)
+        return value, c.node_count, estimate
 
     return refine(value_at, cq.n_per_unit, tol, max_rounds, "contour integral")
 
 
 def integrate(f, cq, tol=1e-8, max_rounds=8):
-    """Adaptive tensor-product contour integral of ``f`` over ``cq``.
-
-    Returns an :class:`IntegrationResult` whose error estimate is the last
-    successive difference (Frobenius norm for matrix values).
-    """
-    return adaptive_contour(lambda c: tensor_sum(f, c), cq, tol, max_rounds)
+    """Adaptive tensor-product contour integral of ``f`` over ``cq``."""
+    return adaptive_contour(lambda c: tensor_sum(f, c, estimate=True), cq, tol, max_rounds)
 
 
-def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None):
+def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None, estimate=False):
     """Tensor contour sums of ``f(zeta) * prod_j (lam_j A_j + m_j I)^{-1}`` for
     every ``f`` in ``scalar_fns``, where ``m_j = zeta_j - node_offsets[j]``;
-    shape (len(scalar_fns), d, d).
+    shape (len(scalar_fns), d, d); with ``estimate``, and their estimates.
 
     This is the hot kernel of the calculus: per-axis resolvent stacks are
     solved once in batch and every integrand is contracted against them
@@ -485,9 +596,8 @@ def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None):
                                  cq.axes[j].nodes - offs[j])
         for j in range(k)
     ]
-    nodes = [ax.nodes for ax in cq.axes]
-    weights = [ax.weights for ax in cq.axes]
-    return np.stack([_contract(f, nodes, weights, stacks) for f in scalar_fns])
+    values, estimates = _estimated(scalar_fns, cq, stacks, estimate)
+    return (np.stack(values), estimates) if estimate else np.stack(values)
 
 
 def richardson(values, ratio=2.0):
@@ -508,7 +618,7 @@ def richardson(values, ratio=2.0):
                       for i in range(len(prev) - 1)])
     best = table[-1][0]
     second = table[-2][-1]
-    residual = _err_norm(best, second)
+    residual = float(np.linalg.norm(np.ravel(best - second)))
     if best.ndim == 0:
         best = complex(best)
     return best, residual
@@ -536,7 +646,8 @@ def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8,
     truncation doubles with the node density each round.  Under an
     exponential envelope the cut tail is below tol/100, and an orbit
     ``Exp(t*A)`` that grows is never evaluated far beyond it, where it
-    would overflow.  Same refinement contract as :func:`integrate`.
+    would overflow.  A round's estimate adds the :func:`_cut_tail`; without
+    ``decay`` there is none, and rounds are accepted on their difference.
     """
     direction = complex(direction)
     direction /= abs(direction)
@@ -546,6 +657,9 @@ def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8,
         breaks = _graded_breaks(r0 * (n / n_per_unit), panel_points / n)
         nodes, weights = _panel_nodes(complex(start), direction, breaks, panel_points)
         vals = _call_integrand(lambda q: f(q[:, 0]), nodes[:, None])
-        return _kernels.reduce_weighted(weights, vals), len(nodes)
+        wf = weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+        est = np.inf if decay is None else (_panel_error(wf, panel_points).sum()
+                                            + _cut_tail(wf, weights, nodes, decay[1]))
+        return _kernels.reduce_weighted(weights, vals), len(nodes), est
 
     return refine(value_at, n_per_unit, tol, max_rounds, "ray integral")

@@ -7,9 +7,14 @@ same checks; criterion 12 additionally compares report files byte for
 byte.
 """
 
+import pytest
+
 from sectorcalc import cli
 
 SEED = 42
+
+# every round accepted on its error estimate is checked against one more round
+pytestmark = pytest.mark.usefixtures("audited_refine")
 
 
 def _run(name, criterion, scenario_fn, *args):

@@ -241,6 +241,7 @@ class TestConvolution:
             fn.convolve(p1, p2)
 
 
+@pytest.mark.usefixtures("audited_refine")
 class TestPairFunction:
     def test_every_route_on_an_atom(self, ps1):
         phi = fn.dirac(ps1, [1.0])
@@ -312,7 +313,7 @@ class TestPairFunction:
         # underflows to 0; the certified envelope is below double
         # resolution there, so those nodes contribute nothing
         f = fn.exp_poly_function(ps1, [1.0])
-        val = fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3], z=[z])
+        val = fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3], z=[z], tol=1e-12)
         assert abs(val - np.exp(-1.1)) <= 1e-12
 
     @pytest.mark.parametrize("z", [0.001, 0.01, 0.05, 0.5j])
@@ -416,6 +417,7 @@ class TestPairFunction:
         assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-6)
 
 
+@pytest.mark.usefixtures("audited_refine")
 class TestPairSemigroup:
     def test_axis_atom_reproduces_the_semigroup(self, ps2):
         tup = sg.CommutingTuple([np.array([[-2.0]]), np.array([[-1.5]])], [DOM] * 2)

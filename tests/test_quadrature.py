@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from sectorcalc import calculus as ca
@@ -47,23 +49,112 @@ class TestPanels:
                                   np.concatenate([w * direction for _, w in panels]))
 
 
+def _panel_case(f, exact):
+    """The panel estimate of ``f`` on [-1, 1], its true error against
+    ``exact`` and ``sum |w f|``."""
+    x, w = q.gauss_panel(-1.0, 1.0, 16)
+    wf = (w * f(x)).astype(complex)
+    return q._panel_error(wf, 16)[0], abs(wf.sum() - exact), np.abs(wf).sum()
+
+
+def _pole_case(m, place, delta, side):
+    """``1/(x - p)^m`` with ``p`` at distance ``delta`` from [-1, 1]: above or
+    below ``place`` in [-1, 1], beyond an end for ``|place| > 1``."""
+    if abs(place) <= 1.0:
+        p = place + 1j * side * delta
+    else:
+        angle = side * (abs(place) - 1.0) * PI / 2
+        p = np.sign(place) * (1.0 + delta * np.cos(angle)) + 1j * delta * np.sin(angle)
+    if m == 1:
+        exact = np.log(1.0 - p) - np.log(-1.0 - p)
+    else:
+        exact = ((1.0 - p) ** (1 - m) - (-1.0 - p) ** (1 - m)) / (1 - m)
+    return _panel_case(lambda x: (x - p) ** -m, exact)
+
+
+class TestPanelError:
+    """The per-panel estimate against closed forms: below 1e-6 of the
+    absolute integral (where it can accept), it bounds the true error up to
+    roundoff."""
+
+    ROUNDOFF = 100 * np.finfo(float).eps
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), place=st.floats(-2.0, 2.0), delta=st.floats(0.005, 5.0),
+           side=st.sampled_from([-1, 1]))
+    def test_bounds_the_error_near_a_pole(self, m, place, delta, side):
+        est, err, scale = _pole_case(m, place, delta, side)
+        if est < 1e-6 * scale:
+            assert err <= est + self.ROUNDOFF * scale
+        # the estimate grows as the pole nears the panel, as long as it is
+        # small enough to accept anything
+        closer, _, closer_scale = _pole_case(m, place, delta / 2, side)
+        assert closer >= est or closer >= 1e-3 * closer_scale
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(re=st.floats(-25.0, 25.0), im=st.floats(-25.0, 25.0))
+    def test_bounds_the_error_of_an_exponential(self, re, im):
+        a = complex(re, im)
+        assume(abs(a) > 1e-3)
+        est, err, scale = _panel_case(lambda x: np.exp(a * x), (np.exp(a) - np.exp(-a)) / a)
+        if est < 1e-6 * scale:
+            assert err <= est + self.ROUNDOFF * scale
+
+    def test_estimate_decides_the_first_round(self):
+        # a smooth ray integral is accepted in its first round
+        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, tol=1e-10, decay=("exp", 1.0))
+        assert res.rounds == 1 and abs(res.value - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10])
+    def test_overstated_decay_certificate_is_not_trusted(self, tol):
+        # the certificate claims rate 1, the integrand decays at rate 1/50:
+        # the cut tail reads the decay its last nodes show (at tol 1e-3 the
+        # sixth round's cut value is below tol, its tail 50 times that is not)
+        try:
+            res = q.ray_integral(lambda t: np.exp(-t / 50), 0.0, 1.0, tol=tol,
+                                 decay=("exp", 1.0))
+        except q.ConvergenceError:
+            return
+        assert res.rounds > 1 and abs(res.value - 50.0) <= tol
+
+
 class TestRefine:
     def test_schedule_and_acceptance(self):
         calls = []
 
         def value_at(n):
             calls.append(n)
-            return 1.0 / n, 3
+            return 1.0 / n, 3, np.inf
 
         res = q.refine(value_at, 2.0, tol=0.1)
-        # differences 0.25, 0.125, 0.0625: accepted in the fourth round
+        # no estimates; differences 0.25, 0.125, 0.0625: accepted in the fourth round
         assert calls == [2.0, 4.0, 8.0, 16.0]
         assert (res.value, res.rounds, res.node_count) == (1.0 / 16.0, 4, 3)
         assert [h[2] for h in res.history] == [np.inf, 0.25, 0.125, 0.0625]
 
+    def test_accepts_in_the_round_whose_estimate_meets_the_tolerance(self):
+        estimates = iter([0.5, 0.05])
+        res = q.refine(lambda n: (1.0 / n, 2 * n, next(estimates)), 2.0, tol=0.1)
+        # the difference 0.25 would not do; the second round's estimate does
+        assert (res.value, res.rounds, res.node_count, res.error_estimate) == (0.25, 2, 8, 0.05)
+        assert [h[2] for h in res.history] == [0.5, 0.05]
+        first = q.refine(lambda n: (7.0, 1, 0.0), 2.0, tol=1e-12)
+        assert (first.value, first.rounds, first.history) == (7.0, 1, ((2.0, 1, 0.0),))
+
+    def test_members_keep_the_value_of_their_own_round(self):
+        # member 0 is accepted on its estimate in round 1, member 1 on its
+        # difference in round 3; later rounds never touch member 0
+        def value_at(n):
+            return np.array([[n, n], [1.0 / n, 0.0]]), 1, np.array([0.0, np.inf])
+
+        res = q.refine(value_at, 1.0, tol=0.3)
+        assert res.rounds == 3 and res.value.shape == (2, 2)
+        assert res.value.tolist() == [[1.0, 1.0], [0.25, 0.0]]
+        assert res.error_estimate == 0.25 and res.history[-1][2] == 0.25
+
     def test_failure_carries_value_and_estimate(self):
         with pytest.raises(q.ConvergenceError, match="thing did not converge") as info:
-            q.refine(lambda n: (n, 1), 1.0, tol=0.5, max_rounds=3, what="thing")
+            q.refine(lambda n: (n, 1, 3.0), 1.0, tol=0.5, max_rounds=3, what="thing")
         assert (info.value.value, info.value.estimate) == (4.0, 2.0)
 
     def test_adaptive_contour_sees_doubled_contours(self):
@@ -73,7 +164,7 @@ class TestRefine:
 
         def value_of(c):
             seen.append(c)
-            return 2.0 ** -len(seen)
+            return 2.0 ** -len(seen), np.inf
 
         res = q.adaptive_contour(value_of, cq, tol=0.2)
         assert seen[0] is cq and len(seen) == res.rounds == 3
@@ -105,21 +196,25 @@ class TestRayIntegral:
                            max_rounds=3)
 
     def test_history_has_one_record_per_round(self):
-        # a ray integral doubles its truncation with the node density
-        reach = []
+        # a ray integral doubles its truncation with the node density; without
+        # a decay certificate there is no estimate, and the difference of the
+        # rounds cut at 32 and 64 is the first below the tolerance
+        for decay, rounds in ((("exp", 1.0), 1), (None, 3)):
+            reach = []
 
-        def f(t):
-            reach.append(np.max(t.real))
-            return np.exp(-t)
+            def f(t):
+                reach.append(np.max(t.real))
+                return np.exp(-t)
 
-        res = q.ray_integral(f, 0.0, 1.0, tol=1e-12, decay=("exp", 1.0))
-        assert len(res.history) == res.rounds == len(reach) >= 2
-        r0 = q.initial_radius(("exp", 1.0), 1e-12)
-        for r, (n, nodes, diff) in enumerate(res.history):
-            assert n == 8.0 * 2.0 ** r
-            assert 0.9 * r0 * 2.0 ** r < reach[r] < r0 * 2.0 ** r
-            assert nodes > 0 and (diff == np.inf) == (r == 0)
-        assert res.history[-1][1:] == (res.node_count, res.error_estimate)
+            res = q.ray_integral(f, 0.0, 1.0, tol=1e-12, decay=decay)
+            assert len(res.history) == res.rounds == len(reach) == rounds
+            assert abs(res.value - 1.0) <= 1e-12
+            r0 = q.initial_radius(decay, 1e-12)
+            for r, (n, nodes, err) in enumerate(res.history):
+                assert n == 8.0 * 2.0 ** r
+                assert 0.9 * r0 * 2.0 ** r < reach[r] < r0 * 2.0 ** r
+                assert nodes > 0 and (err == np.inf) == (r == 0 and decay is None)
+            assert res.history[-1][1:] == (res.node_count, res.error_estimate)
 
 
 class TestBoundaryPath:

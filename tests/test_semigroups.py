@@ -153,6 +153,15 @@ class TestResolvents:
             viaq = sg.resolvent_via_laplace(tup, 0, lam, 1.0, tol=1e-9)
             assert sg.opnorm(viaq - direct) <= 1e-6 * sg.opnorm(direct)
 
+    def test_laplace_resolvent_takes_one_round(self, rng, monkeypatch):
+        # the first round's estimate meets the tolerance: one expm call
+        calls, expm = [], sg.expm
+        monkeypatch.setattr(sg, "expm", lambda a: calls.append(1) or expm(a))
+        a = sg.random_sectorial_matrix(rng, 3)
+        got = sg.resolvent_via_laplace(sg.CommutingTuple([a], [DOM]), 0, 1.5, tol=1e-9)
+        assert len(calls) == 1
+        assert sg.opnorm(got - np.linalg.inv(1.5 * np.eye(3) - a)) <= 1e-9
+
     def test_laplace_rotated_ray(self):
         tup = sg.CommutingTuple([np.diag([-1.0, -2.0])], [DOM])
         direct = np.linalg.inv(-np.diag([-1.0, -2.0]))
