@@ -24,8 +24,8 @@ import numpy as np
 from ._kernels import resolvent_stack
 from .geometry import AdmissibleRegion, GeometryError, _unit, make_region
 from .quadrature import (ContourQuadrature, _axis_shift, _call_factor, _contract, _panel_error,
-                         _parts_error, _product, _separable, _shift_tuple, adaptive_contour,
-                         integrate, resolvent_contour_value, tail_radius)
+                         _parts_error, _product, _product_rule, _separable, _shift_tuple,
+                         adaptive_contour, integrate, resolvent_contour_value, tail_radius)
 from .semigroups import (GrowthProfile, _validate_lambda, opnorm)
 from .semigroups import IN_N0, n_set_classify
 
@@ -50,7 +50,9 @@ class HoloFunction:
     bounded.  ``terms``, when set, is the separable (CP) form
     ``F = sum_r prod_j terms[r][j](zeta_j)``: a tuple of terms, each a tuple
     of k callables on 1-D node arrays; contour sums then factorize per
-    axis (see :func:`separable_function`).
+    axis (see :func:`separable_function`).  ``poles``, when set, holds per
+    axis the points where ``F`` is singular in that coordinate; the
+    calculus refuses a pole inside its contour.
     """
 
     fun: object
@@ -60,6 +62,7 @@ class HoloFunction:
     witness: object = None
     label: str = "F"
     terms: tuple = None
+    poles: tuple = None
 
     def __call__(self, pts):
         return np.asarray(self.fun(np.atleast_2d(np.asarray(pts, dtype=complex))),
@@ -112,8 +115,9 @@ def inverse_square(k, shifts, label=None):
     """``prod_j (zeta_j + s_j)^{-2}``; the workhorse decaying test function."""
     shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
     term = [lambda x, s=shifts[j]: 1.0 / (x + s) ** 2 for j in range(k)]
-    return separable_function([term], "H1", (1.0, 2.0), None,
-                              label or f"invsq({shifts.tolist()})")
+    return replace(separable_function([term], "H1", (1.0, 2.0), None,
+                                      label or f"invsq({shifts.tolist()})"),
+                   poles=tuple((-s,) for s in shifts))
 
 
 def rotated_inverse_square(k, angles, shifts, label=None):
@@ -123,7 +127,8 @@ def rotated_inverse_square(k, angles, shifts, label=None):
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     term = [lambda x, u=_unit(angles[j]), s=shifts[j]: 1.0 / (x * u + s) ** 2
             for j in range(k)]
-    return separable_function([term], "H1", (1.0, 2.0), None, label or "rot_invsq")
+    return replace(separable_function([term], "H1", (1.0, 2.0), None, label or "rot_invsq"),
+                   poles=tuple((-s / _unit(a),) for a, s in zip(angles, shifts)))
 
 
 def exponential_function(k, nu, axis=0, shifts=None, label=None):
@@ -251,10 +256,14 @@ def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
                 f"{tag} is not admissible for the scaled tuple: "
                 f"anchor={report.anchor_class}, spectrum_inside={report.spectrum_inside}, "
                 f"margins={report.margins} {report.detail}")
+    for F in Fs:  # reg is the shifted region, which the contour bounds
+        for j, p in enumerate(F.poles or ()):
+            if reg.axes[j].contains(np.asarray(p, dtype=complex), closed=True).any():
+                raise AdmissibilityError(f"{F.label} has a pole in the shifted region on axis {j}")
     cq = ContourQuadrature.from_region(region, eps, R=_radius_floor(region, eps, tup, lam))
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
     res = adaptive_contour(
-        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c, estimate=True),
+        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c),
         cq, tol, max_rounds)
     return pref * res.value
 
@@ -452,15 +461,13 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
                   .reshape(len(shift), len(w)) * w
                   for f, ax, shift, w in zip(F.terms[0], c.axes, shifts.T, weights)]
             # row sums, not a matrix product: a member's bits never depend on E
-            sums = [x.sum(axis=1) for x in wf]
-            # the product rule, one row of panels per member
-            parts = [x * math.prod(sums[:j] + sums[j + 1:], start=np.ones(len(x)))[:, None]
-                     for j, x in enumerate(wf)]
-            return math.prod(sums), _panel_error(np.concatenate(parts, axis=1).ravel(),
-                                                 c.panel_points).reshape(len(shifts), -1).sum(1)
+            sums = [x.sum(axis=1, keepdims=True) for x in wf]
+            est = _panel_error(np.concatenate(_product_rule(wf, sums), axis=1).ravel(),
+                               c.panel_points)  # one row of panels per member
+            return math.prod(sums)[:, 0], est.reshape(len(shifts), -1).sum(1)
         values, parts = zip(*[
             _contract(lambda pts: np.abs(F(pts)), [ax.nodes + e for ax, e in zip(c.axes, eps)],
-                      weights, None, c.panel_points) for eps in shifts])
+                      weights) for eps in shifts])
         return np.array(values).real, _parts_error(parts, c.panel_points)
 
     cq = _boundary_contour(F, region, np.zeros(region.k))

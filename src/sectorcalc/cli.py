@@ -585,7 +585,7 @@ def study_nodes(values=None):
     errs = []
     for n in values:
         cq = ContourQuadrature.from_region(region, [0.5], n_per_unit=n)
-        val = tensor_sum(g, cq) / (2j * np.pi)
+        val = tensor_sum(g, cq)[0] / (2j * np.pi)
         errs.append(abs(val - exact))
     orders = [float("nan")]
     for a, b in zip(errs[:-1], errs[1:]):

@@ -659,7 +659,7 @@ def _tensor_density_integral(fvec, d, tol, max_rounds=8):
             nodes.append(d.offset[j] + t * _unit(ax.omega))
             weights.append(ax.poly(t) * np.exp(-ax.s * t) * wt)
             rule.append(wt)
-        value, parts = _contract(fvec, nodes, weights, None, 16)
+        value, parts = _contract(fvec, nodes, weights)
         return value, math.prod(len(x) for x in nodes), _parts_error([parts], 16)[0] + sum(
             _cut_tail(g, rule[j], nodes[j], d.axes[j].s.real) for j, g, _ in parts)
 
@@ -903,7 +903,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
             scalar_fn = _product(fb, _wn(sectors, n, z)) if n else fb
             return pref * adaptive_contour(
                 lambda c: resolvent_contour_value((scalar_fn,), tup.matrices, lam, c,
-                                                  node_offsets=eps, estimate=True),
+                                                  node_offsets=eps),
                 cq, tol).value[0]
 
         if route == "resolvent_contour":

@@ -288,46 +288,44 @@ def _null_rows(n):
 
 def _panel_error(wf, n, stack=None):
     """Error estimates of the panels of ``n`` nodes of the (N, ...) weighted
-    values ``wf``, or with a (N, d, d) ``stack`` of ``wf[i] * stack[i]`` (not
-    formed): the top coefficients' decay ratio (their norms paired over
-    consecutive degrees, so parity cannot fake it) extrapolated to the
-    degrees ``2n`` and up, or from ``_STALL_RATIO`` on the top pair itself,
-    at least ``_ROUNDOFF * sqrt(n sum |w f|^2) >= _ROUNDOFF * sum |w f|``."""
-    if stack is not None:
-        s = stack.reshape(len(wf), -1)
-        a = ((_null_rows(n) * wf.reshape(-1, 1, n)) @ s.reshape(-1, n, s.shape[1])).view(float)
-        size = np.abs(wf) ** 2 * np.einsum("id,id->i", s.view(float), s.view(float))
-    else:
+    values ``wf``, or with a (N, d, d) ``stack`` of each (M, N) row of ``wf``
+    times the stack, ``wf[m, i] * stack[i]`` (not formed), member by member:
+    the top coefficients' decay ratio (their norms paired over consecutive
+    degrees, so parity cannot fake it) extrapolated to the degrees ``2n``
+    and up, or from ``_STALL_RATIO`` on the top pair itself, at least
+    ``_ROUNDOFF * sqrt(n sum |w f|^2) >= _ROUNDOFF * sum |w f|``."""
+    if stack is None:  # one product for all panels
         x = wf.reshape(-1, n, math.prod(wf.shape[1:])).view(float)  # (panels, n, entries)
-        if x.shape[-1] > 2:  # matrix values: one product per panel
-            a = _null_rows(n) @ x
-        else:  # scalars: one product for all panels
-            a = (np.swapaxes(x, 1, 2).reshape(-1, n) @ _null_rows(n).T).reshape(
-                len(x), -1, _NULL_ORDERS).swapaxes(1, 2)
-        size = np.einsum("pid,pid->pi", x, x)
-    a = a.reshape(len(a), _NULL_ORDERS // 2, 2, -1)
-    top = np.einsum("pkjd,pkjd->pk", a, a)  # squared norms of the degree pairs
+        a = (x.swapaxes(1, 2).reshape(-1, n) @ _null_rows(n).T).reshape(len(x), -1, _NULL_ORDERS)
+        a, size = a.swapaxes(1, 2), np.einsum("pie,pie->p", x, x)
+    else:  # one product per panel for all members
+        s = stack.reshape(-1, n, stack[0].size)  # (panels, n, entries)
+        rows = (_null_rows(n) * wf.reshape(len(wf), -1, 1, n)).swapaxes(0, 1)
+        a = (rows.reshape(len(s), -1, n) @ s).reshape(len(s), len(wf), _NULL_ORDERS, -1)
+        a = a.swapaxes(0, 1).reshape(-1, _NULL_ORDERS, s.shape[2]).view(float)
+        size = np.einsum("mpi,pi->mp", np.abs(wf.reshape(len(wf), -1, n)) ** 2,
+                         np.einsum("pie,pie->pi", s.view(float), s.view(float)))
+    a = a.reshape(len(a), _NULL_ORDERS, -1)  # (panels, orders, entries)
+    top = np.einsum("pke,pke->pk", a, a).reshape(len(a), -1, 2).sum(-1)  # degree pairs
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = (top[:, 1:] / top[:, :-1]).max(axis=-1) ** 0.25  # nan: no decay seen
         gain = np.where(rho < _STALL_RATIO, 2.0 * rho ** (n + 1) / (1.0 - rho), 1.0)
-    return np.maximum(np.sqrt(top[:, -1]) * gain,
-                      _ROUNDOFF * np.sqrt(n * size.reshape(len(a), n).sum(axis=1)))
+    return np.maximum(np.sqrt(top[:, -1]) * gain, _ROUNDOFF * np.sqrt(n * size.ravel()))
 
 
 def _parts_error(members, n):
     """Error estimates of several sums: per sum, ``members`` holds its
     ``(axis, weighted values, stack or None)`` parts (see :func:`_panel_error`).
-    The parts without a stack share one :func:`_panel_error` call."""
-    parts = [(i, x, s) for i, member in enumerate(members) for _, x, s in member]
-    owner, est = [np.zeros(0, int)], [np.zeros(0)]
-    for i, x, s in parts:
-        if s is not None:
-            est.append(_panel_error(x, n, s))
-            owner.append(np.full(len(est[-1]), i))
-    plain = [(i, x.reshape(len(x), -1)) for i, x, s in parts if s is None]
-    if plain:
-        est.append(_panel_error(np.concatenate([x for _, x in plain]), n))
-        owner.append(np.repeat([i for i, _ in plain], [len(x) // n for _, x in plain]))
+    The parts that share a stack, and those without one, share one
+    :func:`_panel_error` call."""
+    groups, owner, est = {}, [np.zeros(0, int)], [np.zeros(0)]
+    for i, member in enumerate(members):
+        for _, x, s in member:
+            groups.setdefault(id(s), (s, []))[1].append((i, x))
+    for s, rows in groups.values():
+        x = [x.reshape(len(x), -1) for _, x in rows] if s is None else [x for _, x in rows]
+        est.append(_panel_error(np.concatenate(x) if s is None else np.stack(x), n, s))
+        owner.append(np.repeat([i for i, _ in rows], [len(x) // n for _, x in rows]))
     return np.bincount(np.concatenate(owner), np.concatenate(est), len(members))
 
 
@@ -353,25 +351,23 @@ def _call_integrand(f, pts):
     return vals
 
 
-def _contract(f, nodes, weights, stacks=None, panels=None):
-    """Tensor sum over the grid of per-axis ``nodes``.
+def _contract(f, nodes, weights, stacks=None):
+    """Tensor sum over the grid of per-axis ``nodes``, and its parts.
 
-    Without ``stacks`` this is ``sum_i prod_j weights[j][i_j] * f(z_i)``;
+    Without ``stacks`` the sum is ``sum_i prod_j weights[j][i_j] * f(z_i)``;
     with per-axis (N_j, d, d) ``stacks`` (``f`` then scalar) it is
     ``sum_i prod_j weights[j][i_j] * f(z_i) * stacks[0][i_0] ... stacks[-1][i_-1]``
-    with the operator factors in axis order.
+    with the operator factors in axis order.  The result is ``(value,
+    parts)``, the parts those of :func:`_parts_error`: each axis's weighted
+    sums over the other axes.
 
     When ``f`` carries separable ``terms`` (see :func:`_contract_terms`)
     the sum factorizes per axis; otherwise it is the blocked mode-by-mode
     contraction over the full grid.
-
-    With ``panels``, the node count of the panels the nodes lie in, the result
-    is ``(value, parts)``, the :func:`_parts_error` parts: each axis's
-    weighted sums over the other axes.
     """
     terms = getattr(f, "terms", None)
     if terms is not None:
-        return _contract_terms(terms, nodes, weights, stacks, panels)
+        return _contract_terms(terms, nodes, weights, stacks)
     k = len(nodes)
     lead = tuple(len(x) for x in nodes[:-1])
     n_last = len(nodes[-1])
@@ -392,34 +388,29 @@ def _contract(f, nodes, weights, stacks=None, panels=None):
         view = pts.reshape(-1, k)
         view.flags.writeable = False  # integrands must not write into the reused buffer
         vals = _call_integrand(f, view)
+        lead_w = np.ones(m, dtype=complex)
+        for j, i in enumerate(idx):
+            lead_w = lead_w * weights[j][i]
         if stacks is None:
             by_last = vals.reshape((n_last, m) + vals.shape[1:])
             block = _kernels.reduce_weighted(weights[-1], by_last)
+            last = lead_w @ by_last.reshape(n_last, m, -1)  # the leading axes contracted
         else:
             if vals.ndim != 1:
                 raise QuadratureError("resolvent contour needs a scalar integrand factor")
             coeffs = (vals.reshape(n_last, m) * weights[-1][:, None]).T
             block = _kernels.reduce_weighted(coeffs, stacks[-1])
-            for j in reversed(range(k - 1)):
-                block = stacks[j][idx[j]] @ block
-        lead_w = np.ones(m, dtype=complex)
-        for j, i in enumerate(idx):
-            lead_w = lead_w * weights[j][i]
+            # the leading stacks of each row, in axis order, before the last axis's
+            chain = functools.reduce(np.matmul, [stacks[j][i] for j, i in enumerate(idx)]) \
+                if idx else np.eye(len(block[0]))[None]
+            block = chain @ block if idx else block
+            last = (vals.reshape(n_last, m) * lead_w) @ chain.reshape(m, -1)
         total = total + _kernels.reduce_weighted(lead_w, block)
-        if panels is None:
-            continue
         row_sums = lead_w[:, None] * block.reshape(m, -1)
         parts = parts or [np.zeros((len(x), row_sums.shape[1]), complex) for x in nodes]
         for j, i in enumerate(idx):  # a leading axis: the rows by their index on it
             np.add.at(parts[j], i, row_sums)
-        if stacks is None:  # the last axis: its values, the leading axes contracted
-            parts[-1] += lead_w @ by_last.reshape(n_last, m, -1)
-        else:  # the same, before the last axis's stack (applied below)
-            chain = functools.reduce(np.matmul, [stacks[j][i] for j, i in enumerate(idx)],
-                                     np.eye(len(block[0]))[None])
-            parts[-1] += (vals.reshape(n_last, m) * lead_w) @ chain.reshape(m, -1)
-    if panels is None:
-        return total
+        parts[-1] += last
     if stacks is not None:
         parts[-1] = (parts[-1].reshape(stacks[-1].shape) @ stacks[-1]).reshape(n_last, -1)
     parts[-1] *= weights[-1][:, None]
@@ -440,8 +431,9 @@ def _call_factor(f, x):
     return vals
 
 
-def _contract_terms(terms, nodes, weights, stacks=None, panels=None):
-    """Tensor sum of a separable integrand ``sum_r prod_j terms[r][j](z_j)``.
+def _contract_terms(terms, nodes, weights, stacks=None):
+    """Tensor sum of a separable integrand ``sum_r prod_j terms[r][j](z_j)``,
+    and its parts (see :func:`_contract`).
 
     By Fubini the grid sum factorizes: without ``stacks`` it is
     ``sum_r prod_j S_rj`` with the 1-D sums ``S_rj = weights[j] . f_rj(nodes[j])``;
@@ -449,14 +441,13 @@ def _contract_terms(terms, nodes, weights, stacks=None, panels=None):
     ``S_rj = sum_n weights[j][n] f_rj(nodes[j][n]) stacks[j][n]``.  The cost
     is linear in the node count of each axis instead of their product.
     Without terms the sum is a zero of the same shape: scalar, or (d, d).
-
-    With ``panels`` (see :func:`_contract`) axis ``j``'s parts are its factor
-    values times the other axes' sums (their norms, term by term, for matrix
-    sums on both sides): nothing k-dimensional is estimated.
+    Axis ``j``'s parts follow :func:`_product_rule` (with the other sums'
+    norms, term by term, for matrix sums on both sides of it): nothing
+    k-dimensional is estimated.
     """
     k = len(nodes)
     total = 0j if stacks is None else np.zeros(stacks[0].shape[1:], dtype=complex)
-    partial = {}  # (axis, term or None): factor values times the other axes' sums
+    parts = {}  # (axis, term or None): factor values times the other axes' sums
     for r, term in enumerate(terms):
         if len(term) != k:
             raise QuadratureError(f"separable term has {len(term)} factors for {k} axes")
@@ -467,16 +458,20 @@ def _contract_terms(terms, nodes, weights, stacks=None, panels=None):
         else:
             sums = [_kernels.reduce_weighted(w * v, s) for w, v, s in zip(weights, vals, stacks)]
             total = total + functools.reduce(np.matmul, sums)
-        for j, v in enumerate(vals if panels else ()):
-            others = sums[:j] + sums[j + 1:]
-            if stacks is None or k == 1:  # scalar sums commute: the terms add up per axis
-                partial[j, None] = partial.get((j, None), 0) + math.prod(others) * v
-            else:  # matrix sums on both sides of the factor: their norms, term by term
-                partial[j, r] = math.prod(map(np.linalg.norm, others)) * v
-    if panels is None:
-        return total
+        if stacks is None or k == 1:  # scalar sums commute: the terms add up per axis
+            for j, p in enumerate(_product_rule(vals, sums)):
+                parts[j, None] = parts.get((j, None), 0) + p
+        else:
+            parts.update(((j, r), p) for j, p in
+                         enumerate(_product_rule(vals, list(map(np.linalg.norm, sums)))))
     return total, [(j, weights[j] * p, None if stacks is None else stacks[j])
-                   for (j, _), p in partial.items()]
+                   for (j, _), p in parts.items()]
+
+
+def _product_rule(vals, sums):
+    """Each axis's part of ``prod_j sums[j]``, where ``sums[j]`` sums
+    ``vals[j]`` along its last axis: its values times the other sums."""
+    return [math.prod(sums[:j] + sums[j + 1:]) * v for j, v in enumerate(vals)]
 
 
 def _separable(terms):
@@ -506,26 +501,25 @@ def _product(*fns):
     return lambda pts: math.prod(f(pts) for f in fns)
 
 
-def _estimated(fns, cq, stacks, estimate):
-    """The :func:`_contract` sums of ``fns`` over ``cq`` and their estimates
-    (``inf`` without ``estimate`` or without ``cq.panel_points``)."""
+def _estimated(fns, cq, stacks):
+    """The :func:`_contract` sums of ``fns`` over ``cq`` and their estimates;
+    node arrays without segments have no panel layout and no estimate."""
     nodes, weights = [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes]
-    n = getattr(cq, "panel_points", None) if estimate else None
-    if n is None:
-        return [_contract(f, nodes, weights, stacks) for f in fns], np.full(len(fns), np.inf)
-    values, parts = zip(*[_contract(f, nodes, weights, stacks, n) for f in fns])
-    return values, _parts_error(parts, n)
+    values, parts = zip(*[_contract(f, nodes, weights, stacks) for f in fns])
+    if not all(ax.segments for ax in cq.axes):
+        return values, np.full(len(fns), np.inf)
+    return values, _parts_error(parts, cq.panel_points)
 
 
-def tensor_sum(f, cq, estimate=False):
-    """Single tensor-product quadrature pass over ``cq``.
+def tensor_sum(f, cq):
+    """Single tensor-product quadrature pass over ``cq``: ``(value, error
+    estimate)``.
 
     ``f`` maps C^k to a scalar or a fixed-size matrix; it is called with
-    (M, k) arrays of points and returns (M,) or (M, d, d).  With
-    ``estimate`` the result is ``(value, error estimate)``.
+    (M, k) arrays of points and returns (M,) or (M, d, d).
     """
-    (value,), (error,) = _estimated([f], cq, None, estimate)
-    return (value, error) if estimate else value
+    (value,), (error,) = _estimated([f], cq, None)
+    return value, error
 
 
 def refine(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
@@ -574,13 +568,14 @@ def adaptive_contour(value_of, cq, tol, max_rounds=8):
 
 def integrate(f, cq, tol=1e-8, max_rounds=8):
     """Adaptive tensor-product contour integral of ``f`` over ``cq``."""
-    return adaptive_contour(lambda c: tensor_sum(f, c, estimate=True), cq, tol, max_rounds)
+    return adaptive_contour(lambda c: tensor_sum(f, c), cq, tol, max_rounds)
 
 
-def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None, estimate=False):
+def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None):
     """Tensor contour sums of ``f(zeta) * prod_j (lam_j A_j + m_j I)^{-1}`` for
-    every ``f`` in ``scalar_fns``, where ``m_j = zeta_j - node_offsets[j]``;
-    shape (len(scalar_fns), d, d); with ``estimate``, and their estimates.
+    every ``f`` in ``scalar_fns``, where ``m_j = zeta_j - node_offsets[j]``,
+    and their error estimates: a (len(scalar_fns), d, d) stack and a
+    (len(scalar_fns),) vector.
 
     This is the hot kernel of the calculus: per-axis resolvent stacks are
     solved once in batch and every integrand is contracted against them
@@ -596,8 +591,8 @@ def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None, es
                                  cq.axes[j].nodes - offs[j])
         for j in range(k)
     ]
-    values, estimates = _estimated(scalar_fns, cq, stacks, estimate)
-    return (np.stack(values), estimates) if estimate else np.stack(values)
+    values, estimates = _estimated(scalar_fns, cq, stacks)
+    return np.stack(values), estimates
 
 
 def richardson(values, ratio=2.0):
