@@ -297,20 +297,20 @@ def _panel_error(wf, n, stack=None):
     if stack is None:  # one product for all panels
         x = wf.reshape(-1, n, math.prod(wf.shape[1:])).view(float)  # (panels, n, entries)
         a = (x.swapaxes(1, 2).reshape(-1, n) @ _null_rows(n).T).reshape(len(x), -1, _NULL_ORDERS)
-        a, size = a.swapaxes(1, 2), np.einsum("pie,pie->p", x, x)
+        top, size = np.einsum("pek,pek->pk", a, a), np.einsum("pie,pie->p", x, x)
     else:  # one product per panel for all members
         s = stack.reshape(-1, n, stack[0].size)  # (panels, n, entries)
         rows = (_null_rows(n) * wf.reshape(len(wf), -1, 1, n)).swapaxes(0, 1)
         a = (rows.reshape(len(s), -1, n) @ s).reshape(len(s), len(wf), _NULL_ORDERS, -1)
         a = a.swapaxes(0, 1).reshape(-1, _NULL_ORDERS, s.shape[2]).view(float)
+        top = np.einsum("pke,pke->pk", a, a)
         size = np.einsum("mpi,pi->mp", np.abs(wf.reshape(len(wf), -1, n)) ** 2,
                          np.einsum("pie,pie->pi", s.view(float), s.view(float)))
-    a = a.reshape(len(a), _NULL_ORDERS, -1)  # (panels, orders, entries)
-    top = np.einsum("pke,pke->pk", a, a).reshape(len(a), -1, 2).sum(-1)  # degree pairs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (top[:, 1:] / top[:, :-1]).max(axis=-1) ** 0.25  # nan: no decay seen
+    pairs = top[:, 0::2] + top[:, 1::2]  # squared norms over consecutive degrees
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan: no decay seen
+        rho = functools.reduce(np.maximum, (pairs[:, 1:] / pairs[:, :-1]).T) ** 0.25
         gain = np.where(rho < _STALL_RATIO, 2.0 * rho ** (n + 1) / (1.0 - rho), 1.0)
-    return np.maximum(np.sqrt(top[:, -1]) * gain, _ROUNDOFF * np.sqrt(n * size.ravel()))
+    return np.maximum(np.sqrt(pairs[:, -1]) * gain, _ROUNDOFF * np.sqrt(n * size.ravel()))
 
 
 def _parts_error(members, n):
