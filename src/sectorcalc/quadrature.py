@@ -400,10 +400,10 @@ def _contract(f, nodes, weights, stacks=None):
                 raise QuadratureError("resolvent contour needs a scalar integrand factor")
             coeffs = (vals.reshape(n_last, m) * weights[-1][:, None]).T
             block = _kernels.reduce_weighted(coeffs, stacks[-1])
-            # the leading stacks of each row, in axis order, before the last axis's
-            chain = functools.reduce(np.matmul, [stacks[j][i] for j, i in enumerate(idx)]) \
-                if idx else np.eye(len(block[0]))[None]
-            block = chain @ block if idx else block
+            chain = np.eye(len(block[0]))[None]  # each row's leading stacks, in axis order
+            if idx:
+                chain = functools.reduce(np.matmul, [stacks[j][i] for j, i in enumerate(idx)])
+                block = chain @ block
             last = (vals.reshape(n_last, m) * lead_w) @ chain.reshape(m, -1)
         total = total + _kernels.reduce_weighted(lead_w, block)
         row_sums = lead_w[:, None] * block.reshape(m, -1)
