@@ -23,9 +23,10 @@ import numpy as np
 
 from ._kernels import resolvent_stack
 from .geometry import AdmissibleRegion, GeometryError, _unit, make_region
-from .quadrature import (ContourQuadrature, _axis_shift, _call_factor, _contract, _panel_error,
-                         _parts_error, _product, _product_rule, _separable, _shift_tuple,
-                         adaptive_contour, integrate, resolvent_contour_value, tail_radius)
+from .quadrature import (ContourQuadrature, QuadratureError, _axis_shift, _call_factor,
+                         _contract, _panel_error, _parts_error, _product, _product_rule,
+                         _separable, adaptive_contour, integrate, resolvent_contour_value,
+                         tail_radius)
 from .semigroups import (GrowthProfile, _validate_lambda, opnorm)
 from .semigroups import IN_N0, n_set_classify
 
@@ -449,8 +450,13 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
     against ``|weights|``: a rank-one ``F`` evaluates each axis factor once
     on all translated nodes, any other takes the dense contraction per
     member.  Each member is accepted in its own round."""
-    shifts = np.array([_shift_tuple(region, eps) for eps in eps_grid],
-                      dtype=complex).reshape(-1, region.k)
+    try:
+        shifts = np.asarray(eps_grid, dtype=complex)
+    except ValueError as err:  # shifts of unequal lengths
+        raise QuadratureError("eps must have one entry per axis") from err
+    if shifts.ndim > 2 or shifts.size != len(shifts) * region.k:
+        raise QuadratureError("eps must have one entry per axis")
+    shifts = shifts.reshape(-1, region.k)
     for j in range(region.k):
         _axis_shift(region, j, shifts[:, j])
 
@@ -497,13 +503,11 @@ def default_eps_grid(region, directions=8, moduli=None):
     """Dual-cone shift grid: per-axis directions swept uniformly inside the
     open dual sector, scaled by the given moduli."""
     moduli = 2.0 ** np.arange(-3, 3) if moduli is None else np.asarray(moduli, float)
-    grid = []
-    for i in range(directions):
-        frac = (i + 1.0) / (directions + 1.0)
-        eps_dir = np.asarray([_unit(lo + frac * (hi - lo)) for lo, hi in (
-            (-np.pi / 2 - ax.alpha, np.pi / 2 - ax.beta) for ax in region.axes)])
-        grid.extend(m * eps_dir for m in moduli)
-    return grid
+    lo = np.array([-np.pi / 2 - ax.alpha for ax in region.axes])
+    hi = np.array([np.pi / 2 - ax.beta for ax in region.axes])
+    angles = lo + ((np.arange(directions) + 1.0) / (directions + 1.0))[:, None] * (hi - lo)
+    dirs = np.cos(angles) + 1j * np.sin(angles)
+    return list((moduli[:, None] * dirs[:, None, :]).reshape(-1, region.k))
 
 
 def h1_norm(F, region, eps_grid=None, tol=1e-7):

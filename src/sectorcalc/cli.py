@@ -344,7 +344,7 @@ def scenario_special_cases(seed, tol=1e-6):
     fexp = exponential_function(1, nu)
     _timed(rows, "special-cases", "exponential reproduces the semigroup",
            lambda: functional_calculus_hinf(fexp, tup, [1.0], u, tol=1e-9),
-           expm(nu * 1.0 * tup.matrices[0]), tol)
+           expm(tup.matrices[0], nu * 1.0), tol)
     fproj = projection_function(tup, [1.0], u, 0)
     _timed(rows, "special-cases", "projection reproduces the scaled generator",
            lambda: functional_calculus_smirnov(fproj, tup, [1.0], u, tol=1e-9),

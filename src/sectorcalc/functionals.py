@@ -29,7 +29,7 @@ from .quadrature import (ContourQuadrature, QuadratureError, _contract, _cut_tai
                          _graded_breaks, _panel_nodes, _parts_error, _product, _separable,
                          adaptive_contour, initial_radius, integrate, ray_integral, refine,
                          resolvent_contour_value, richardson)
-from .semigroups import GrowthProfile, evaluate, expm, orbit_integrals
+from .semigroups import GrowthProfile, check_in_domain, expm, orbit_integrals
 
 MAX_DEGREE = 4
 
@@ -252,16 +252,20 @@ class Functional:
         dim = tup.dim
         ident = np.eye(dim, dtype=complex)
         args = [-lam[j] * tup.matrices[j] + eps[j] * ident for j in range(self.k)]
+        # Exp(-shift_j * args_j) of every atom, then every density offset: one call
+        shifts = np.array([eta for eta, _ in self.atoms] + [d.offset for d in self.densities],
+                          dtype=complex).reshape(-1, self.k)
+        exps = expm(np.stack(args), -shifts)
         out = np.zeros((dim, dim), dtype=complex)
-        for eta, w in self.atoms:
+        for (_, w), axis_exps in zip(self.atoms, exps):
             term = w * ident
-            for j in range(self.k):
-                term = term @ expm(-eta[j] * args[j])
+            for e in axis_exps:
+                term = term @ e
             out = out + term
-        for d in self.densities:
+        for d, axis_exps in zip(self.densities, exps[len(self.atoms):]):
             term = d.weight * ident
-            for j, ax in enumerate(d.axes):
-                term = term @ expm(-d.offset[j] * args[j]) @ ax.fb_factor_matrix(args[j])
+            for e, arg, ax in zip(axis_exps, args, d.axes):
+                term = term @ e @ ax.fb_factor_matrix(arg)
             out = out + term
         return out
 
@@ -860,27 +864,30 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
 
     if route == "measure":
         anchor_for(tup, lam, sectors, phi, strict=False)  # existence gate
-        dim = tup.dim
+        k, dim = tup.k, tup.dim
+        # atom points lam_j eta_j, then density offsets lam_j offset_j: one
+        # membership call per axis, one expm call for all of them
+        pts = lam * np.array([eta for eta, _ in phi.atoms] + [d.offset for d in phi.densities],
+                             dtype=complex).reshape(-1, k)
+        for j in range(k):
+            check_in_domain(tup, j, pts[:, j])
+        factors = expm(np.stack(tup.matrices), pts)
+        if phi.densities:
+            # one ray integral for every density on every axis; a density's
+            # factor on axis j is its offset's value times that integral
+            axes = [(j, ax) for d in phi.densities for j, ax in enumerate(d.axes)]
+            orbit = orbit_integrals(
+                tup, [j for j, _ in axes], [lam[j] * _unit(ax.omega) for j, ax in axes],
+                [lambda ts, ax=ax: ax.poly(ts) * np.exp(-ax.s * ts) for _, ax in axes],
+                min(ax.s.real - growth.abscissa(j, ax.omega, lam[j]) for j, ax in axes), tol)
+            n_atoms = len(phi.atoms)
+            factors[n_atoms:] = factors[n_atoms:] @ orbit.reshape(-1, k, dim, dim)
         total = np.zeros((dim, dim), dtype=complex)
-        for eta, w in phi.atoms:
+        weights = [w for _, w in phi.atoms] + [d.weight for d in phi.densities]
+        for w, axis_factors in zip(weights, factors):
             term = w * np.eye(dim, dtype=complex)
-            for j in range(tup.k):
-                term = term @ evaluate(tup, j, lam[j] * eta[j])
-            total += term
-        if not phi.densities:
-            return total
-        # per axis, one batch of orbit integrals: one per density
-        orbit = []
-        for j in range(tup.k):
-            axes = [d.axes[j] for d in phi.densities]
-            orbit.append(orbit_integrals(
-                tup, j, [lam[j] * _unit(ax.omega) for ax in axes],
-                [lambda ts, ax=ax: ax.poly(ts) * np.exp(-ax.s * ts) for ax in axes],
-                min(ax.s.real - growth.abscissa(j, ax.omega, lam[j]) for ax in axes), tol))
-        for i, d in enumerate(phi.densities):
-            term = d.weight * np.eye(dim, dtype=complex)
-            for j in range(tup.k):
-                term = term @ evaluate(tup, j, lam[j] * d.offset[j]) @ orbit[j][i]
+            for f in axis_factors:
+                term = term @ f
             total += term
         return total
 

@@ -3,16 +3,19 @@
 A :class:`CommutingTuple` holds pairwise-commuting square complex
 matrices ``A_1 .. A_k`` together with per-axis sector domains
 ``(a_j, b_j)``; the j-th semigroup is ``zeta -> Exp(zeta*A_j)`` on the
-closed sector, with value I at zeta = 0.  The matrix exponential uses
-scaling and squaring with the 13th-order diagonal rational approximant,
-on whole stacks at once; eigendecompositions appear only in growth-rate
-bookkeeping and test oracles, never inside the exponential.
+closed sector, with value I at zeta = 0.  Every orbit value the package
+needs is a scalar multiple of one generator, so the one exponential,
+:func:`expm`, takes the generator and its scalars, ``Exp(z*A)``: scaling
+and squaring with the 13th-order diagonal rational approximant, from one
+table of powers per matrix and one coefficient row per scalar.
+Eigendecompositions appear only in growth-rate bookkeeping and test
+oracles, never inside the exponential.
 
 Every weighted orbit integral ``int_0^inf w(t) Exp(t*u*A_j) dt`` (Laplace
 resolvents, generator recovery, and in :mod:`.functionals` the
 measure-route pairings and orbit transforms) goes through
 :func:`orbit_integrals`: one decay check, one ray integral for a whole
-batch of weights, one ``expm`` call per refinement round.
+batch of weights on any axes, one ``expm`` call per refinement round.
 
 Tuples are immutable after validation and all operations are pure.
 """
@@ -31,6 +34,10 @@ _PADE13_B = np.array([
     33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.,
 ])
 _THETA13 = 5.371920351148152
+# b_k / b_0, highest power first, so that the Pade sums add their
+# smallest terms first; row 0 (odd terms negated) gives V - U, row 1 V + U
+_POWERS = np.arange(13, -1, -1)
+_PADE13_PQ = np.array([(-1.0) ** _POWERS, np.ones(14)]) * (_PADE13_B[_POWERS] / _PADE13_B[0])
 
 
 class CommutationError(ValueError):
@@ -60,37 +67,65 @@ def opnorm(a):
     return float(np.linalg.norm(np.asarray(a), 2))
 
 
-def expm(a):
-    """Matrix exponential by scaling and squaring, 13th-order diagonal Pade.
+def expm(a, z=1.0):
+    """``Exp(z * a)`` by scaling and squaring with the 13th-order diagonal
+    Pade approximant.
 
-    ``a`` is one (d, d) matrix or a (..., d, d) stack.  Each matrix gets
-    its own squaring count from its 1-norm; the Pade step and the solve
-    run once over the whole stack, and squaring step ``i`` applies to the
-    matrices whose count exceeds ``i``."""
+    ``a`` is one (d, d) matrix, with scalars ``z`` of any shape, or an
+    (M, d, d) stack, with ``z`` of shape (..., M) pairing its last axis
+    with the stack (the default gives ``Exp(a[m])``); the result has shape
+    ``z.shape + (d, d)``.  Each matrix's powers are built once; each
+    scalar is one row of Pade coefficients against them, and one product
+    and one batched solve serve every scalar.  The squaring count of a
+    scalar comes from ``|z| |a|_1``.  No bit of a result depends on the
+    other scalars of the call."""
     a = np.asarray(a, dtype=complex)
-    shape = a.shape
-    a = a.reshape((-1,) + shape[-2:])
-    norm1 = np.linalg.norm(a, 1, axis=(-2, -1))
-    squarings = np.ceil(np.log2(np.fmax(norm1, _THETA13) / _THETA13))
-    counts = [int(s) for s in squarings]  # an infinite norm raises here
-    a = a / (2.0 ** squarings)[:, None, None]
-    b = _PADE13_B
-    ident = np.eye(a.shape[-1], dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    f = np.linalg.solve(-u + v, u + v)
-    lo, hi = min(counts, default=0), max(counts, default=0)
-    for _ in range(lo):
+    z = np.asarray(z, dtype=complex)
+    if a.ndim == 3:
+        z = np.broadcast_to(z, np.broadcast_shapes(z.shape, a.shape[:1]))
+    elif a.ndim != 2:
+        raise ValueError(f"expm takes a (d, d) matrix or an (M, d, d) stack, not {a.shape}")
+    d, shape = a.shape[-1], z.shape
+    mats = a.reshape(-1, d, d)
+    m = len(mats)
+    n = z.size // max(m, 1)
+    z = z.reshape(n, m).T  # (M, N): the scalars of each matrix
+    norm1 = np.abs(mats).sum(axis=1).max(axis=1)
+    if not (np.isfinite(norm1).all() and np.isfinite(z).all()):
+        raise ValueError("expm needs a finite matrix and finite scalars")
+    squarings = np.ceil(np.log2(np.maximum(np.abs(z) * norm1[:, None], _THETA13) / _THETA13))
+    top = squarings.max(initial=0.0)
+    # the powers of a / 2^e, 2^e the power of two at or above |a|_1 (an
+    # exact scaling), laid out (M, d, 14, d) in _POWERS order: each step
+    # multiplies the highest power so far into the leading ones
+    e = np.frexp(norm1)[1]
+    tab = np.empty((m, d, 14, d), dtype=complex)
+    tab[:, :, 13] = np.eye(d)
+    np.multiply(mats, (2.0 ** -e)[:, None, None], out=tab[:, :, 12])
+    for p, width in ((1, 1), (2, 2), (4, 4), (8, 5)):
+        tab[:, :, 13 - p - width:13 - p] = (
+            tab[:, :, 13 - p] @ tab[:, :, 13 - width:13].reshape(m, d, width * d)
+        ).reshape(m, d, width, d)
+    tab = tab.transpose(0, 2, 1, 3).reshape(m, 14, d * d)
+    c = z * 2.0 ** (e[:, None] - squarings)
+    # both rows of every scalar in one product: a one-row product would
+    # take another BLAS kernel, and a scalar's bits would depend on the batch
+    rows = c[:, :, None, None] ** _POWERS * _PADE13_PQ  # (M, N, 2, 14)
+    pq = (rows.reshape(m, 2 * n, 14) @ tab).reshape(m * n, 2, d, d)
+    f = np.linalg.solve(pq[:, 0], pq[:, 1])
+    # the squarings every scalar takes run on the whole stack, the rest on
+    # the shrinking suffix of the scalars sorted by count
+    low = squarings.min(initial=top)
+    for _ in range(int(low)):
         f = f @ f
-    for i in range(lo, hi):
-        todo = squarings > i
-        f[todo] = f[todo] @ f[todo]
-    return f.reshape(shape)
+    if top > low:
+        squarings = squarings.ravel()
+        order = np.argsort(squarings, kind="stable")
+        f = f[order]
+        for lo in np.searchsorted(squarings, np.arange(low, top), side="right", sorter=order):
+            f[lo:] = f[lo:] @ f[lo:]
+        f[order] = f.copy()
+    return f.reshape(m, n, d, d).swapaxes(0, 1).reshape(shape + (d, d))
 
 
 @dataclass(frozen=True)
@@ -175,16 +210,21 @@ class GrowthProfile:
 
 
 def evaluate(tup, j, zeta):
-    """Semigroup value ``Exp(zeta*A_j)``; ``zeta`` must be in the closed
-    sector domain of axis j (0 gives the identity)."""
-    zeta = complex(zeta)
+    """Semigroup values ``Exp(zeta*A_j)`` of one ``zeta`` or an array; each
+    must be in the closed sector domain of axis j (0 gives the identity)."""
+    check_in_domain(tup, j, zeta)
+    return expm(tup.matrices[j], zeta)
+
+
+def check_in_domain(tup, j, zeta):
+    """Raise :class:`SectorDomainError` naming the first of the points
+    ``zeta`` (one or an array) outside the closed sector domain of axis j."""
     sec = tup.sectors.sectors[j]
-    if zeta != 0 and not sec.contains(zeta, closed=True):
+    outside = ~sec.contains(zeta, closed=True)
+    if outside.any():
+        bad = complex(np.asarray(zeta, dtype=complex)[outside][0])
         raise SectorDomainError(
-            f"zeta={zeta} outside the closed sector ({sec.alpha}, {sec.beta}) of axis {j}")
-    if zeta == 0:
-        return np.eye(tup.dim, dtype=complex)
-    return expm(zeta * tup.matrices[j])
+            f"zeta={bad} outside the closed sector ({sec.alpha}, {sec.beta}) of axis {j}")
 
 
 def resolvent_product(tup, lam, zeta):
@@ -207,25 +247,32 @@ def resolvent_product(tup, lam, zeta):
 
 
 def orbit_integrals(tup, j, directions, weights, rate, tol=1e-10):
-    """Weighted orbit integrals ``int_0^inf weights[i](t) Exp(t*directions[i]*A_j) dt``,
+    """Weighted orbit integrals ``int_0^inf weights[i](t) Exp(t*directions[i]*A_{j[i]}) dt``,
     returned as an (n, d, d) stack.
 
+    ``j`` names the axis of every member, or one axis per member.
     ``rate`` is the caller's decay margin: how much faster the slowest
-    weight decays than the slowest orbit grows.  All n integrals share one
-    ray integral, whose integrand exponentiates each distinct direction
-    once per round in one :func:`expm` call.
+    weight decays than the slowest orbit grows, least over all members.
+    All n integrals share one ray integral, whose integrand exponentiates
+    each distinct (axis, direction) pair once per round in one
+    :func:`expm` call.
     """
     if rate <= 1e-9:
+        axes = ", ".join(map(str, sorted(set(np.atleast_1d(j).tolist()))))
         raise DivergenceError(
-            f"axis {j}: orbit integral diverges (decay margin {rate:.6g} is not positive)")
+            f"axis {axes}: orbit integral diverges (decay margin {rate:.6g} is not positive)")
     if len(directions) != len(weights):
         raise ValueError("need one direction per weight")
-    uniq, which = np.unique(np.asarray(directions, dtype=complex), return_inverse=True)
-    a = tup.matrices[j]
+    pairs = list(zip(np.broadcast_to(j, (len(weights),)).tolist(),
+                     np.asarray(directions, dtype=complex).tolist()))
+    keys = list(dict.fromkeys(pairs))
+    which = [keys.index(p) for p in pairs]
+    mats = np.stack([tup.matrices[axis] for axis, _ in keys])
+    dirs = np.array([u for _, u in keys])
     n, d = len(weights), tup.dim
 
     def f(ts):
-        orbits = expm((ts[:, None] * uniq)[:, :, None, None] * a)[:, which]
+        orbits = expm(mats, ts[:, None] * dirs)[:, which]
         w = np.stack([weight(ts) for weight in weights], axis=1)
         return (w[:, :, None, None] * orbits).reshape(len(ts), n * d, d)
 
@@ -279,7 +326,7 @@ def generator_from_difference_quotient(tup, j, u, ts=None):
     if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise ValueError("t-sequence must be positive decreasing")
     a = tup.matrices[j]
-    quotients = list((expm(ts[:, None, None] * a) @ u - u) / ts[:, None])
+    quotients = list((expm(a, ts) @ u - u) / ts[:, None])
     ratio = ts[0] / ts[1]
     limit, residual = richardson(quotients, ratio=ratio)
     return np.asarray(limit), residual
@@ -295,7 +342,7 @@ def generator_holomorphic(tup, j, zeta0):
     if not sec.contains(zeta0, closed=False):
         raise SectorDomainError(f"zeta0={zeta0} is not strictly inside the sector")
     a = tup.matrices[j]
-    e = expm(zeta0 * a)
+    e = expm(a, zeta0)
     return np.linalg.solve(e.T, (a @ e).T).T
 
 

@@ -688,6 +688,24 @@ class TestAbsIntegralBatch:
         assert abs(ca.h1_norm(F, u, grid, tol) - refs.max()) <= 2 * tol
         assert abs(ca.boundary_abs_integral(F, u, grid[-1], tol) - refs[-1]) <= 2 * tol
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["halfplane", "cone", "cone_minus_disk"])
+    def test_default_grid_is_bit_equal_to_its_loop(self, kind, k):
+        # the grid swept one direction and one axis at a time, angle by
+        # angle through Python complex(cos, sin)
+        u = _hardy_region(kind, k)
+        for directions, moduli in ((8, 2.0 ** np.arange(-3, 3)), (3, [0.25, 16.0])):
+            ref = []
+            for i in range(directions):
+                frac = (i + 1.0) / (directions + 1.0)
+                angles = [lo + frac * (hi - lo) for lo, hi in (
+                    (-PI / 2 - ax.alpha, PI / 2 - ax.beta) for ax in u.axes)]
+                eps_dir = np.array([complex(np.cos(t), np.sin(t)) for t in angles])
+                ref.extend(m * eps_dir for m in moduli)
+            grid = ca.default_eps_grid(u, directions, moduli)
+            assert isinstance(grid, list) and len(grid) == len(ref)
+            assert np.array_equal(np.array(grid).view(float), np.array(ref).view(float))
+
     def test_joint_acceptance_waits_for_the_slowest_member(self):
         # the pole at -0.1 sits 0.1 from the unshifted line: that member
         # needs rounds the far shift does not

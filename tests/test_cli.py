@@ -38,19 +38,32 @@ class TestRun:
         run_cli(["run", "--scenario", "fb-cauchy", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("scenario", ["hardy", "calculus-k2"])
-    def test_report_does_not_depend_on_the_blas_thread_count(self, scenario):
-        # the geometry-heavy scenarios; some rows of `all` still differ
-        # between thread counts
+    # rows whose last digits follow the BLAS thread count: two error figures
+    # (maxima of defects near 1e-12) and the shift gap's 512x512 eigvalsh
+    THREAD_DEPENDENT_ROWS = ("convolution,pairing-multiplicativity max over 100 pairs,",
+                             "spectral-mapping,random tuple 0,",
+                             'gaps,"shift gap min over t in [0.01, 0.2] at n=512",')
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self):
         src = str(Path(cli.__file__).resolve().parents[1])
+        # both thread counts run side by side; the report holds no timings
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "sectorcalc.cli", "run", "--scenario", "all", "--seed", "0"],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) for threads in ("1", "2")]
+        try:
+            outs = [proc.communicate(timeout=300)[0] for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
         reports = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-m", "sectorcalc.cli", "run", "--scenario", scenario,
-                 "--seed", "0"], env=env, capture_output=True, timeout=300, check=True)
-            reports.append(proc.stdout)
-        assert reports[0] and reports[0] == reports[1]
+        for proc, out in zip(procs, outs):
+            assert proc.returncode == 0
+            lines = out.decode().splitlines()
+            kept = [line for line in lines if not line.startswith(self.THREAD_DEPENDENT_ROWS)]
+            assert len(kept) == len(lines) - len(self.THREAD_DEPENDENT_ROWS)
+            reports.append(kept)
+        assert len(reports[0]) > 100 and reports[0] == reports[1]
 
     def test_timings_flag_breaks_byte_identity_but_adds_column(self, tmp_path):
         out = tmp_path / "t.csv"

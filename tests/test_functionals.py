@@ -545,6 +545,50 @@ class TestPairSemigroup:
             fn.pair_semigroup(tup, [1.0], phi, "measure")
 
 
+class TestMeasureRouteCalls:
+    # counts without the refinement audit, whose extra round would add one
+    # expm call
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_measure_route_makes_one_ray_and_two_expm_calls(self, rng, monkeypatch, k):
+        # every atom point and density offset in one expm call, every
+        # axis's densities in one ray integral (one more call per round)
+        tup = sg.random_commuting_tuple(rng, k, 3, sector=DOM)
+        phi = _mixed(rng, ProductSector([SECT] * k))
+        expm_calls, rays = [], []
+        real_expm, real_ray = sg.expm, sg.ray_integral
+
+        def spy_expm(a, z=1.0):
+            expm_calls.append(np.shape(z))
+            return real_expm(a, z)
+
+        def spy_ray(*args, **kwargs):
+            rays.append(real_ray(*args, **kwargs))
+            return rays[-1]
+
+        monkeypatch.setattr(sg, "expm", spy_expm)
+        monkeypatch.setattr(fn, "expm", spy_expm)
+        monkeypatch.setattr(sg, "ray_integral", spy_ray)
+        got = fn.pair_semigroup(tup, [1.0] * k, phi, "measure", tol=1e-9)
+        assert len(rays) == 1 and rays[0].rounds == 1
+        assert len(expm_calls) == 2 and expm_calls[0] == (3, k)  # two atoms, one offset
+        from sectorcalc.calculus import joint_eigensystem
+
+        mus, v, _ = joint_eigensystem(tup)
+        for i in range(3):
+            expect = phi.fb(np.array([-mu[i] for mu in mus]))
+            assert np.linalg.norm(got @ v[:, i] - expect * v[:, i]) \
+                <= 1e-8 * np.linalg.norm(v[:, i])
+
+    def test_atom_outside_the_closed_domain_raises(self, ps1):
+        # the atom on the sector's edge and arg(lam) inside the window's
+        # 1e-9 slack put lam * eta just past the domain's edge
+        tup = sg.CommutingTuple([np.array([[-1.0]])], [DOM])
+        phi = fn.dirac(ps1, [np.exp(1j * SECT[1])])
+        lam = np.exp(1j * (DOM[1] - SECT[1] + 5e-10))
+        with pytest.raises(sg.SectorDomainError, match="axis 0"):
+            fn.pair_semigroup(tup, [lam], phi, "measure")
+
+
 class TestOrbitTransform:
     def test_scalar_value(self):
         tup = sg.CommutingTuple([np.array([[-1.0]])], [SECT])

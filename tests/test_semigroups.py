@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorcalc import semigroups as sg
 from sectorcalc.geometry import ProductSector
@@ -59,6 +61,43 @@ class TestExpm:
     def test_single_matrix_shape(self):
         assert sg.expm(np.zeros((4, 4))).shape == (4, 4)
         assert sg.expm(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+    def test_zero_scalar_and_zero_matrix_give_the_identity(self, rng):
+        a = sg.random_sectorial_matrix(rng, 3)
+        assert np.array_equal(sg.expm(a, 0.0), np.eye(3))
+        assert np.array_equal(sg.expm(np.zeros((3, 3)), [2.0, 1j]), [np.eye(3)] * 2)
+        assert np.array_equal(sg.expm(np.stack([a, a]), [[0.0, 1.0]])[0, 0], np.eye(3))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(0, 6),
+           sizes=st.lists(st.sampled_from([0.0]) | st.floats(0.0, 200.0), min_size=1,
+                          max_size=6),
+           angle=st.floats(-1.5, 1.5))
+    def test_scalar_multiples_match_scipy(self, seed, dim, sizes, angle):
+        import scipy.linalg
+
+        # dim 0 stands for the nilpotent Jordan block N, Exp(zN) = I + zN
+        a = np.array([[0.0, 1.0], [0.0, 0.0]]) if dim == 0 else \
+            sg.random_sectorial_matrix(np.random.default_rng(seed), dim)
+        norm1 = np.linalg.norm(a, 1)
+        zs = np.array(sizes) / norm1 * np.exp(1j * angle)
+        stack = sg.expm(a, zs)
+        assert stack.shape == zs.shape + a.shape
+        for size, z, e in zip(sizes, zs, stack):
+            assert np.array_equal(e, sg.expm(a, z))  # no bit depends on the batch
+            ref = np.eye(2) + z * a if dim == 0 else scipy.linalg.expm(z * a)
+            bound = 1e-10 if size <= sg._THETA13 else 1e-8
+            assert sg.opnorm(e - ref) <= bound * max(sg.opnorm(ref), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_non_finite_input_raises(self, bad):
+        a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            sg.expm(a, [0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            sg.expm(np.where(np.eye(2) > 0, bad, a))
+        with pytest.raises(ValueError, match="finite"):
+            sg.expm(np.where(np.eye(2) > 0, bad, a), 0.0)
 
 
 class TestCommutingTuple:
@@ -156,7 +195,7 @@ class TestResolvents:
     def test_laplace_resolvent_takes_one_round(self, rng, monkeypatch):
         # the first round's estimate meets the tolerance: one expm call
         calls, expm = [], sg.expm
-        monkeypatch.setattr(sg, "expm", lambda a: calls.append(1) or expm(a))
+        monkeypatch.setattr(sg, "expm", lambda a, z: calls.append(1) or expm(a, z))
         a = sg.random_sectorial_matrix(rng, 3)
         got = sg.resolvent_via_laplace(sg.CommutingTuple([a], [DOM]), 0, 1.5, tol=1e-9)
         assert len(calls) == 1
@@ -204,14 +243,15 @@ class TestOrbitIntegrals:
         shapes = []
         real_expm = sg.expm
 
-        def spy(a):
-            shapes.append(np.shape(a))
-            return real_expm(a)
+        def spy(a, z):
+            shapes.append(np.shape(z))
+            return real_expm(a, z)
 
         monkeypatch.setattr(sg, "expm", spy)
         weights = [lambda ts, s=s: np.exp(-s * ts) for s in (1.0, 2.0, 3.0)]
         sg.orbit_integrals(tup, 0, [1.0, 1j ** 0.2, 1.0], weights, 0.5, tol=1e-9)
-        assert shapes and all(len(sh) == 4 and sh[1:] == (2, 2, 2) for sh in shapes)
+        # every round's nodes times both distinct directions
+        assert shapes and all(len(sh) == 2 and sh[1] == 2 for sh in shapes)
 
     def test_one_direction_per_weight(self):
         tup = sg.CommutingTuple([np.array([[-1.0]])], [DOM])
