@@ -15,8 +15,7 @@ from .geometry import (AdmissibleRegion, AxisRegion, GeometryError,
                        ProductSector, Sector, dist_to_boundary,
                        intersect_admissible, make_region, preceq, sup_points)
 from .quadrature import (ContourQuadrature, ConvergenceError, IntegrationResult,
-                         PathSegment, QuadratureError,
-                         build_boundary_path, integrate, ray_integral, richardson)
+                         QuadratureError, integrate, ray_integral, richardson)
 from .semigroups import (CommutationError, CommutingTuple, DivergenceError,
                          GrowthProfile, SectorDomainError, SingularFactorError,
                          evaluate, expm, generator_from_difference_quotient,

@@ -250,18 +250,21 @@ def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     for F in Fs:
         _require_certificate(F)
-    for tag, reg in (("region", region), ("shifted region", shifted_region(region, eps))):
-        report = check_admissible_for(reg, tup, lam)
-        if not report.passed:
-            raise AdmissibilityError(
-                f"{tag} is not admissible for the scaled tuple: "
-                f"anchor={report.anchor_class}, spectrum_inside={report.spectrum_inside}, "
-                f"margins={report.margins} {report.detail}")
-    for F in Fs:  # reg is the shifted region, which the contour bounds
-        for j, p in enumerate(F.poles or ()):
-            if reg.axes[j].contains(np.asarray(p, dtype=complex), closed=True).any():
-                raise AdmissibilityError(f"{F.label} has a pole in the shifted region on axis {j}")
     cq = ContourQuadrature.from_region(region, eps, R=_radius_floor(region, eps, tup, lam))
+    # from_region has checked that eps is in the closed dual cone, so U + eps
+    # lies in U and Re(eps e^{i omega}) >= 0 on both edges: if the shifted
+    # region is admissible, so is the region, and one check covers both
+    shifted = shifted_region(region, eps)
+    report = check_admissible_for(shifted, tup, lam)
+    if not report.passed:
+        raise AdmissibilityError(
+            "shifted region is not admissible for the scaled tuple: "
+            f"anchor={report.anchor_class}, spectrum_inside={report.spectrum_inside}, "
+            f"margins={report.margins} {report.detail}")
+    for F in Fs:  # the contour bounds the shifted region
+        for j, p in enumerate(F.poles or ()):
+            if shifted.axes[j].contains(np.asarray(p, dtype=complex), closed=True).any():
+                raise AdmissibilityError(f"{F.label} has a pole in the shifted region on axis {j}")
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
     res = adaptive_contour(
         lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c),
@@ -468,13 +471,13 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
                   for f, ax, shift, w in zip(F.terms[0], c.axes, shifts.T, weights)]
             # row sums, not a matrix product: a member's bits never depend on E
             sums = [x.sum(axis=1, keepdims=True) for x in wf]
-            est = _panel_error(np.concatenate(_product_rule(wf, sums), axis=1).ravel(),
-                               c.panel_points)  # one row of panels per member
+            # one row of panels per member
+            est = _panel_error(np.concatenate(_product_rule(wf, sums), axis=1).ravel())
             return math.prod(sums)[:, 0], est.reshape(len(shifts), -1).sum(1)
         values, parts = zip(*[
             _contract(lambda pts: np.abs(F(pts)), [ax.nodes + e for ax, e in zip(c.axes, eps)],
                       weights) for eps in shifts])
-        return np.array(values).real, _parts_error(parts, c.panel_points)
+        return np.array(values).real, _parts_error(parts)
 
     cq = _boundary_contour(F, region, np.zeros(region.k))
     return adaptive_contour(value_of, cq, tol, max_rounds).value

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ProductSector, _unit, make_region
-from .quadrature import (ContourQuadrature, QuadratureError, _contract, _cut_tail,
-                         _graded_breaks, _panel_nodes, _parts_error, _product, _separable,
-                         adaptive_contour, initial_radius, integrate, ray_integral, refine,
+from .quadrature import (_N0, ContourQuadrature, QuadratureError, _contract, _cut_tail,
+                         _parts_error, _product, _ray_rule, _separable, adaptive_contour,
+                         initial_radius, integrate, ray_integral, refine,
                          resolvent_contour_value, richardson)
 from .semigroups import GrowthProfile, check_in_domain, expm, orbit_integrals
 
@@ -658,16 +658,15 @@ def _tensor_density_integral(fvec, d, tol, max_rounds=8):
     def value_at(n_per_unit):
         nodes, weights, rule = [], [], []
         for j, ax in enumerate(d.axes):
-            breaks = _graded_breaks(r0[j] * (n_per_unit / 8.0), 16 / n_per_unit)
-            t, wt = _panel_nodes(0.0, 1.0, breaks, 16)
+            t, wt = _ray_rule(0.0, 1.0, r0[j], n_per_unit)
             nodes.append(d.offset[j] + t * _unit(ax.omega))
             weights.append(ax.poly(t) * np.exp(-ax.s * t) * wt)
             rule.append(wt)
         value, parts = _contract(fvec, nodes, weights)
-        return value, math.prod(len(x) for x in nodes), _parts_error([parts], 16)[0] + sum(
+        return value, math.prod(len(x) for x in nodes), _parts_error([parts])[0] + sum(
             _cut_tail(g, rule[j], nodes[j], d.axes[j].s.real) for j, g, _ in parts)
 
-    return refine(value_at, 8.0, tol, max_rounds, "tensor density integral")
+    return refine(value_at, _N0, tol, max_rounds, "tensor density integral")
 
 
 def _dual_cone_contour(phi, z, extra_powers):
@@ -943,19 +942,17 @@ def fb_of_orbit(tup, lam, z, zeta, u, route="resolvent", tol=1e-10):
         for j in reversed(range(tup.k)):
             x = np.linalg.solve((z[j] - zeta[j]) * ident + lam[j] * tup.matrices[j], x)
         return (-1.0) ** tup.k * x
-    if route == "integral":
+    if route == "integral":  # one ray integral, member j on axis j at its best angle
+        best = [max(((((zeta[j] - z[j]) * _unit(w)).real - growth.abscissa(j, w, lam[j]), w)
+                     for w in np.linspace(sec.alpha, sec.beta, 7)), key=lambda p: p[0])
+                for j, sec in enumerate(tup.sectors.sectors)]
+        dirs = [_unit(w) for _, w in best]
+        orbits = orbit_integrals(
+            tup, list(range(tup.k)), [lam[j] * d for j, d in enumerate(dirs)],
+            [lambda ts, j=j, d=d: np.exp((z[j] - zeta[j]) * ts * d) for j, d in enumerate(dirs)],
+            min(rate for rate, _ in best), tol)
         x = u
         for j in reversed(range(tup.k)):
-            sec = tup.sectors.sectors[j]
-            best = None
-            for omega in np.linspace(sec.alpha, sec.beta, 7):
-                rate = ((zeta[j] - z[j]) * _unit(omega)).real \
-                    - growth.abscissa(j, omega, lam[j])
-                if best is None or rate > best[1]:
-                    best = (omega, rate)
-            omega, rate = best
-            udir = _unit(omega)
-            weight = [lambda ts: np.exp((z[j] - zeta[j]) * ts * udir)]
-            x = udir * orbit_integrals(tup, j, [lam[j] * udir], weight, rate, tol)[0] @ x
+            x = dirs[j] * orbits[j] @ x
         return x
     raise RouteError(f"unknown orbit route {route!r}")

@@ -2,10 +2,11 @@
 
 Boundary paths follow the orientation convention used throughout: each
 axis runs from ``exp(1j*(-pi/2 - alpha_j)) * inf`` through the excision
-polyline to ``exp(1j*(pi/2 - beta_j)) * inf``.  Finite pieces carry
-Gauss-Legendre panels.  A contour ray is integrated over its whole
-length: panels geometrically graded away from the vertex (ratio 1.5)
-reach the tail radius ``R``, and the tail beyond, ``t >= t_R``, is mapped
+polyline to ``exp(1j*(pi/2 - beta_j)) * inf``, as one chain of
+Gauss-Legendre panels of ``_PANEL = 16`` nodes (:func:`_axis_path`, one
+:func:`gauss_panel` call per axis).  A contour ray is integrated over its
+whole length: panels geometrically graded away from the vertex (ratio
+1.5) reach the tail radius ``R``, and the tail beyond, ``t >= t_R``, is mapped
 by ``t = t_R / u`` onto ``u in (0, 1]`` (QUADPACK's QAGI).  ``R`` follows
 one rule, :func:`tail_radius`, which the calculus raises to clear the
 scaled spectra; no radius depends on a decay certificate or a tolerance.
@@ -17,7 +18,8 @@ error panel by panel (:func:`_panel_error`); a value is accepted in the
 first round whose estimate, or whose difference from the previous round,
 is below the tolerance.  Contours (:func:`adaptive_contour`,
 :func:`integrate`), rays (:func:`ray_integral`) and tensor ray densities
-are thin callers that only say how one round is evaluated.
+are thin callers that only say how one round is evaluated; truncated rays
+share one rule, :func:`_ray_rule`.
 
 The tensor sum is one blocked mode-by-mode contraction (:func:`_contract`).
 The index combinations of the leading axes are walked in C order, in
@@ -49,13 +51,19 @@ import numpy as np
 
 from . import _kernels
 
-_GL_CACHE = {}
 TAIL_RADIUS = 16.0  # the least radius at which a contour ray's mapped tail begins
+_PANEL = 16  # Gauss-Legendre nodes per panel, in every rule
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
+_N0 = 8.0  # node density per unit length of a ray's first round
+_GRADING = 1.5  # length ratio of consecutive graded ray panels
 _TAIL_DENSITY = 8.0  # node density per panel of a mapped ray tail
 _BLOCK_POINTS = 1 << 15  # integrand points per block of the tensor contraction
 _NULL_ORDERS = 6  # top Legendre coefficients of a panel that its error estimate reads
 _STALL_RATIO = 0.8  # coefficient decay ratio from which the top coefficient is the estimate
 _ROUNDOFF = 100 * np.finfo(float).eps  # estimate floor, relative to a panel's sum of |w f|
+# rows taking a panel's weighted values to the integrand's top Legendre coefficients
+_NULL_ROWS = (np.arange(_PANEL - _NULL_ORDERS, _PANEL)[:, None] + 0.5) * \
+    np.polynomial.legendre.legvander(_GL_NODES, _PANEL - 1)[:, _PANEL - _NULL_ORDERS:].T
 
 
 class QuadratureError(RuntimeError):
@@ -75,121 +83,83 @@ class ConvergenceError(QuadratureError):
         self.estimate = estimate
 
 
-def gauss_panel(a, b, points=16):
+def gauss_panel(a, b):
     """Gauss-Legendre nodes and weights on the segment [a, b] of the real line.
 
     ``a`` and ``b`` may be (P, 1) arrays of panel ends; the result is then
-    (P, points), one row per panel."""
-    if points not in _GL_CACHE:
-        _GL_CACHE[points] = np.polynomial.legendre.leggauss(points)
-    x, w = _GL_CACHE[points]
+    (P, _PANEL), one row per panel."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return mid + half * x, half * w
+    return mid + half * _GL_NODES, half * _GL_WEIGHTS
 
 
-def _graded_breaks(length, h0, ratio=1.5):
+def _graded_breaks(length, h0):
     """Panel breakpoints on [0, length], first panel ~h0, graded outward."""
     if length <= h0:
         return np.array([0.0, length])
-    m = int(np.ceil(np.log1p(length * (ratio - 1.0) / h0) / np.log(ratio)))
-    raw = h0 * (ratio ** np.arange(m + 1) - 1.0) / (ratio - 1.0)
+    m = int(np.ceil(np.log1p(length * (_GRADING - 1.0) / h0) / np.log(_GRADING)))
+    raw = h0 * (_GRADING ** np.arange(m + 1) - 1.0) / (_GRADING - 1.0)
     return raw * (length / raw[-1])
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """One oriented piece of a discretized contour, traversed from ``start``
-    to ``end`` in the unit ``direction``.
-
-    ``weights`` carry the complex ``d sigma`` factor (traversal direction
-    times the real quadrature weight).  A ray is infinite: its far end
-    (the ``end`` of an outgoing ray, the ``start`` of an incoming one) is
-    ``complex(inf)``.
-    """
-
-    kind: str  # "segment" or "ray"
-    start: complex
-    end: complex
-    direction: complex
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @staticmethod
-    def finite(a, b, n_per_unit, panel_points):
-        length = abs(b - a)
-        direction = (b - a) / length
-        h0 = panel_points / n_per_unit
-        n_panels = max(1, int(np.ceil(length / h0)))
-        breaks = np.linspace(0.0, length, n_panels + 1)
-        nodes, weights = _panel_nodes(a, direction, breaks, panel_points)
-        return PathSegment("segment", a, b, direction, nodes, weights)
-
-    @staticmethod
-    def ray(anchor, direction, extent, n_per_unit, panel_points, outward=True):
-        """The whole ray ``anchor + t*direction``, ``t >= 0``: graded panels
-        on ``[0, extent]``, then the tail ``t = extent / u`` on equal panels
-        of ``u``, one per ``_TAIL_DENSITY`` units of node density (at least
-        one), all in one :func:`gauss_panel` call.  ``outward=False``
-        traverses it toward ``anchor`` (for incoming rays)."""
-        breaks = _graded_breaks(extent, panel_points / n_per_unit)
-        m = max(1, int(np.ceil(n_per_unit / _TAIL_DENSITY)))
-        u = np.arange(m, -1, -1) / m  # 1 down to 0, so t rises through the tail
-        t, w = gauss_panel(np.concatenate([breaks[:-1], u[:-1]])[:, None],
-                           np.concatenate([breaks[1:], u[1:]])[:, None], panel_points)
-        g = len(breaks) - 1
-        t[g:] = extent / t[g:]
-        w[g:] *= -t[g:] ** 2 / extent  # dt = -(t^2 / extent) du
-        nodes, weights = anchor + t.ravel() * direction, w.ravel() * direction
-        if outward:
-            return PathSegment("ray", anchor, complex(np.inf), direction, nodes, weights)
-        return PathSegment("ray", complex(np.inf), anchor, -direction, nodes[::-1].copy(),
-                           -weights[::-1].copy())
-
-
-def _panel_nodes(anchor, direction, breaks, panel_points):
+def _panel_nodes(anchor, direction, breaks):
     """Nodes and weights of all panels ``[breaks[i], breaks[i+1]]`` of the
     piece ``anchor + t * direction``, in one broadcast."""
-    t, w = gauss_panel(breaks[:-1, None], breaks[1:, None], panel_points)
+    t, w = gauss_panel(breaks[:-1, None], breaks[1:, None])
     return anchor + t.ravel() * direction, w.ravel() * direction
 
 
-def build_boundary_path(region, j, eps, R, n_per_unit=8.0, panel_points=16):
-    """Discretize the boundary of ``U_j + eps``, rays mapped beyond radius ``R``.
-
-    Returns the ordered list of :class:`PathSegment`, incoming ray first.
-    ``eps`` must lie in the closed dual sector of the axis; the tail
-    radius ``R`` must exceed the excision extent of the shifted boundary.
-    """
-    return _axis_path(region.axes[j], j, _axis_shift(region, j, complex(eps)), R, n_per_unit,
-                      panel_points)
+def _ray_rule(start, direction, r0, n):
+    """:func:`_panel_nodes` of the ray ``start + t*direction`` cut at
+    ``t = r0 * n / _N0``, on panels graded for node density ``n``."""
+    return _panel_nodes(start, direction, _graded_breaks(r0 * (n / _N0), _PANEL / n))
 
 
-def _axis_path(ax, j, eps, R, n_per_unit, panel_points):
-    """:func:`build_boundary_path` of axis ``ax`` (index ``j``), ``eps`` checked."""
+def _axis_path(ax, j, eps, R, n_per_unit):
+    """The boundary of axis ``ax`` (index ``j``) shifted by the checked
+    ``eps``, as one chain of panels: incoming ray, excision edges, outgoing
+    ray.  A ray ``anchor + t*direction`` has graded panels on ``[0, extent]``
+    (``extent`` where it leaves the circle of radius ``R``), then the tail
+    ``t = extent / u`` on equal panels of ``u``, one per ``_TAIL_DENSITY``
+    units of node density (at least one); an edge has equal panels.  The
+    incoming ray is traversed toward its anchor: its nodes are reversed and
+    its weights negated."""
     z = ax.z + eps
     anchors = [z + t for t in ax.theta]
     far = max(abs(a) for a in anchors)
     if R <= far * 1.05 + 1e-9:
         raise QuadratureError(
             f"tail radius {R} too small: excision of axis {j} extends to {far}")
+    h0 = _PANEL / n_per_unit
+    m = max(1, int(np.ceil(n_per_unit / _TAIL_DENSITY)))
+    u = np.arange(m, -1, -1) / m  # 1 down to 0, so t rises through the tail
 
-    def ray_extent(anchor, d):
+    def extent(anchor, d):  # where the ray anchor + t*d leaves the circle of radius R
         b = (anchor * d.conjugate()).real
-        disc = b * b + R * R - abs(anchor) ** 2
-        return -b + np.sqrt(disc)
+        return -b + np.sqrt(b * b + R * R - abs(anchor) ** 2)
 
-    segments = [
-        PathSegment.ray(anchors[0], ax.d0, ray_extent(anchors[0], ax.d0),
-                        n_per_unit, panel_points, outward=False)
-    ]
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        segments.append(PathSegment.finite(a, b, n_per_unit, panel_points))
-    segments.append(
-        PathSegment.ray(anchors[-1], ax.d1, ray_extent(anchors[-1], ax.d1),
-                        n_per_unit, panel_points)
-    )
-    return segments
+    def edge(a, b):
+        length = abs(b - a)
+        return np.linspace(0.0, length, max(1, int(np.ceil(length / h0))) + 1), a, (b - a) / length
+
+    a0, a1 = anchors[0], anchors[-1]
+    e0, e1 = extent(a0, ax.d0), extent(a1, ax.d1)
+    # (panel ends, anchor, direction) per piece: each ray's graded panels, then its tail
+    pieces = [(_graded_breaks(e0, h0), a0, ax.d0), (u, a0, ax.d0)] \
+        + [edge(a, b) for a, b in zip(anchors[:-1], anchors[1:])] \
+        + [(_graded_breaks(e1, h0), a1, ax.d1), (u, a1, ax.d1)]
+    breaks, anchor, d = zip(*pieces)
+    sizes = [len(b) - 1 for b in breaks]
+    anchor, d = (np.repeat(x, sizes)[:, None] for x in (anchor, d))
+    t, w = gauss_panel(np.concatenate([b[:-1] for b in breaks])[:, None],
+                       np.concatenate([b[1:] for b in breaks])[:, None])
+    for tail, e in ((slice(sizes[0], sizes[0] + m), e0), (slice(len(t) - m, None), e1)):
+        t[tail] = e / t[tail]
+        w[tail] *= -t[tail] ** 2 / e  # dt = -(t^2 / e) du
+    nodes, weights = (anchor + t * d).ravel(), (w * d).ravel()
+    g = _PANEL * (sizes[0] + sizes[1])  # the incoming ray's nodes
+    return AxisPath(np.concatenate([nodes[g - 1::-1], nodes[g:]]),
+                    np.concatenate([-weights[g - 1::-1], weights[g:]]), True)
 
 
 def _shift_tuple(region, eps):
@@ -220,9 +190,12 @@ def tail_radius(region, eps):
 
 @dataclass(frozen=True)
 class AxisPath:
+    """One axis of a contour; ``panels`` says its nodes come in panels of
+    ``_PANEL``, which the error estimate reads."""
+
     nodes: np.ndarray
     weights: np.ndarray
-    segments: tuple
+    panels: bool
 
 
 @dataclass(frozen=True)
@@ -235,15 +208,14 @@ class ContourQuadrature:
     eps: tuple
     R: float
     n_per_unit: float
-    panel_points: int = 16
 
     @staticmethod
-    def from_region(region, eps, R=None, n_per_unit=8.0, panel_points=16):
+    def from_region(region, eps, R=None, n_per_unit=_N0):
         """The contour on ``region`` shifted by ``eps``, with tail radius ``R``
         (by default :func:`tail_radius`)."""
         eps = tuple(_axis_shift(region, j, e) for j, e in enumerate(_shift_tuple(region, eps)))
         R = tail_radius(region, eps) if R is None else R
-        return _contour(region, eps, R, n_per_unit, panel_points)
+        return _contour(region, eps, R, n_per_unit)
 
     @property
     def k(self):
@@ -257,15 +229,12 @@ class ContourQuadrature:
         return n
 
 
-def _contour(region, eps, R, n_per_unit, panel_points):
+def _contour(region, eps, R, n_per_unit):
     """The :class:`ContourQuadrature` of ``region`` shifted by the checked
     per-axis shifts ``eps`` (Python complex), with tail radius ``R``."""
-    axes = []
-    for j, (ax, e) in enumerate(zip(region.axes, eps)):
-        segs = _axis_path(ax, j, e, R, n_per_unit, panel_points)
-        axes.append(AxisPath(np.concatenate([s.nodes for s in segs]),
-                             np.concatenate([s.weights for s in segs]), tuple(segs)))
-    return ContourQuadrature(tuple(axes), region, eps, R, n_per_unit, panel_points)
+    return ContourQuadrature(tuple(_axis_path(ax, j, e, R, n_per_unit) for j, (ax, e)
+                                   in enumerate(zip(region.axes, eps))),
+                             region, eps, R, n_per_unit)
 
 
 @dataclass(frozen=True)
@@ -277,30 +246,22 @@ class IntegrationResult:
     history: tuple = field(default=())
 
 
-@functools.cache
-def _null_rows(n):
-    """Rows taking an n-point panel's weighted values to the integrand's top
-    ``_NULL_ORDERS`` Legendre coefficients."""
-    m = np.arange(n - _NULL_ORDERS, n)
-    return (m[:, None] + 0.5) * np.polynomial.legendre.legvander(
-        np.polynomial.legendre.leggauss(n)[0], n - 1)[:, m].T
-
-
-def _panel_error(wf, n, stack=None):
-    """Error estimates of the panels of ``n`` nodes of the (N, ...) weighted
+def _panel_error(wf, stack=None):
+    """Error estimates of the panels of ``_PANEL`` nodes of the (N, ...) weighted
     values ``wf``, or with a (N, d, d) ``stack`` of each (M, N) row of ``wf``
     times the stack, ``wf[m, i] * stack[i]`` (not formed), member by member:
     the top coefficients' decay ratio (their norms paired over consecutive
     degrees, so parity cannot fake it) extrapolated to the degrees ``2n``
     and up, or from ``_STALL_RATIO`` on the top pair itself, at least
-    ``_ROUNDOFF * sqrt(n sum |w f|^2) >= _ROUNDOFF * sum |w f|``."""
+    ``_ROUNDOFF * sqrt(n sum |w f|^2) >= _ROUNDOFF * sum |w f|`` (``n = _PANEL``)."""
+    n = _PANEL
     if stack is None:  # one product for all panels
         x = wf.reshape(-1, n, math.prod(wf.shape[1:])).view(float)  # (panels, n, entries)
-        a = (x.swapaxes(1, 2).reshape(-1, n) @ _null_rows(n).T).reshape(len(x), -1, _NULL_ORDERS)
+        a = (x.swapaxes(1, 2).reshape(-1, n) @ _NULL_ROWS.T).reshape(len(x), -1, _NULL_ORDERS)
         top, size = np.einsum("pek,pek->pk", a, a), np.einsum("pie,pie->p", x, x)
     else:  # one product per panel for all members
         s = stack.reshape(-1, n, stack[0].size)  # (panels, n, entries)
-        rows = (_null_rows(n) * wf.reshape(len(wf), -1, 1, n)).swapaxes(0, 1)
+        rows = (_NULL_ROWS * wf.reshape(len(wf), -1, 1, n)).swapaxes(0, 1)
         a = (rows.reshape(len(s), -1, n) @ s).reshape(len(s), len(wf), _NULL_ORDERS, -1)
         a = a.swapaxes(0, 1).reshape(-1, _NULL_ORDERS, s.shape[2]).view(float)
         top = np.einsum("pke,pke->pk", a, a)
@@ -313,7 +274,7 @@ def _panel_error(wf, n, stack=None):
     return np.maximum(np.sqrt(pairs[:, -1]) * gain, _ROUNDOFF * np.sqrt(n * size.ravel()))
 
 
-def _parts_error(members, n):
+def _parts_error(members):
     """Error estimates of several sums: per sum, ``members`` holds its
     ``(axis, weighted values, stack or None)`` parts (see :func:`_panel_error`).
     The parts that share a stack, and those without one, share one
@@ -324,8 +285,8 @@ def _parts_error(members, n):
             groups.setdefault(id(s), (s, []))[1].append((i, x))
     for s, rows in groups.values():
         x = [x.reshape(len(x), -1) for _, x in rows] if s is None else [x for _, x in rows]
-        est.append(_panel_error(np.concatenate(x) if s is None else np.stack(x), n, s))
-        owner.append(np.repeat([i for i, _ in rows], [len(x) // n for _, x in rows]))
+        est.append(_panel_error(np.concatenate(x) if s is None else np.stack(x), s))
+        owner.append(np.repeat([i for i, _ in rows], [len(x) // _PANEL for _, x in rows]))
     return np.bincount(np.concatenate(owner), np.concatenate(est), len(members))
 
 
@@ -503,12 +464,12 @@ def _product(*fns):
 
 def _estimated(fns, cq, stacks):
     """The :func:`_contract` sums of ``fns`` over ``cq`` and their estimates;
-    node arrays without segments have no panel layout and no estimate."""
+    node arrays without panels have no estimate."""
     nodes, weights = [ax.nodes for ax in cq.axes], [ax.weights for ax in cq.axes]
     values, parts = zip(*[_contract(f, nodes, weights, stacks) for f in fns])
-    if not all(ax.segments for ax in cq.axes):
+    if not all(ax.panels for ax in cq.axes):
         return values, np.full(len(fns), np.inf)
-    return values, _parts_error(parts, cq.panel_points)
+    return values, _parts_error(parts)
 
 
 def tensor_sum(f, cq):
@@ -558,8 +519,7 @@ def adaptive_contour(value_of, cq, tol, max_rounds=8):
     per round on the contour of that round's density and ``cq``'s tail
     radius, returning ``(value, estimate)``; ``cq``'s shifts are checked."""
     def value_at(n_per_unit):
-        c = cq if n_per_unit == cq.n_per_unit else _contour(
-            cq.region, cq.eps, cq.R, n_per_unit, cq.panel_points)
+        c = cq if n_per_unit == cq.n_per_unit else _contour(cq.region, cq.eps, cq.R, n_per_unit)
         value, estimate = value_of(c)
         return value, c.node_count, estimate
 
@@ -619,21 +579,21 @@ def richardson(values, ratio=2.0):
     return best, residual
 
 
-def initial_radius(decay, tol, default=16.0):
+def initial_radius(decay, tol):
     """Truncation radius at which an ``exp(-rate*t)`` envelope, given as
-    ``decay = ("exp", rate)``, drops below tol/100; ``default`` without one."""
+    ``decay = ("exp", rate)``, drops below tol/100, at least ``TAIL_RADIUS``;
+    ``TAIL_RADIUS`` without one."""
     if decay is None:
-        return default
+        return TAIL_RADIUS
     if decay[0] != "exp":
         raise QuadratureError(f"unknown decay kind {decay[0]!r}")
     rate = decay[1]
     if rate <= 0:
         raise QuadratureError("exponential decay rate must be positive")
-    return max(default, np.log(100.0 / tol) / rate)
+    return max(TAIL_RADIUS, np.log(100.0 / tol) / rate)
 
 
-def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8,
-                 n_per_unit=8.0, panel_points=16):
+def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8):
     """Adaptive integral of ``f`` along ``start + t*direction``, ``t >= 0``.
 
     The caller asserts integrability; ``decay`` supplies the envelope that
@@ -649,12 +609,11 @@ def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8,
     r0 = initial_radius(decay, tol)
 
     def value_at(n):
-        breaks = _graded_breaks(r0 * (n / n_per_unit), panel_points / n)
-        nodes, weights = _panel_nodes(complex(start), direction, breaks, panel_points)
+        nodes, weights = _ray_rule(complex(start), direction, r0, n)
         vals = _call_integrand(lambda q: f(q[:, 0]), nodes[:, None])
         wf = weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
-        est = np.inf if decay is None else (_panel_error(wf, panel_points).sum()
+        est = np.inf if decay is None else (_panel_error(wf).sum()
                                             + _cut_tail(wf, weights, nodes, decay[1]))
         return _kernels.reduce_weighted(weights, vals), len(nodes), est
 
-    return refine(value_at, n_per_unit, tol, max_rounds, "ray integral")
+    return refine(value_at, _N0, tol, max_rounds, "ray integral")

@@ -52,6 +52,24 @@ class TestAdmissibility:
         assert not rep.passed
         assert rep.anchor_class != sg.IN_N0
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["cone", "cone_minus_disk", "cone_minus_rect"]),
+           vertex=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=2, max_size=2),
+           shift=st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.0)),
+                          min_size=2, max_size=2))
+    def test_a_dual_cone_shift_keeps_a_region_inadmissible(self, k, seed, kind, vertex, shift):
+        # U + eps lies in U and the shifted vertex dominates the vertex, so
+        # the calculus checks the shifted region alone
+        tup = sg.random_commuting_tuple(np.random.default_rng(seed), k, 2, DOM)
+        params = {"cone_minus_disk": {"radius": 0.5}, "cone_minus_rect": {"s0": 0.4, "s1": 0.6}}
+        u = g.make_region([SECT[0]] * k, [SECT[1]] * k, vertex[:k], kind=kind,
+                          **params.get(kind, {}))
+        dual = u.axes[0].dual_sector  # the cone of every axis, which eps must lie in
+        eps = [r * np.exp(1j * (dual.alpha + a * dual.aperture)) for r, a in shift[:k]]
+        if not ca.check_admissible_for(u, tup, [1.0] * k).passed:
+            assert not ca.check_admissible_for(ca.shifted_region(u, eps), tup, [1.0] * k).passed
+
     @pytest.mark.parametrize("seed, k, dim, eps", [(0, 1, 2, [0.25]), (128, 2, 8, None)])
     def test_pole_inside_the_contour_is_refused(self, seed, k, dim, eps):
         # the pole of (zeta + 1)^-2 at -1 lies in the shifted region: the
@@ -647,7 +665,7 @@ def _abs_reference(F, region, eps, tol):
     """``Int |F| |d sigma|`` on the contour built for the shift ``eps``
     itself, with ``|weights|``: the per-shift reference of the batch."""
     def value_of(c):
-        axes = tuple(q.AxisPath(ax.nodes, np.abs(ax.weights), ax.segments) for ax in c.axes)
+        axes = tuple(replace(ax, weights=np.abs(ax.weights)) for ax in c.axes)
         return q.tensor_sum(lambda p: np.abs(F(p)), replace(c, axes=axes))
 
     cq = q.ContourQuadrature.from_region(region, eps)

@@ -614,6 +614,23 @@ class TestOrbitTransform:
         expect = u * np.array([1.0 / (1 + 1) / (1 + 3), 1.0 / (1 + 2) / (1 + 4)])
         assert np.allclose(a, expect, atol=1e-12)
 
+    def test_integral_route_makes_one_ray_integral(self, rng, monkeypatch):
+        # both axes' orbit integrals share one ray integral
+        tup = sg.random_commuting_tuple(rng, 2, 3, sector=DOM)
+        rays, real_ray = [], sg.ray_integral
+
+        def spy_ray(*args, **kwargs):
+            rays.append(real_ray(*args, **kwargs))
+            return rays[-1]
+
+        monkeypatch.setattr(sg, "ray_integral", spy_ray)
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        args = (tup, [1.0, 0.5j], [0.0, 0.0], [1.5, 2.0 - 0.5j], u)
+        b = fn.fb_of_orbit(*args, "integral")
+        assert len(rays) == 1
+        a = fn.fb_of_orbit(*args, "resolvent")
+        assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
     def test_invalid_anchor_raises(self):
         tup = sg.CommutingTuple([np.array([[1.0]])], [SECT])  # growing orbit
         with pytest.raises(sg.DivergenceError):

@@ -22,7 +22,7 @@ class TestPanels:
     def test_polynomials_integrated_to_machine_accuracy(self):
         # Gauss-Legendre with 16 points is exact through degree 31
         for m in range(0, 32, 3):
-            x, w = q.gauss_panel(0.0, 1.0, 16)
+            x, w = q.gauss_panel(0.0, 1.0)
             val = np.sum(w * x ** m)
             exact = 1.0 / (m + 1)
             assert abs(val - exact) <= 1e-12 * exact
@@ -32,7 +32,7 @@ class TestPanels:
 
         # oracle: lower incomplete gamma from scipy
         for m in range(0, 9):
-            x, w = q.gauss_panel(0.0, 1.0, 16)
+            x, w = q.gauss_panel(0.0, 1.0)
             val = np.sum(w * x ** m * np.exp(-x))
             exact = gammainc(m + 1, 1.0) * math.factorial(m)
             assert abs(val - exact) <= 1e-12 * max(exact, 1e-3)
@@ -41,8 +41,8 @@ class TestPanels:
     def test_panel_nodes_match_panel_by_panel_rule(self):
         anchor, direction = 0.3 - 0.2j, np.exp(0.7j)
         for breaks in (q._graded_breaks(97.0, 2.0), np.linspace(0.0, 3.5, 8)):
-            nodes, weights = q._panel_nodes(anchor, direction, breaks, 16)
-            panels = [q.gauss_panel(a, b, 16) for a, b in zip(breaks[:-1], breaks[1:])]
+            nodes, weights = q._panel_nodes(anchor, direction, breaks)
+            panels = [q.gauss_panel(a, b) for a, b in zip(breaks[:-1], breaks[1:])]
             assert np.array_equal(nodes,
                                   np.concatenate([anchor + t * direction for t, _ in panels]))
             assert np.array_equal(weights,
@@ -52,9 +52,9 @@ class TestPanels:
 def _panel_case(f, exact):
     """The panel estimate of ``f`` on [-1, 1], its true error against
     ``exact`` and ``sum |w f|``."""
-    x, w = q.gauss_panel(-1.0, 1.0, 16)
+    x, w = q.gauss_panel(-1.0, 1.0)
     wf = (w * f(x)).astype(complex)
-    return q._panel_error(wf, 16)[0], abs(wf.sum() - exact), np.abs(wf).sum()
+    return q._panel_error(wf)[0], abs(wf.sum() - exact), np.abs(wf).sum()
 
 
 def _pole_case(m, place, delta, side):
@@ -217,52 +217,126 @@ class TestRayIntegral:
             assert res.history[-1][1:] == (res.node_count, res.error_estimate)
 
 
+def _pieces(region, j, eps, R, n_per_unit):
+    """Axis ``j`` of the contour built piece by piece, the reference the
+    one-chain builder must match bit for bit: one ``(nodes, weights)`` pair
+    per ray and per polyline edge, each with its own Gauss-Legendre call;
+    the incoming ray reversed and negated."""
+    x, w16 = np.polynomial.legendre.leggauss(16)
+
+    def panels(lo, hi):
+        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w16
+
+    def graded(length, h0, ratio=1.5):
+        if length <= h0:
+            return np.array([0.0, length])
+        m = int(np.ceil(np.log1p(length * (ratio - 1.0) / h0) / np.log(ratio)))
+        raw = h0 * (ratio ** np.arange(m + 1) - 1.0) / (ratio - 1.0)
+        return raw * (length / raw[-1])
+
+    def finite(a, b):
+        length = abs(b - a)
+        direction = (b - a) / length
+        n_panels = max(1, int(np.ceil(length / (16 / n_per_unit))))
+        breaks = np.linspace(0.0, length, n_panels + 1)
+        t, wt = panels(breaks[:-1, None], breaks[1:, None])
+        return a + t.ravel() * direction, wt.ravel() * direction
+
+    def ray(anchor, direction, outward):
+        b = (anchor * direction.conjugate()).real
+        extent = -b + np.sqrt(b * b + R * R - abs(anchor) ** 2)
+        breaks = graded(extent, 16 / n_per_unit)
+        m = max(1, int(np.ceil(n_per_unit / 8.0)))
+        u = np.arange(m, -1, -1) / m
+        t, wt = panels(np.concatenate([breaks[:-1], u[:-1]])[:, None],
+                       np.concatenate([breaks[1:], u[1:]])[:, None])
+        g = len(breaks) - 1
+        t[g:] = extent / t[g:]
+        wt[g:] *= -t[g:] ** 2 / extent
+        nodes, weights = anchor + t.ravel() * direction, wt.ravel() * direction
+        return (nodes, weights) if outward else (nodes[::-1].copy(), -weights[::-1].copy())
+
+    ax = region.axes[j]
+    anchors = [ax.z + eps + t for t in ax.theta]
+    return ([ray(anchors[0], ax.d0, False)]
+            + [finite(a, b) for a, b in zip(anchors[:-1], anchors[1:])]
+            + [ray(anchors[-1], ax.d1, True)])
+
+
+def _region_bank():
+    disk = g.make_region([-PI / 4], [PI / 4], [0.0], kind="cone_minus_disk", radius=0.5)
+    rect = g.make_region([-PI / 3], [PI / 3], [-0.2], kind="cone_minus_rect", s0=0.4, s1=0.3)
+    return {
+        "cone": cone_region(0.3),
+        "halfplane": g.make_region([0.0], [0.0], [0.0]),
+        "cone_minus_disk": disk,
+        "cone_minus_rect": rect,
+        "intersection": g.intersect_admissible(disk, rect),
+    }
+
+
 class TestBoundaryPath:
     def test_halfplane_node_budget(self):
         u = g.make_region([0.0], [0.0], [0.0])
-        segs = q.build_boundary_path(u, 0, 1.0, 10.0, n_per_unit=8)
-        n = sum(len(s.nodes) for s in segs)
-        assert 0.5 * 20 * 8 <= n <= 2 * 20 * 8
-        assert all(s.kind == "ray" for s in segs)
+        path = q.ContourQuadrature.from_region(u, [1.0], R=10.0, n_per_unit=8).axes[0]
+        assert 0.5 * 20 * 8 <= len(path.nodes) <= 2 * 20 * 8
         # both rays run to infinity: nodes reach far beyond the tail radius
-        assert np.isinf(segs[0].start) and np.isinf(segs[-1].end)
-        for s in segs:
-            assert np.max(np.abs(s.nodes)) > 100 * 10.0
+        assert path.panels
+        assert min(abs(path.nodes[0]), abs(path.nodes[-1])) > 100 * 10.0
 
     def test_pure_cone_gives_two_rays(self):
-        segs = q.build_boundary_path(cone_region(), 0, 0.1, 16.0)
-        assert len(segs) == 2
-        assert all(s.kind == "ray" for s in segs)
+        u = cone_region()
+        path = q.ContourQuadrature.from_region(u, [0.1], R=16.0).axes[0]
+        ax, half = u.axes[0], len(path.nodes) // 2
+        for nodes, d in ((path.nodes[:half], ax.d0), (path.nodes[half:], ax.d1)):
+            assert np.allclose(((nodes - 0.1) * np.conj(d)).imag, 0.0, atol=1e-9)
+            assert np.all(((nodes - 0.1) * np.conj(d)).real > 0)
 
     def test_excised_path_is_continuous(self):
         u = g.make_region([-PI / 4], [PI / 4], [0.0], kind="cone_minus_disk",
                           radius=0.5)
-        segs = q.build_boundary_path(u, 0, 0.2, 16.0)
-        assert segs[0].kind == "ray" and segs[-1].kind == "ray"
+        path = q.ContourQuadrature.from_region(u, [0.2], R=16.0).axes[0]
         # from infinity along the incoming ray, through the excision, to
-        # infinity along the outgoing ray; nodes follow the traversal
-        assert np.isinf(segs[0].start) and np.isinf(segs[-1].end)
-        for a, b in zip(segs[:-1], segs[1:]):
-            assert abs(a.end - b.start) <= 1e-12
-        for s in segs:
-            steps = np.diff(s.nodes) / s.direction
+        # infinity along the outgoing ray: the pieces are the runs of one
+        # traversal direction, and nodes follow it within each piece
+        unit = path.weights / np.abs(path.weights)
+        cut = np.flatnonzero(np.abs(np.diff(unit)) > 1e-9) + 1
+        ax = u.axes[0]
+        assert len(cut) == len(ax.theta)  # two rays and the polyline edges
+        assert np.allclose(unit[[0, -1]], [-ax.d0, ax.d1])
+        for nodes, d in zip(np.split(path.nodes, cut), unit[np.r_[0, cut]]):
+            steps = np.diff(nodes) / d
             assert np.all(steps.real > 0) and np.allclose(steps.imag, 0.0, atol=1e-9)
+        for a, b in zip(np.split(path.nodes, cut)[:-1], np.split(path.nodes, cut)[1:]):
+            assert abs(b[0] - a[-1]) < 2 * 16.0 / 8.0  # consecutive pieces meet
 
     def test_weights_carry_the_direction(self):
-        segs = q.build_boundary_path(cone_region(), 0, 0.0, 16.0)
-        outgoing = segs[-1]
-        ratios = outgoing.weights / np.abs(outgoing.weights)
-        assert np.allclose(ratios, outgoing.direction)
+        u = cone_region()
+        path = q.ContourQuadrature.from_region(u, [0.0], R=16.0).axes[0]
+        half = len(path.nodes) // 2
+        ratios = path.weights / np.abs(path.weights)
+        assert np.allclose(ratios[:half], -u.axes[0].d0)
+        assert np.allclose(ratios[half:], u.axes[0].d1)
 
     def test_radius_too_small_rejected(self):
         u = g.make_region([-PI / 4], [PI / 4], [0.0], kind="cone_minus_disk",
                           radius=2.0)
         with pytest.raises(q.QuadratureError):
-            q.build_boundary_path(u, 0, 0.0, 1.5)
+            q.ContourQuadrature.from_region(u, [0.0], R=1.5)
 
     def test_shift_outside_dual_cone_rejected(self):
         with pytest.raises(q.QuadratureError):
-            q.build_boundary_path(cone_region(), 0, -1.0, 16.0)
+            q.ContourQuadrature.from_region(cone_region(), [-1.0], R=16.0)
+
+    @pytest.mark.parametrize("n_per_unit", [8.0, 64.0])
+    @pytest.mark.parametrize("kind", list(_region_bank()))
+    def test_panel_chain_is_bit_equal_to_its_pieces(self, kind, n_per_unit):
+        u, eps = _region_bank()[kind], 0.2 + 0.05j
+        path = q.ContourQuadrature.from_region(u, [eps], R=20.0, n_per_unit=n_per_unit).axes[0]
+        pieces = _pieces(u, 0, eps, 20.0, n_per_unit)
+        assert len(pieces) == len(u.axes[0].theta) + 1
+        assert np.concatenate([n for n, _ in pieces]).tobytes() == path.nodes.tobytes()
+        assert np.concatenate([w for _, w in pieces]).tobytes() == path.weights.tobytes()
 
 
 class TestContourIntegrals:
@@ -344,7 +418,7 @@ class TestContourIntegrals:
 def _random_grid(rng, counts):
     axes = tuple(
         q.AxisPath(rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                   rng.standard_normal(n) + 1j * rng.standard_normal(n), ())
+                   rng.standard_normal(n) + 1j * rng.standard_normal(n), False)
         for n in counts)
     return SimpleNamespace(axes=axes, k=len(axes))
 
