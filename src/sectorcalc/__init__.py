@@ -17,15 +17,14 @@ from .geometry import (AdmissibleRegion, AxisRegion, GeometryError,
 from .quadrature import (ContourQuadrature, ConvergenceError, IntegrationResult,
                          QuadratureError, integrate, ray_integral, richardson)
 from .semigroups import (CommutationError, CommutingTuple, DivergenceError,
-                         GrowthProfile, SectorDomainError, SingularFactorError,
-                         evaluate, expm, generator_from_difference_quotient,
+                         SectorDomainError, SingularFactorError, evaluate, expm,
+                         generator_from_difference_quotient,
                          generator_from_weighted_integrals, generator_holomorphic,
                          mult_semigroup_gap, mult_semigroup_gap_closed_form,
                          n_set_classify, opnorm, orbit_integrals, quasinilpotent_gap,
                          resolvent_product, resolvent_via_laplace)
-from .functionals import (AxisDensity, FBDomainInfo, Functional,
-                          NoAdmissibleAnchor, RouteError,
-                          SectorFunction, TensorDensity, anchor_for,
+from .functionals import (AxisDensity, Functional, NoAdmissibleAnchor,
+                          RouteError, SectorFunction, TensorDensity, anchor_for,
                           bisector_density, cauchy_transform, convolve, dirac,
                           e_minus, exp_poly_function, fb_of_orbit, pair_function,
                           pair_semigroup, pair_translated_cauchy, wn_regularizer)

@@ -27,8 +27,7 @@ from .quadrature import (ContourQuadrature, QuadratureError, _axis_shift, _call_
                          _contract, _panel_error, _parts_error, _product, _product_rule,
                          _separable, adaptive_contour, integrate, resolvent_contour_value,
                          tail_radius)
-from .semigroups import (GrowthProfile, _validate_lambda, opnorm)
-from .semigroups import IN_N0, n_set_classify
+from .semigroups import IN_N0, SectorDomainError, _validate_lambda, n_set_classify, opnorm
 
 
 class AdmissibilityError(ValueError):
@@ -86,7 +85,8 @@ def _ones(x):
 
 def product_function(f, g, label=None):
     """``f * g``; when both carry separable terms the product's terms are
-    the pairwise products (ranks multiply), otherwise it has none."""
+    the pairwise products (ranks multiply), otherwise it has none.  Its
+    poles are the union of the factors', axis by axis."""
     decay = None
     if f.decay is not None and g.decay is not None:
         decay = (f.decay[0] * g.decay[0], f.decay[1] + g.decay[1])
@@ -98,9 +98,12 @@ def product_function(f, g, label=None):
     for r in (f.exp_rate, g.exp_rate):
         if r is not None:
             rate = r if rate is None else max(rate, r)
+    poles = f.poles or g.poles
+    if f.poles and g.poles:
+        poles = tuple(a + b for a, b in zip(f.poles, g.poles))
     fun = _product(f, g)
     return HoloFunction(fun, "H1", decay, rate, None, label or f"{f.label}*{g.label}",
-                        getattr(fun, "terms", None))
+                        getattr(fun, "terms", None), poles)
 
 
 def constant_function(k, value, label=None):
@@ -167,36 +170,28 @@ class AdmissibilityReport:
         return self.region_ok and self.anchor_class == IN_N0 and self.spectrum_inside
 
 
-def check_admissible_for(region, tup, lam, tol=1e-9):
-    """Report whether ``region`` is admissible for the scaled tuple: the
-    region geometry is valid, its vertex anchors a vanishing weighted
+def check_admissible_for(region, tup, lam):
+    """Report whether ``region`` is admissible for the scaled tuple: ``lam``
+    is valid for it, the region's vertex anchors a vanishing weighted
     orbit, and ``-lam_j * spec(A_j)`` lies inside every axis with positive
-    margin."""
+    margin.  A defect of ``lam`` is reported once, never raised."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    detail = []
-    region_ok = True
-    try:
-        _validate_lambda(tup, lam, region.sectors)
-    except Exception as exc:  # report-valued, never raises
-        region_ok = False
-        detail.append(str(exc))
-    try:
+    region_ok, detail = True, ""
+    try:  # n_set_classify validates lam first
         anchor_class = n_set_classify(tup, lam, region.sectors, region.vertex)
-    except Exception as exc:
-        anchor_class = "invalid"
-        detail.append(str(exc))
+    except SectorDomainError as exc:
+        region_ok, detail, anchor_class = False, str(exc), "invalid"
     margins = []
-    spectrum_inside = True
-    for j, ax in enumerate(region.axes):
+    spectrum_inside = len(lam) == tup.k == region.k  # else no spectrum is placed
+    for j, ax in enumerate(region.axes if spectrum_inside else ()):
         # -lam_j * spec(A_j), written out as scalar complex arithmetic rounds it
         c, mu = -lam[j], tup.eigenvalues(j)
         points = (c.real * mu.real - c.imag * mu.imag) + 1j * (c.real * mu.imag + c.imag * mu.real)
         dist = ax.boundary_distance(points)
-        inside = ax._contains(points, False, tol, dist)
+        inside = ax._contains(points, False, 1e-9, dist)
         spectrum_inside = spectrum_inside and bool(inside.all())
         margins.append(float(np.min(np.where(inside, dist, -dist), initial=np.inf)))
-    return AdmissibilityReport(region_ok, anchor_class, spectrum_inside,
-                               tuple(margins), "; ".join(detail))
+    return AdmissibilityReport(region_ok, anchor_class, spectrum_inside, tuple(margins), detail)
 
 
 def shifted_region(region, eps):
@@ -232,7 +227,7 @@ def _radius_floor(region, eps, tup, lam):
         2.0 * float(np.max(np.abs(lam[j] * tup.eigenvalues(j)))) + 1.0 for j in range(tup.k)])
 
 
-def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
+def functional_calculus(F, tup, lam, region, eps, tol=1e-9):
     """Distinguished-boundary realization of ``F`` at the scaled tuple.
 
     Requires admissibility of both the region and its ``eps``-shift, and
@@ -240,13 +235,13 @@ def functional_calculus(F, tup, lam, region, eps, tol=1e-9, max_rounds=8):
     of the admissible ``(region, eps)`` choice within twice the
     tolerance.
     """
-    return _calculus_batch([F], tup, lam, region, eps, tol, max_rounds)[0]
+    return _calculus_batch([F], tup, lam, region, eps, tol)[0]
 
 
-def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
+def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9):
     """(len(Fs), d, d) stack of :func:`functional_calculus` values from one
     contour pass, each member accepted in its own round (as its own call)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam = _validate_lambda(tup, lam, region.sectors)
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     for F in Fs:
         _require_certificate(F)
@@ -267,16 +262,13 @@ def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9, max_rounds=8):
                 raise AdmissibilityError(f"{F.label} has a pole in the shifted region on axis {j}")
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
     res = adaptive_contour(
-        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c),
-        cq, tol, max_rounds)
+        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c), cq, tol)
     return pref * res.value
 
 
-def _sample_points(region, n_boundary=40):
-    pts = []
-    for j, ax in enumerate(region.axes):
-        radius = 4.0 * (abs(ax.z) + ax.excision_radius + 1.0)
-        pts.append(ax.sample_boundary(radius, per_piece=max(4, n_boundary // 4)))
+def _sample_points(region):
+    pts = [ax.sample_boundary(4.0 * (abs(ax.z) + ax.excision_radius + 1.0))
+           for ax in region.axes]
     grids = []
     mids = [_unit(-0.5 * (ax.alpha + ax.beta)) for ax in region.axes]
     for shift in (0.3, 1.0, 3.0, 10.0):
@@ -302,33 +294,32 @@ def _quotient_denominator(tup, lam, region):
     """Squared-rational ``G`` along the bisector angles with shifts
     ``1 + max(growth abscissa, vertex offset)``; its poles clear the region."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    growth = GrowthProfile(tup)
     angles = [0.5 * (ax.alpha + ax.beta) for ax in region.axes]
-    shifts = [1.0 + max(growth.abscissa(j, theta, lam[j]), -(ax.z * _unit(theta)).real)
+    shifts = [1.0 + max(tup.abscissa(j, theta, lam[j]), -(ax.z * _unit(theta)).real)
               for j, (ax, theta) in enumerate(zip(region.axes, angles))]
     return rotated_inverse_square(region.k, angles, shifts, label="G_quotient")
 
 
-def functional_calculus_hinf(F, tup, lam, region, tol=1e-9, eps=None, max_rounds=8):
+def functional_calculus_hinf(F, tup, lam, region, tol=1e-9, eps=None):
     """Extension of the calculus to bounded ``F`` by the quotient
     ``R_F = calc(F*G) * calc(G)^{-1}`` with the squared-rational ``G``;
     both integrals come from one contour pass (joint acceptance).
 
     Raises :class:`DenseRangeError` when the image of ``G`` is numerically
     singular instead of regularizing it."""
+    lam = _validate_lambda(tup, lam, region.sectors)
     sup_on_region(F, region)  # bounded-sample check
     g = _quotient_denominator(tup, lam, region)
     m_fg, m_g = _calculus_batch([product_function(F, g), g], tup, lam, region,
-                                _default_eps(region) if eps is None else eps,
-                                tol, max_rounds)
+                                _default_eps(region) if eps is None else eps, tol)
     return _quotient(m_fg, m_g, "quotient image")
 
 
-def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None,
-                                max_rounds=8):
+def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None):
     """Quotient-class extension through the witness pair carried by ``F``:
     ``R_F = hinf(F*Gw) * hinf(Gw)^{-1}``; ``calc(F*Gw*G)``, ``calc(Gw*G)``
     and ``calc(G)`` come from one contour pass (joint acceptance)."""
+    lam = _validate_lambda(tup, lam, region.sectors)
     if F.witness is None:
         raise AdmissibilityError(f"{F.label} carries no witness pair")
     gw = F.witness
@@ -339,7 +330,7 @@ def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None,
     g = _quotient_denominator(tup, lam, region)
     m_fgg, m_gg, m_g = _calculus_batch(
         [product_function(fg, g), product_function(gw, g), g], tup, lam, region,
-        _default_eps(region) if eps is None else eps, tol, max_rounds)
+        _default_eps(region) if eps is None else eps, tol)
     return _quotient(_quotient(m_fgg, m_g, "quotient image"),
                      _quotient(m_gg, m_g, "quotient image"), "witness image")
 
@@ -353,16 +344,14 @@ def _quotient(m_num, m_den, what):
     return np.linalg.solve(m_den.T, m_num.T).T
 
 
-def projection_witness(tup, lam, region, axis=0, margin=2.0):
+def projection_witness(tup, lam, region, axis=0):
     """Witness pair for the projection integrand ``-zeta_axis``: the
-    squared-rational factor with shift ``margin + growth abscissa`` along
-    the bisector of the given axis."""
+    squared-rational factor with shift ``2 + growth abscissa`` along the
+    bisector of the given axis."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    growth = GrowthProfile(tup)
     ax = region.axes[axis]
     theta = 0.5 * (ax.alpha + ax.beta)
-    nu0 = margin + max(growth.abscissa(axis, theta, lam[axis]),
-                       -(ax.z * _unit(theta)).real)
+    nu0 = 2.0 + max(tup.abscissa(axis, theta, lam[axis]), -(ax.z * _unit(theta)).real)
     u = _unit(theta)
     term = [(lambda x: 1.0 / (x * u + nu0) ** 2) if j == axis else _ones
             for j in range(region.k)]
@@ -389,7 +378,7 @@ class NonDiagonalizableError(np.linalg.LinAlgError):
     pass
 
 
-def joint_eigensystem(tup, tol=1e-8):
+def joint_eigensystem(tup):
     """Joint eigenbasis of a commuting diagonalizable tuple via a fixed
     generic linear combination."""
     coeffs = np.array([1.0 + 0.618 * j + 0.1j * (j + 1) for j in range(tup.k)])
@@ -403,7 +392,7 @@ def joint_eigensystem(tup, tol=1e-8):
     for a in tup.matrices:
         d = vinv @ a @ v
         off = opnorm(d - np.diag(np.diag(d)))
-        if off > tol * max(opnorm(a), 1.0):
+        if off > 1e-8 * max(opnorm(a), 1.0):
             raise NonDiagonalizableError(
                 f"tuple is not jointly diagonalizable (offdiagonal {off:.3e})")
         mus.append(np.diag(d).copy())
@@ -439,13 +428,13 @@ def spectral_map_check(F, tup, lam, region, tol=1e-9, computed=None):
 # ---------------------------------------------------------------------------
 
 
-def boundary_abs_integral(F, region, eps, tol=1e-7, max_rounds=8):
+def boundary_abs_integral(F, region, eps, tol=1e-7):
     """``Int |F| |d sigma|`` over the distinguished boundary shifted by
     ``eps``: the batch of one of :func:`h1_norm`."""
-    return float(_abs_integrals(F, region, [eps], tol, max_rounds)[0])
+    return float(_abs_integrals(F, region, [eps], tol)[0])
 
 
-def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
+def _abs_integrals(F, region, eps_grid, tol=1e-7):
     """(E,) boundary absolute integrals of ``F``, one per shift of ``eps_grid``,
     from one contour pass.  ``d(U + eps) = dU + eps`` and ``|d sigma|`` is
     translation invariant, so each round builds the unshifted contour once
@@ -480,7 +469,7 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7, max_rounds=8):
         return np.array(values).real, _parts_error(parts)
 
     cq = _boundary_contour(F, region, np.zeros(region.k))
-    return adaptive_contour(value_of, cq, tol, max_rounds).value
+    return adaptive_contour(value_of, cq, tol).value
 
 
 def _boundary_contour(F, region, eps):
@@ -559,8 +548,7 @@ class OuterReport:
         return self.domination_ok and self.converges
 
 
-def strongly_outer_check(F, witness, grid, boundary_grid=None, slack=1e-12,
-                         decrease_slack=1.05):
+def strongly_outer_check(F, witness, grid, boundary_grid=None):
     """Check the domination and quotient-convergence conditions of the
     witness sequence on the grid.
 
@@ -576,10 +564,10 @@ def strongly_outer_check(F, witness, grid, boundary_grid=None, slack=1e-12,
         wvals = np.asarray(fn(grid))
         max_viol = max(max_viol, float(np.max(np.abs(fvals) - np.abs(wvals))))
         devs.append(np.abs(fvals / wvals - 1.0))
-    domination_ok = max_viol <= slack * (1.0 + float(np.abs(fvals).max()))
+    domination_ok = max_viol <= 1e-12 * (1.0 + float(np.abs(fvals).max()))
     converges = True
     for a, b in zip(devs[:-1], devs[1:]):
-        if np.any(b > a * decrease_slack + 1e-14):
+        if np.any(b > a * 1.05 + 1e-14):
             converges = False
     # demand clear progress toward 1, not an absolute threshold
     converges = converges and bool(

@@ -29,7 +29,8 @@ from .quadrature import (_N0, ContourQuadrature, QuadratureError, _contract, _cu
                          _parts_error, _product, _ray_rule, _separable, adaptive_contour,
                          initial_radius, integrate, ray_integral, refine,
                          resolvent_contour_value, richardson)
-from .semigroups import GrowthProfile, check_in_domain, expm, orbit_integrals
+from .semigroups import (_validate_lambda, check_in_domain, expm, orbit_integrals,
+                         resolvent_product)
 
 MAX_DEGREE = 4
 
@@ -124,18 +125,6 @@ class TensorDensity:
 
 
 @dataclass(frozen=True)
-class FBDomainInfo:
-    """Anchor points of a functional's transform domain; every anchor plus
-    any closed dual-cone offset stays inside the domain."""
-
-    functional: object
-    anchors: tuple
-
-    def contains(self, z):
-        return self.functional.domain_contains(z)
-
-
-@dataclass(frozen=True)
 class Functional:
     """Atoms plus tensor ray densities over a fixed product sector."""
 
@@ -189,20 +178,21 @@ class Functional:
 
     # -- Fourier-Borel transform --------------------------------------------
 
-    def domain_contains(self, z, margin=0.0):
+    def domain_contains(self, z):
         """True when ``z`` lies in the transform domain: every density must
-        keep ``Re(s_j + z_j e^{i omega_j}) > margin`` (atoms are entire)."""
+        keep ``Re(s_j + z_j e^{i omega_j}) > 0`` (atoms are entire)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         for d in self.densities:
             for j, ax in enumerate(d.axes):
-                if (ax.s + z[j] * _unit(ax.omega)).real <= margin:
+                if (ax.s + z[j] * _unit(ax.omega)).real <= 0.0:
                     return False
         return True
 
-    def domain_info(self):
-        """Anchor points whose shifted dual cones lie inside the transform
-        domain, generated from the density decay bounds (atoms impose no
-        constraint).  The anchors absorb closed dual-cone offsets."""
+    def domain_anchors(self):
+        """Anchor points, as a tuple of k-tuples, whose shifted dual cones lie
+        inside the transform domain, generated from the density decay bounds
+        (atoms impose no constraint).  The anchors absorb closed dual-cone
+        offsets."""
         anchors = []
         if self.domain_contains(np.zeros(self.k)):
             anchors.append(np.zeros(self.k, dtype=complex))
@@ -216,7 +206,7 @@ class Functional:
             if np.isfinite(r_lo):
                 tight[j] = (r_lo + 0.5) * _unit(-mid)
         anchors.append(tight)
-        return FBDomainInfo(self, tuple(map(tuple, anchors)))
+        return tuple(map(tuple, anchors))
 
     @property
     def fb_terms(self):
@@ -477,7 +467,6 @@ def anchor_for(tup, lam, sectors, phi=None, strict=False, margin=1.0):
     reduces to an interval per axis.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    growth = GrowthProfile(tup)
     z = np.empty(sectors.k, dtype=complex)
     for j, sec in enumerate(sectors.sectors):
         mid = sec.bisector_angle
@@ -485,7 +474,7 @@ def anchor_for(tup, lam, sectors, phi=None, strict=False, margin=1.0):
         r_hi = np.inf
         for omega in {sec.alpha, sec.beta}:
             c = np.cos(omega - mid)
-            r_hi = min(r_hi, -growth.abscissa(j, omega, lam[j]) / c)
+            r_hi = min(r_hi, -tup.abscissa(j, omega, lam[j]) / c)
         r_lo = -np.inf
         if phi is not None:
             for d in phi.densities:
@@ -648,7 +637,7 @@ def cauchy_transform(phi, lam, z=None, route="measure", tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _tensor_density_integral(fvec, d, tol, max_rounds=8):
+def _tensor_density_integral(fvec, d, tol):
     """Tensor ray integral of ``fvec`` against one tensor density; each
     axis is truncated where its exponential envelope drops below tol/100,
     and the truncations double with the node density each round; each
@@ -666,7 +655,7 @@ def _tensor_density_integral(fvec, d, tol, max_rounds=8):
         return value, math.prod(len(x) for x in nodes), _parts_error([parts])[0] + sum(
             _cut_tail(g, rule[j], nodes[j], d.axes[j].s.real) for j, g, _ in parts)
 
-    return refine(value_at, _N0, tol, max_rounds, "tensor density integral")
+    return refine(value_at, _N0, tol, "tensor density integral")
 
 
 def _dual_cone_contour(phi, z, extra_powers):
@@ -693,7 +682,7 @@ def _check_fb_pole_clearance(f, phi, z, eps):
                 f"shifted dual cone of axis {j}")
 
 
-def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25):
+def pair_function(f, phi, route="measure", tol=1e-9, z=None):
     """Pairing ``<f, phi>`` by the requested evaluation route.
 
     Routes: ``measure`` (reference; direct integration against the
@@ -702,7 +691,9 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
     integrability certificates), ``wn_limit`` (squared-rational
     regularizer, double limit with extrapolation), ``cauchy``
     (boundary-kernel route; nondegenerate axes and atomic functionals
-    only).  All routes agree within combined tolerance.
+    only).  All routes agree within combined tolerance.  The limits start
+    from the shift 0.5 (``fb_eps``, ``wn_limit``) or the translation 0.25
+    (``cauchy``) and halve it along ``EPS_SCHEDULE``.
     """
     sectors = phi.sectors
     if route == "measure":
@@ -743,16 +734,16 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None, eps0=0.5, eta0=0.25
             return contour_value(np.zeros(phi.k, dtype=complex), 0)
 
         if route == "fb_eps":
-            return _cauchy_limit([contour_value(eps0 * m * u_dual, 0) for m in EPS_SCHEDULE],
+            return _cauchy_limit([contour_value(0.5 * m * u_dual, 0) for m in EPS_SCHEDULE],
                                  100 * tol, "eps-limit")
         # wn_limit: extrapolate n inside, then the exponential weight
-        return _cauchy_limit([richardson([contour_value(eps0 * m * u_dual, n)
+        return _cauchy_limit([richardson([contour_value(0.5 * m * u_dual, n)
                                           for n in WN_SCHEDULE])[0] for m in EPS_SCHEDULE],
                              1e3 * tol, "limit")
 
     if route == "cauchy":
         u_sec = np.array([_unit(s.bisector_angle) for s in sectors.sectors])
-        return _cauchy_limit([pair_translated_cauchy(f, phi, eta0 * m * u_sec, z=z, tol=tol)
+        return _cauchy_limit([pair_translated_cauchy(f, phi, 0.25 * m * u_sec, z=z, tol=tol)
                               for m in EPS_SCHEDULE], 100 * tol, "translation-limit")
 
     raise RouteError(f"unknown pairing route {route!r}")
@@ -842,7 +833,7 @@ def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
+def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
     """Pairing ``<T_(lam), phi>`` of the scaled semigroup orbit with the
     functional, as a matrix in the algebra generated by the tuple.
 
@@ -852,14 +843,11 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
     resolvent product; needs a strict anchor and an integrable
     transform), ``eps_shift`` (same contour with shifted resolvent
     arguments, limit extrapolated), ``regularized`` (squared-rational
-    weight, double limit; only a bounded-orbit anchor required).
+    weight, double limit; only a bounded-orbit anchor required).  The
+    limits start from the shift 0.25 and halve it along ``EPS_SCHEDULE``.
     """
-    from .semigroups import _validate_lambda  # shared precondition check
-
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     sectors = phi.sectors
-    _validate_lambda(tup, lam, sectors)
-    growth = GrowthProfile(tup)
+    lam = _validate_lambda(tup, lam, sectors)
 
     if route == "measure":
         anchor_for(tup, lam, sectors, phi, strict=False)  # existence gate
@@ -878,7 +866,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
             orbit = orbit_integrals(
                 tup, [j for j, _ in axes], [lam[j] * _unit(ax.omega) for j, ax in axes],
                 [lambda ts, ax=ax: ax.poly(ts) * np.exp(-ax.s * ts) for _, ax in axes],
-                min(ax.s.real - growth.abscissa(j, ax.omega, lam[j]) for j, ax in axes), tol)
+                min(ax.s.real - tup.abscissa(j, ax.omega, lam[j]) for j, ax in axes), tol)
             n_atoms = len(phi.atoms)
             factors[n_atoms:] = factors[n_atoms:] @ orbit.reshape(-1, k, dim, dim)
         total = np.zeros((dim, dim), dtype=complex)
@@ -915,9 +903,9 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None, eps0=0.25):
         if route == "resolvent_contour":
             return contour_value(np.zeros(tup.k, dtype=complex), 0)
         if route == "eps_shift":
-            return _cauchy_limit([contour_value(eps0 * m * u_dual, 0) for m in EPS_SCHEDULE],
+            return _cauchy_limit([contour_value(0.25 * m * u_dual, 0) for m in EPS_SCHEDULE],
                                  1e3 * tol, "eps-limit")
-        return _cauchy_limit([richardson([contour_value(eps0 * m * u_dual, n)
+        return _cauchy_limit([richardson([contour_value(0.25 * m * u_dual, n)
                                           for n in WN_SCHEDULE])[0] for m in EPS_SCHEDULE[:5]],
                              1e4 * tol, "double-limit")
 
@@ -928,22 +916,18 @@ def fb_of_orbit(tup, lam, z, zeta, u, route="resolvent", tol=1e-10):
     """Transform of the weighted orbit ``e_z T(lam .) u`` at ``zeta``.
 
     Route "resolvent" evaluates ``(-1)^k prod_j ((z_j - zeta_j) I +
-    lam_j A_j)^{-1} u`` by direct solves; route "integral" performs the
+    lam_j A_j)^{-1} u`` with :func:`~sectorcalc.semigroups.resolvent_product`,
+    which refuses a singular factor; route "integral" performs the
     defining tensor ray integral.  Both agree within tolerance.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     u = np.asarray(u, dtype=complex)
-    growth = GrowthProfile(tup)
     if route == "resolvent":
-        ident = np.eye(tup.dim, dtype=complex)
-        x = u
-        for j in reversed(range(tup.k)):
-            x = np.linalg.solve((z[j] - zeta[j]) * ident + lam[j] * tup.matrices[j], x)
-        return (-1.0) ** tup.k * x
+        return (-1.0) ** tup.k * resolvent_product(tup, lam, z - zeta) @ u
     if route == "integral":  # one ray integral, member j on axis j at its best angle
-        best = [max(((((zeta[j] - z[j]) * _unit(w)).real - growth.abscissa(j, w, lam[j]), w)
+        best = [max(((((zeta[j] - z[j]) * _unit(w)).real - tup.abscissa(j, w, lam[j]), w)
                      for w in np.linspace(sec.alpha, sec.beta, 7)), key=lambda p: p[0])
                 for j, sec in enumerate(tup.sectors.sectors)]
         dirs = [_unit(w) for _, w in best]

@@ -359,9 +359,10 @@ class AxisRegion:
         clear = ~self._in_excision(zeta)  # outside the excised set
         return inside & (on_boundary | clear) if closed else inside & ~on_boundary & clear
 
-    def sample_boundary(self, radius, per_piece=8):
-        """Deterministic boundary samples out to ``radius`` (absolute points)."""
-        ts = np.linspace(0.2, 1.0, per_piece)
+    def sample_boundary(self, radius):
+        """Deterministic boundary samples out to ``radius`` (absolute points):
+        10 on each ray and the excision vertices."""
+        ts = np.linspace(0.2, 1.0, 10)
         far0 = self._ray_extent(self.theta[0], self.d0, radius)
         far1 = self._ray_extent(self.theta[-1], self.d1, radius)
         return np.concatenate([self.z + self.theta[0] + ts * far0 * self.d0,
@@ -448,14 +449,14 @@ class AdmissibleRegion:
         """Membership of ``point``, shape ``(..., k)``."""
         return _product_contains(self.axes, point, closed, tol)
 
-    def validate(self, rng=None, n_offsets=100):
-        """Check cone stability on the stored boundary samples plus random
-        dual-cone offsets; raises :class:`GeometryError` on failure."""
+    def validate(self, rng=None):
+        """Check cone stability on the stored boundary samples plus 100 random
+        dual-cone offsets per axis; raises :class:`GeometryError` on failure."""
         rng = rng if rng is not None else np.random.default_rng(0)
         for ax in self.axes:
             lo, hi = -np.pi / 2 - ax.alpha, np.pi / 2 - ax.beta
-            angs = rng.uniform(min(lo, hi), max(lo, hi), n_offsets)
-            mags = 10.0 ** rng.uniform(-2, 1, n_offsets)
+            angs = rng.uniform(min(lo, hi), max(lo, hi), 100)
+            mags = 10.0 ** rng.uniform(-2, 1, 100)
             offsets = mags * np.exp(1j * angs)
             bases = ax.z + np.array(ax.theta)
             bad = ~ax.contains(bases[:, None] + offsets, closed=True, tol=1e-9)

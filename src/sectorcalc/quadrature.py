@@ -16,10 +16,10 @@ Every adaptive quadrature runs through one driver, :func:`refine`.  Round
 ``r`` evaluates the rule at node density ``n0 * 2**r`` and estimates its
 error panel by panel (:func:`_panel_error`); a value is accepted in the
 first round whose estimate, or whose difference from the previous round,
-is below the tolerance.  Contours (:func:`adaptive_contour`,
-:func:`integrate`), rays (:func:`ray_integral`) and tensor ray densities
-are thin callers that only say how one round is evaluated; truncated rays
-share one rule, :func:`_ray_rule`.
+is below the tolerance, within ``_MAX_ROUNDS = 8`` rounds.  Contours
+(:func:`adaptive_contour`, :func:`integrate`), rays (:func:`ray_integral`)
+and tensor ray densities are thin callers that only say how one round is
+evaluated; truncated rays share one rule, :func:`_ray_rule`.
 
 The tensor sum is one blocked mode-by-mode contraction (:func:`_contract`).
 The index combinations of the leading axes are walked in C order, in
@@ -57,6 +57,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
 _N0 = 8.0  # node density per unit length of a ray's first round
 _GRADING = 1.5  # length ratio of consecutive graded ray panels
 _TAIL_DENSITY = 8.0  # node density per panel of a mapped ray tail
+_MAX_ROUNDS = 8  # refinement rounds before a ConvergenceError
 _BLOCK_POINTS = 1 << 15  # integrand points per block of the tensor contraction
 _NULL_ORDERS = 6  # top Legendre coefficients of a panel that its error estimate reads
 _STALL_RATIO = 0.8  # coefficient decay ratio from which the top coefficient is the estimate
@@ -483,7 +484,7 @@ def tensor_sum(f, cq):
     return value, error
 
 
-def refine(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
+def refine(value_at, n_per_unit, tol, what="integral"):
     """The refinement loop of every adaptive quadrature.
 
     Round ``r`` calls ``value_at(n_per_unit * 2**r)``, which returns
@@ -492,11 +493,11 @@ def refine(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
     accepted, and keeps its value, in the first round where its estimate or
     its difference from the previous round (Frobenius norm) is below
     ``tol``.  ``history`` holds ``(n_per_unit, node_count, largest error)``
-    per round; after ``max_rounds`` a :class:`ConvergenceError` carries the
+    per round; after ``_MAX_ROUNDS`` a :class:`ConvergenceError` carries the
     value and that error.
     """
     history, prev, value, best = [], None, None, np.full(1, np.inf)
-    for r in range(max_rounds):
+    for r in range(_MAX_ROUNDS):
         val, nodes, est = value_at(n_per_unit)
         cur = np.asarray(val).reshape(np.size(est), -1)  # one row per member
         diff = np.inf if prev is None else np.linalg.norm(cur - prev, axis=1)
@@ -510,11 +511,11 @@ def refine(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
         if (best < tol).all():
             return IntegrationResult(value, float(best.max()), r + 1, nodes, tuple(history))
         prev, n_per_unit = cur, 2.0 * n_per_unit
-    raise ConvergenceError(f"{what} did not converge to {tol} in {max_rounds} rounds",
+    raise ConvergenceError(f"{what} did not converge to {tol} in {_MAX_ROUNDS} rounds",
                            value=value, estimate=float(best.max()))
 
 
-def adaptive_contour(value_of, cq, tol, max_rounds=8):
+def adaptive_contour(value_of, cq, tol):
     """:func:`refine` over contours like ``cq``: ``value_of`` is called once
     per round on the contour of that round's density and ``cq``'s tail
     radius, returning ``(value, estimate)``; ``cq``'s shifts are checked."""
@@ -523,12 +524,12 @@ def adaptive_contour(value_of, cq, tol, max_rounds=8):
         value, estimate = value_of(c)
         return value, c.node_count, estimate
 
-    return refine(value_at, cq.n_per_unit, tol, max_rounds, "contour integral")
+    return refine(value_at, cq.n_per_unit, tol, "contour integral")
 
 
-def integrate(f, cq, tol=1e-8, max_rounds=8):
+def integrate(f, cq, tol=1e-8):
     """Adaptive tensor-product contour integral of ``f`` over ``cq``."""
-    return adaptive_contour(lambda c: tensor_sum(f, c), cq, tol, max_rounds)
+    return adaptive_contour(lambda c: tensor_sum(f, c), cq, tol)
 
 
 def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None):
@@ -593,7 +594,7 @@ def initial_radius(decay, tol):
     return max(TAIL_RADIUS, np.log(100.0 / tol) / rate)
 
 
-def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8):
+def ray_integral(f, start, direction, tol=1e-10, decay=None):
     """Adaptive integral of ``f`` along ``start + t*direction``, ``t >= 0``.
 
     The caller asserts integrability; ``decay`` supplies the envelope that
@@ -616,4 +617,4 @@ def ray_integral(f, start, direction, tol=1e-10, decay=None, max_rounds=8):
                                             + _cut_tail(wf, weights, nodes, decay[1]))
         return _kernels.reduce_weighted(weights, vals), len(nodes), est
 
-    return refine(value_at, _N0, tol, max_rounds, "ray integral")
+    return refine(value_at, _N0, tol, "ray integral")

@@ -178,6 +178,11 @@ class CommutingTuple:
         """Spectrum of ``A_j``, computed once at construction (read-only)."""
         return self._spectra[j]
 
+    def abscissa(self, j, omega, lam=1.0):
+        """Growth rate of ``t -> |Exp(t * lam * exp(1j*omega) * A_j)|``, the
+        spectral abscissa ``max Re(lam * exp(1j*omega) * mu)`` over ``spec(A_j)``."""
+        return float(np.max((lam * _unit(omega) * self._spectra[j]).real))
+
     def to_json(self):
         return {
             "k": self.k,
@@ -192,21 +197,6 @@ class CommutingTuple:
             obj = json.loads(obj)
         mats = [np.array([[complex(v[0], v[1]) for v in row] for row in m]) for m in obj["A"]]
         return CommutingTuple(mats, [tuple(s) for s in obj["sectors"]])
-
-
-class GrowthProfile:
-    """Spectral abscissas of the scaled semigroups.
-
-    ``abscissa(j, omega, lam)`` is the growth rate of
-    ``t -> |Exp(t * lam * exp(1j*omega) * A_j)|``, computed as
-    ``max Re(lam * exp(1j*omega) * mu)`` over the eigenvalues ``mu``.
-    """
-
-    def __init__(self, tup):
-        self.tup = tup
-
-    def abscissa(self, j, omega, lam=1.0):
-        return float(np.max((lam * _unit(omega) * self.tup.eigenvalues(j)).real))
 
 
 def evaluate(tup, j, zeta):
@@ -290,7 +280,7 @@ def resolvent_via_laplace(tup, j, lam, zeta0=1.0, tol=1e-10):
     lam = complex(lam)
     zeta0 = complex(zeta0)
     zeta0 /= abs(zeta0)
-    margin = (lam * zeta0).real - GrowthProfile(tup).abscissa(j, float(np.angle(zeta0)))
+    margin = (lam * zeta0).real - tup.abscissa(j, float(np.angle(zeta0)))
     return zeta0 * orbit_integrals(tup, j, [zeta0], [lambda ts: np.exp(-ts * zeta0 * lam)],
                                    margin, tol)[0]
 
@@ -306,7 +296,7 @@ def generator_from_weighted_integrals(tup, j, lam, tol=1e-10):
     b, c = orbit_integrals(
         tup, j, [1.0, 1.0],
         [lambda ts: ts * np.exp(-lam * ts), lambda ts: (1.0 - lam * ts) * np.exp(-lam * ts)],
-        lam - GrowthProfile(tup).abscissa(j, 0.0), tol)
+        lam - tup.abscissa(j, 0.0), tol)
     cond = np.linalg.cond(b)
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(f"weighted integral B is numerically singular (cond={cond:.3e})")
@@ -352,6 +342,13 @@ OUTSIDE = "outside"
 
 
 def _validate_lambda(tup, lam, ps):
+    """``lam`` as a complex array, after checking that it and the sectors
+    ``ps`` have one entry per axis of ``tup`` and that each ``lam_j`` keeps
+    the sector of axis ``j`` inside its domain; raises :class:`SectorDomainError`."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    if len(lam) != tup.k or ps.k != tup.k:
+        raise SectorDomainError(f"need one lambda and one sector per axis: {len(lam)} "
+                                f"lambdas and {ps.k} sectors for {tup.k} axes")
     for j, (dom, sec) in enumerate(zip(tup.sectors.sectors, ps.sectors)):
         lj = lam[j]
         if dom.is_ray:
@@ -373,6 +370,7 @@ def _validate_lambda(tup, lam, ps):
                     raise SectorDomainError(
                         f"axis {j}: arg(lambda)={ang:.6g} outside the window "
                         f"({lo:.6g}, {hi:.6g})")
+    return lam
 
 
 def n_set_classify(tup, lam, ps, z, tol=1e-12):
@@ -383,15 +381,13 @@ def n_set_classify(tup, lam, ps, z, tol=1e-12):
     spectral abscissas ``h`` the bounded set uses ``Re(z_j e^{iw}) <= -h``
     and the vanishing set uses strict inequality.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam = _validate_lambda(tup, lam, ps)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _validate_lambda(tup, lam, ps)
-    growth = GrowthProfile(tup)
     strict = True
     weak = True
     for j, sec in enumerate(ps.sectors):
         for omega in {sec.alpha, sec.beta}:
-            h = growth.abscissa(j, omega, lam[j])
+            h = tup.abscissa(j, omega, lam[j])
             val = (z[j] * _unit(omega)).real
             if not val <= -h + tol:
                 weak = False
@@ -404,7 +400,7 @@ def n_set_classify(tup, lam, ps, z, tol=1e-12):
     return OUTSIDE
 
 
-def mult_semigroup_gap(t, s, grid=10_000, refine_tol=1e-13):
+def mult_semigroup_gap(t, s):
     """Brute-force ``sup_{0 < x <= 1} |x**t - x**s|`` for ``0 < t < s``.
 
     A coarse grid locates the maximizer, golden-section refinement
@@ -413,7 +409,7 @@ def mult_semigroup_gap(t, s, grid=10_000, refine_tol=1e-13):
     """
     if not (0 < t < s):
         raise ValueError("need 0 < t < s")
-    xs = np.linspace(0.0, 1.0, grid + 1)[1:]
+    xs = np.linspace(0.0, 1.0, 10_001)[1:]
     vals = np.abs(xs ** t - xs ** s)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
@@ -425,7 +421,7 @@ def mult_semigroup_gap(t, s, grid=10_000, refine_tol=1e-13):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
-    while hi - lo > refine_tol:
+    while hi - lo > 1e-13:
         if g(c) < g(d):
             lo = c
             c = d

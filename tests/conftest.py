@@ -15,7 +15,7 @@ def audited_refine(monkeypatch):
     refine = quadrature.refine
     audits = []
 
-    def audited(value_at, n_per_unit, tol, max_rounds=8, what="integral"):
+    def audited(value_at, n_per_unit, tol, what="integral"):
         estimates = []
 
         def recorded(n):
@@ -23,7 +23,7 @@ def audited_refine(monkeypatch):
             estimates.append(np.min(out[2]))
             return out
 
-        res = refine(recorded, n_per_unit, tol, max_rounds, what)
+        res = refine(recorded, n_per_unit, tol, what)
         if min(estimates) < tol:
             value, _, est = value_at(n_per_unit * 2.0 ** res.rounds)
             gap = np.linalg.norm((np.asarray(value) - res.value).reshape(np.size(est), -1),

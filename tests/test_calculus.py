@@ -89,6 +89,63 @@ class TestAdmissibility:
         rep = ca.spectral_map_check(f, tup, [1.0], region, computed=val)
         assert rep.matrix_rel_err <= 1e-9
 
+    @pytest.mark.parametrize("pole_first", [True, False])
+    def test_a_product_keeps_the_pole_of_its_factor(self, pole_first):
+        # seed 0's pole at -1 lies in U + 0.25, and a product must keep it
+        tup = sg.random_commuting_tuple(np.random.default_rng(0), 1, 2, DOM)
+        region = ca.default_region(tup, [1.0], ProductSector([SECT]))
+        f, c = ca.inverse_square(1, [1.0]), ca.constant_function(1, 2.0)
+        fc = ca.product_function(f, c) if pole_first else ca.product_function(c, f)
+        with pytest.raises(ca.AdmissibilityError, match="pole"):
+            ca.functional_calculus(fc, tup, [1.0], region, [0.25])
+
+    def test_hinf_keeps_the_pole_of_its_function(self):
+        # hinf integrates F * G, which must keep F's pole
+        tup = sg.random_commuting_tuple(np.random.default_rng(0), 1, 2, DOM)
+        region = ca.default_region(tup, [1.0], ProductSector([SECT]))
+        with pytest.raises(ca.AdmissibilityError, match="pole"):
+            ca.functional_calculus_hinf(ca.inverse_square(1, [1.0]), tup, [1.0], region,
+                                        eps=[0.25])
+
+    def test_product_poles_are_the_union_per_axis(self):
+        f, g2 = ca.inverse_square(2, [1.0, 2.0]), ca.inverse_square(2, [3.0, 4.0])
+        assert ca.product_function(f, g2).poles == ((-1.0, -3.0), (-2.0, -4.0))
+        c = ca.constant_function(2, 2.0)
+        assert ca.product_function(c, f).poles == f.poles
+        assert ca.product_function(c, c).poles is None
+
+
+class TestLambdaLength:
+    @pytest.fixture
+    def pair(self):
+        tup = sg.random_commuting_tuple(np.random.default_rng(0), 2, 2, DOM)
+        return tup, ca.default_region(tup, [1.0, 1.0], ProductSector([SECT] * 2))
+
+    @pytest.mark.parametrize("lam", [[1.0], [1.0, 1.0, 1.0]])
+    def test_calculus_refuses_a_wrong_length(self, pair, lam):
+        tup, region = pair
+        f = ca.inverse_square(2, [3.0, 3.0])
+        with pytest.raises(sg.SectorDomainError, match="one lambda and one sector per axis"):
+            ca.functional_calculus(f, tup, lam, region, ca._default_eps(region))
+        with pytest.raises(sg.SectorDomainError, match="one lambda and one sector per axis"):
+            ca.functional_calculus_hinf(ca.constant_function(2, 1.0), tup, lam, region)
+        g_proj = ca.projection_function(tup, [1.0, 1.0], region)
+        with pytest.raises(sg.SectorDomainError, match="one lambda and one sector per axis"):
+            ca.functional_calculus_smirnov(g_proj, tup, lam, region)
+
+    @pytest.mark.parametrize("lam", [[1.0], [1.0, 1.0, 1.0]])
+    def test_admissibility_reports_a_wrong_length(self, pair, lam):
+        tup, region = pair
+        rep = ca.check_admissible_for(region, tup, lam)
+        assert not rep.passed and not rep.region_ok and rep.anchor_class == "invalid"
+        assert rep.detail.count("one lambda and one sector per axis") == 1
+
+    def test_admissibility_reports_a_lambda_defect_once(self, scalar_tuple, cone):
+        with pytest.raises(sg.SectorDomainError) as info:
+            sg._validate_lambda(scalar_tuple, np.array([-1.0 + 0j]), cone.sectors)
+        rep = ca.check_admissible_for(cone, scalar_tuple, [-1.0])
+        assert not rep.passed and rep.detail == str(info.value)
+
 
 @pytest.mark.usefixtures("audited_refine")
 class TestMainCalculus:

@@ -259,13 +259,13 @@ class TestPairFunction:
         with pytest.raises(fn.QuadratureError, match="non-finite"):
             fn.pair_function(bad, phi, "measure")
 
-    def test_density_integral_failure_carries_value_and_estimate(self, ps1):
+    def test_density_integral_failure_carries_value_and_estimate(self, ps1, monkeypatch):
         # the integrand grows almost as fast as the density decays, so every
         # doubling of the truncation radius still moves the value
+        monkeypatch.setattr(q, "_MAX_ROUNDS", 3)
         d = fn.bisector_density(ps1).densities[0]
         with pytest.raises(ConvergenceError) as info:
-            fn._tensor_density_integral(lambda p: np.exp(0.99 * p[:, 0]), d, 1e-9,
-                                        max_rounds=3)
+            fn._tensor_density_integral(lambda p: np.exp(0.99 * p[:, 0]), d, 1e-9)
         assert np.isfinite(info.value.value) and info.value.estimate > 1.0
 
     def test_exponential_pairs_to_the_transform(self, rng, ps1):
@@ -631,6 +631,15 @@ class TestOrbitTransform:
         a = fn.fb_of_orbit(*args, "resolvent")
         assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
 
+    def test_resolvent_route_refuses_a_singular_factor(self, rng):
+        # zeta_1 = z_1 + lam_1 mu makes ((z_1 - zeta_1) I + lam_1 A_1) singular
+        tup = sg.random_commuting_tuple(rng, 2, 3, sector=DOM)
+        lam, z = [1.0, 0.5j], [0.0, 0.2]
+        zeta = [1.5, z[1] + lam[1] * tup.eigenvalues(1)[0]]
+        with pytest.raises(sg.SingularFactorError) as info:
+            fn.fb_of_orbit(tup, lam, z, zeta, np.ones(3), "resolvent")
+        assert info.value.axis == 1
+
     def test_invalid_anchor_raises(self):
         tup = sg.CommutingTuple([np.array([[1.0]])], [SECT])  # growing orbit
         with pytest.raises(sg.DivergenceError):
@@ -640,19 +649,19 @@ class TestOrbitTransform:
 class TestDomainInfo:
     def test_anchors_absorb_dual_offsets(self, rng, ps1):
         phi = fn.bisector_density(ps1, s=[0.7], coeffs=[[1.0, 0.2]])
-        info = phi.domain_info()
-        assert info.contains(np.zeros(1))
-        for anchor in info.anchors:
+        assert phi.domain_contains(np.zeros(1))
+        for anchor in phi.domain_anchors():
             anchor = np.asarray(anchor)
-            assert info.contains(anchor)
+            assert phi.domain_contains(anchor)
             for _ in range(100):
                 off = rng.uniform(0, 3) * np.exp(1j * rng.uniform(-np.pi / 4,
                                                                   np.pi / 4))
-                assert info.contains(anchor + np.array([off]))
+                assert phi.domain_contains(anchor + np.array([off]))
 
     def test_atomic_domain_is_everything(self, ps1):
-        info = fn.dirac(ps1, [1.0]).domain_info()
-        assert info.contains(np.array([-50.0 + 30.0j]))
+        phi = fn.dirac(ps1, [1.0])
+        assert phi.domain_anchors()
+        assert phi.domain_contains(np.array([-50.0 + 30.0j]))
 
     def test_checked_transform_rejects_outside_points(self, ps1):
         phi = fn.bisector_density(ps1, s=[0.5])

@@ -152,9 +152,10 @@ class TestRefine:
         assert res.value.tolist() == [[1.0, 1.0], [0.25, 0.0]]
         assert res.error_estimate == 0.25 and res.history[-1][2] == 0.25
 
-    def test_failure_carries_value_and_estimate(self):
+    def test_failure_carries_value_and_estimate(self, monkeypatch):
+        monkeypatch.setattr(q, "_MAX_ROUNDS", 3)
         with pytest.raises(q.ConvergenceError, match="thing did not converge") as info:
-            q.refine(lambda n: (n, 1, 3.0), 1.0, tol=0.5, max_rounds=3, what="thing")
+            q.refine(lambda n: (n, 1, 3.0), 1.0, tol=0.5, what="thing")
         assert (info.value.value, info.value.estimate) == (4.0, 2.0)
 
     def test_adaptive_contour_sees_doubled_contours(self):
@@ -190,10 +191,10 @@ class TestRayIntegral:
                              decay=("exp", 0.9))
         assert abs(res.value - 1.0) <= 1e-11
 
-    def test_nonconvergent_raises(self):
+    def test_nonconvergent_raises(self, monkeypatch):
+        monkeypatch.setattr(q, "_MAX_ROUNDS", 3)
         with pytest.raises(q.ConvergenceError):
-            q.ray_integral(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, tol=1e-12,
-                           max_rounds=3)
+            q.ray_integral(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, tol=1e-12)
 
     def test_history_has_one_record_per_round(self):
         # a ray integral doubles its truncation with the node density; without
@@ -370,7 +371,7 @@ class TestContourIntegrals:
     def test_error_estimates_decrease(self):
         cq = q.ContourQuadrature.from_region(cone_region(), [0.5], n_per_unit=1.0)
         res = q.integrate(lambda p: 1.0 / ((p[:, 0] + 2.0) ** 2 * (1.0 - p[:, 0])),
-                          cq, tol=1e-9, max_rounds=8)
+                          cq, tol=1e-9)
         diffs = [h[2] for h in res.history if np.isfinite(h[2])]
         assert len(diffs) >= 2
         assert diffs[-1] < diffs[-2]

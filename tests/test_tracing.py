@@ -1,6 +1,7 @@
 """The benchmark's tracer names layers of the package by module and
-attribute; a rename in the package must fail here, not only under
-``sectorbench/run.py --trace 1``."""
+attribute, and each workload must call every layer it reports on; a
+rename in the package, or a layer a workload no longer reaches, must fail
+here, not only under ``sectorbench/run.py --trace 1``."""
 
 import importlib
 import importlib.util
@@ -8,15 +9,24 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "sectorbench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "sectorbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"sectorbench_{name}", BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("sectorbench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_traced_function_resolves(tracing):
@@ -34,3 +44,20 @@ def test_every_layer_metric_names_traced_spans(tracing):
     spans = {f[0] for f in tracing.FUNCTIONS} | {m[0] for m in tracing.METHODS}
     for metric, _, _, group, _, _ in tracing.LAYER_METRICS:
         assert group <= spans, metric
+
+
+@pytest.mark.parametrize("name", ["calculus-grid", "orbit-pairing", "boundary-scalar"])
+def test_every_workload_reaches_the_layers_it_reports(tracing, workloads, name):
+    # as the traced benchmark run does: one warm pass, then one traced pass
+    w = workloads.build(name, 0)
+    for op in w.ops:  # stored as they come: later operations read earlier results
+        w.warm[op.name] = op.fn()
+    tracer = tracing.Tracer(extra_modules=(workloads,))
+    tracer.install()
+    try:
+        for op in w.ops:
+            tracer.record(f"op:{op.name}", op.fn)
+    finally:
+        tracer.uninstall()
+    _, observed = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    tracing.assert_observed(name, observed)
