@@ -21,13 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import quadrature
 from ._kernels import resolvent_stack
-from .geometry import AdmissibleRegion, GeometryError, _unit, make_region
-from .quadrature import (ContourQuadrature, QuadratureError, _axis_shift, _call_factor,
+from .geometry import AdmissibleRegion, GeometryError, ProductSector, _unit, make_region
+from .quadrature import (ContourQuadrature, _call_factor, _check_shift,
                          _contract, _panel_error, _parts_error, _product, _product_rule,
                          _separable, adaptive_contour, integrate, resolvent_contour_value,
                          tail_radius)
-from .semigroups import IN_N0, SectorDomainError, _validate_lambda, n_set_classify, opnorm
+from .semigroups import IN_N0, SectorDomainError, _n_set_class, _validate_lambda, opnorm
 
 
 class AdmissibilityError(ValueError):
@@ -175,15 +176,13 @@ def check_admissible_for(region, tup, lam):
     is valid for it, the region's vertex anchors a vanishing weighted
     orbit, and ``-lam_j * spec(A_j)`` lies inside every axis with positive
     margin.  A defect of ``lam`` is reported once, never raised."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    region_ok, detail = True, ""
-    try:  # n_set_classify validates lam first
-        anchor_class = n_set_classify(tup, lam, region.sectors, region.vertex)
+    try:
+        lam = _validate_lambda(tup, lam, region.sectors)
     except SectorDomainError as exc:
-        region_ok, detail, anchor_class = False, str(exc), "invalid"
-    margins = []
-    spectrum_inside = len(lam) == tup.k == region.k  # else no spectrum is placed
-    for j, ax in enumerate(region.axes if spectrum_inside else ()):
+        return AdmissibilityReport(False, "invalid", False, (), str(exc))
+    anchor_class = _n_set_class(tup, lam, region.sectors, region.vertex)
+    margins, spectrum_inside = [], True
+    for j, ax in enumerate(region.axes):
         # -lam_j * spec(A_j), written out as scalar complex arithmetic rounds it
         c, mu = -lam[j], tup.eigenvalues(j)
         points = (c.real * mu.real - c.imag * mu.imag) + 1j * (c.real * mu.imag + c.imag * mu.real)
@@ -191,11 +190,11 @@ def check_admissible_for(region, tup, lam):
         inside = ax._contains(points, False, 1e-9, dist)
         spectrum_inside = spectrum_inside and bool(inside.all())
         margins.append(float(np.min(np.where(inside, dist, -dist), initial=np.inf)))
-    return AdmissibilityReport(region_ok, anchor_class, spectrum_inside, tuple(margins), detail)
+    return AdmissibilityReport(True, anchor_class, spectrum_inside, tuple(margins))
 
 
 def shifted_region(region, eps):
-    eps = np.atleast_1d(np.asarray(eps, dtype=complex))
+    """``region`` moved by the checked per-axis shifts ``eps``."""
     return AdmissibleRegion([ax.translated(e) for ax, e in zip(region.axes, eps)])
 
 
@@ -205,8 +204,6 @@ def default_region(tup, lam, sectors, margin=1.0):
     from .functionals import anchor_for
 
     if not hasattr(sectors, "sectors"):
-        from .geometry import ProductSector
-
         sectors = ProductSector(sectors)
     z = anchor_for(tup, lam, sectors, None, strict=True, margin=margin)
     return make_region([s.alpha for s in sectors.sectors],
@@ -219,11 +216,10 @@ def default_region(tup, lam, sectors, margin=1.0):
 
 
 def _radius_floor(region, eps, tup, lam):
-    """Tail radius of the calculus contours: the contour rule
-    (:func:`~sectorcalc.quadrature.tail_radius`), raised to clear twice the
-    scaled spectra, so the resolvent poles stay away from the mapped tails."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    return max([tail_radius(region, np.atleast_1d(np.asarray(eps, dtype=complex)))] + [
+    """Tail radius of the calculus contours (checked ``eps`` and ``lam``): the
+    contour rule (:func:`~sectorcalc.quadrature.tail_radius`), raised to clear
+    twice the scaled spectra, so the resolvent poles stay off the mapped tails."""
+    return max([tail_radius(region, eps)] + [
         2.0 * float(np.max(np.abs(lam[j] * tup.eigenvalues(j)))) + 1.0 for j in range(tup.k)])
 
 
@@ -235,20 +231,21 @@ def functional_calculus(F, tup, lam, region, eps, tol=1e-9):
     of the admissible ``(region, eps)`` choice within twice the
     tolerance.
     """
-    return _calculus_batch([F], tup, lam, region, eps, tol)[0]
+    return _calculus_batch([F], tup, _validate_lambda(tup, lam, region.sectors), region,
+                           eps, tol)[0]
 
 
 def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9):
-    """(len(Fs), d, d) stack of :func:`functional_calculus` values from one
-    contour pass, each member accepted in its own round (as its own call)."""
-    lam = _validate_lambda(tup, lam, region.sectors)
-    eps = np.atleast_1d(np.asarray(eps, dtype=complex))
+    """(len(Fs), d, d) stack of :func:`functional_calculus` values (checked
+    ``lam``) from one contour pass, each member accepted in its own round."""
+    eps = _check_shift([ax.dual_sector for ax in region.axes],
+                       _default_eps(region) if eps is None else eps)
     for F in Fs:
         _require_certificate(F)
-    cq = ContourQuadrature.from_region(region, eps, R=_radius_floor(region, eps, tup, lam))
-    # from_region has checked that eps is in the closed dual cone, so U + eps
-    # lies in U and Re(eps e^{i omega}) >= 0 on both edges: if the shifted
-    # region is admissible, so is the region, and one check covers both
+    cq = quadrature._contour(region, eps, _radius_floor(region, eps, tup, lam))
+    # eps is in the closed dual cone, so U + eps lies in U and
+    # Re(eps e^{i omega}) >= 0 on both edges: if the shifted region is
+    # admissible, so is the region, and one check covers both
     shifted = shifted_region(region, eps)
     report = check_admissible_for(shifted, tup, lam)
     if not report.passed:
@@ -292,8 +289,8 @@ def sup_on_region(F, region):
 
 def _quotient_denominator(tup, lam, region):
     """Squared-rational ``G`` along the bisector angles with shifts
-    ``1 + max(growth abscissa, vertex offset)``; its poles clear the region."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    ``1 + max(growth abscissa, vertex offset)`` (checked ``lam``); its poles
+    clear the region."""
     angles = [0.5 * (ax.alpha + ax.beta) for ax in region.axes]
     shifts = [1.0 + max(tup.abscissa(j, theta, lam[j]), -(ax.z * _unit(theta)).real)
               for j, (ax, theta) in enumerate(zip(region.axes, angles))]
@@ -310,8 +307,7 @@ def functional_calculus_hinf(F, tup, lam, region, tol=1e-9, eps=None):
     lam = _validate_lambda(tup, lam, region.sectors)
     sup_on_region(F, region)  # bounded-sample check
     g = _quotient_denominator(tup, lam, region)
-    m_fg, m_g = _calculus_batch([product_function(F, g), g], tup, lam, region,
-                                _default_eps(region) if eps is None else eps, tol)
+    m_fg, m_g = _calculus_batch([product_function(F, g), g], tup, lam, region, eps, tol)
     return _quotient(m_fg, m_g, "quotient image")
 
 
@@ -329,8 +325,7 @@ def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None):
     sup_on_region(gw, region)
     g = _quotient_denominator(tup, lam, region)
     m_fgg, m_gg, m_g = _calculus_batch(
-        [product_function(fg, g), product_function(gw, g), g], tup, lam, region,
-        _default_eps(region) if eps is None else eps, tol)
+        [product_function(fg, g), product_function(gw, g), g], tup, lam, region, eps, tol)
     return _quotient(_quotient(m_fgg, m_g, "quotient image"),
                      _quotient(m_gg, m_g, "quotient image"), "witness image")
 
@@ -348,7 +343,7 @@ def projection_witness(tup, lam, region, axis=0):
     """Witness pair for the projection integrand ``-zeta_axis``: the
     squared-rational factor with shift ``2 + growth abscissa`` along the
     bisector of the given axis."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam = _validate_lambda(tup, lam, region.sectors)
     ax = region.axes[axis]
     theta = 0.5 * (ax.alpha + ax.beta)
     nu0 = 2.0 + max(tup.abscissa(axis, theta, lam[axis]), -(ax.z * _unit(theta)).real)
@@ -409,13 +404,13 @@ class SpectralReport:
 def spectral_map_check(F, tup, lam, region, tol=1e-9, computed=None):
     """Compare the calculus against the eigendecomposition oracle
     ``V diag(F(-lam o mu)) V^{-1}`` for a diagonalizable tuple."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam = _validate_lambda(tup, lam, region.sectors)
     mus, v, vinv = joint_eigensystem(tup)
     pts = np.stack([-lam[j] * mus[j] for j in range(tup.k)], axis=1)
     fvals = F(pts)
     oracle = v @ np.diag(fvals) @ vinv
     if computed is None:
-        computed = functional_calculus(F, tup, lam, region, _default_eps(region), tol)
+        computed = _calculus_batch([F], tup, lam, region, None, tol)[0]
     d = vinv @ computed @ v
     eig_err = float(np.max(np.abs(np.diag(d) - fvals) / np.maximum(np.abs(fvals), 1e-300)))
     off = opnorm(d - np.diag(np.diag(d)))
@@ -442,15 +437,8 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7):
     against ``|weights|``: a rank-one ``F`` evaluates each axis factor once
     on all translated nodes, any other takes the dense contraction per
     member.  Each member is accepted in its own round."""
-    try:
-        shifts = np.asarray(eps_grid, dtype=complex)
-    except ValueError as err:  # shifts of unequal lengths
-        raise QuadratureError("eps must have one entry per axis") from err
-    if shifts.ndim > 2 or shifts.size != len(shifts) * region.k:
-        raise QuadratureError("eps must have one entry per axis")
-    shifts = shifts.reshape(-1, region.k)
-    for j in range(region.k):
-        _axis_shift(region, j, shifts[:, j])
+    shifts = _check_shift([ax.dual_sector for ax in region.axes], eps_grid, grid=True)
+    _require_certificate(F)
 
     def value_of(c):
         weights = [np.abs(ax.weights) for ax in c.axes]
@@ -468,15 +456,7 @@ def _abs_integrals(F, region, eps_grid, tol=1e-7):
                       weights) for eps in shifts])
         return np.array(values).real, _parts_error(parts)
 
-    cq = _boundary_contour(F, region, np.zeros(region.k))
-    return adaptive_contour(value_of, cq, tol).value
-
-
-def _boundary_contour(F, region, eps):
-    """The shifted boundary contour of a boundary integral of ``F``, which
-    must carry a certificate making ``|F|`` integrable on it."""
-    _require_certificate(F)
-    return ContourQuadrature.from_region(region, eps)
+    return adaptive_contour(value_of, quadrature._contour(region, (0j,) * region.k), tol).value
 
 
 def _require_certificate(F):
@@ -605,7 +585,8 @@ def interior_cauchy_value(F, region, eps, point, tol=1e-9):
     """Reproduce ``F(point)`` from its boundary values on the shifted
     distinguished boundary (the interior reproduction identity)."""
     point = np.atleast_1d(np.asarray(point, dtype=complex))
-    cq = _boundary_contour(F, region, eps)
+    _require_certificate(F)
+    cq = ContourQuadrature.from_region(region, eps)
     kernel = separable_function([[lambda x, p=p: 1.0 / (p - x) for p in point]])
     g = product_function(F, kernel)
     pref = (2j * np.pi) ** -region.k
@@ -615,15 +596,17 @@ def interior_cauchy_value(F, region, eps, point, tol=1e-9):
 def boundary_contour_integral(F, region, eps, tol=1e-9):
     """Plain ``Int F(sigma) d sigma`` over the shifted boundary (vanishes
     for integrable holomorphic integrands)."""
-    return integrate(F, _boundary_contour(F, region, eps), tol).value
+    _require_certificate(F)
+    return integrate(F, ContourQuadrature.from_region(region, eps), tol).value
 
 
 def resolvent_sup_on_contour(tup, lam, region, eps):
     """Sup of the resolvent-product norm over the nodes of the shifted
     boundary contour the calculus builds in its first round; the constant
     in the boundedness estimate."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    cq = ContourQuadrature.from_region(region, eps, R=_radius_floor(region, eps, tup, lam))
+    lam = _validate_lambda(tup, lam, region.sectors)
+    eps = _check_shift([ax.dual_sector for ax in region.axes], eps)
+    cq = quadrature._contour(region, eps, _radius_floor(region, eps, tup, lam))
     sup = 1.0
     for j in range(tup.k):
         stack = resolvent_stack(tup.matrices[j], lam[j], cq.axes[j].nodes)

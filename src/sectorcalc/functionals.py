@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ProductSector, _unit, make_region
-from .quadrature import (_N0, ContourQuadrature, QuadratureError, _contract, _cut_tail,
-                         _parts_error, _product, _ray_rule, _separable, adaptive_contour,
-                         initial_radius, integrate, ray_integral, refine,
+from .quadrature import (_N0, ContourQuadrature, QuadratureError, _check_shift, _contract,
+                         _cut_tail, _parts_error, _product, _ray_rule, _separable,
+                         adaptive_contour, initial_radius, integrate, ray_integral, refine,
                          resolvent_contour_value, richardson)
 from .semigroups import (_validate_lambda, check_in_domain, expm, orbit_integrals,
                          resolvent_product)
@@ -235,10 +235,10 @@ class Functional:
 
     def fb_at_tuple(self, tup, lam, eps=None):
         """Transform evaluated at the commuting matrix argument
-        ``(-lam_1 A_1 + eps_1 I, ..., -lam_k A_k + eps_k I)``."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        eps = np.zeros(self.k, dtype=complex) if eps is None else \
-            np.atleast_1d(np.asarray(eps, dtype=complex))
+        ``(-lam_1 A_1 + eps_1 I, ..., -lam_k A_k + eps_k I)``, ``eps`` in the
+        closed dual cone."""
+        lam = _validate_lambda(tup, lam)
+        eps = (0j,) * self.k if eps is None else _check_shift(self.sectors.dual().sectors, eps)
         dim = tup.dim
         ident = np.eye(dim, dtype=complex)
         args = [-lam[j] * tup.matrices[j] + eps[j] * ident for j in range(self.k)]
@@ -466,7 +466,11 @@ def anchor_for(tup, lam, sectors, phi=None, strict=False, margin=1.0):
     all the edge half-plane constraints monotonically; feasibility then
     reduces to an interval per axis.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    return _anchor(tup, _validate_lambda(tup, lam, sectors), sectors, phi, strict, margin)
+
+
+def _anchor(tup, lam, sectors, phi=None, strict=False, margin=1.0):
+    """:func:`anchor_for` of the checked ``lam``."""
     z = np.empty(sectors.k, dtype=complex)
     for j, sec in enumerate(sectors.sectors):
         mid = sec.bisector_angle
@@ -850,7 +854,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
     lam = _validate_lambda(tup, lam, sectors)
 
     if route == "measure":
-        anchor_for(tup, lam, sectors, phi, strict=False)  # existence gate
+        _anchor(tup, lam, sectors, phi, strict=False)  # existence gate
         k, dim = tup.k, tup.dim
         # atom points lam_j eta_j, then density offsets lam_j offset_j: one
         # membership call per axis, one expm call for all of them
@@ -883,7 +887,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
         # shifted and regularized routes work from a bounded-orbit anchor
         strict = route == "resolvent_contour"
         if z is None:
-            z = anchor_for(tup, lam, sectors, phi, strict=strict)
+            z = _anchor(tup, lam, sectors, phi, strict=strict)
         else:
             z = np.atleast_1d(np.asarray(z, dtype=complex))
         if route in ("resolvent_contour", "eps_shift") and not phi.fb_integrable_on_cone():
@@ -920,13 +924,13 @@ def fb_of_orbit(tup, lam, z, zeta, u, route="resolvent", tol=1e-10):
     which refuses a singular factor; route "integral" performs the
     defining tensor ray integral.  Both agree within tolerance.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     u = np.asarray(u, dtype=complex)
     if route == "resolvent":
         return (-1.0) ** tup.k * resolvent_product(tup, lam, z - zeta) @ u
     if route == "integral":  # one ray integral, member j on axis j at its best angle
+        lam = _validate_lambda(tup, lam)
         best = [max(((((zeta[j] - z[j]) * _unit(w)).real - tup.abscissa(j, w, lam[j]), w)
                      for w in np.linspace(sec.alpha, sec.beta, 7)), key=lambda p: p[0])
                 for j, sec in enumerate(tup.sectors.sectors)]

@@ -163,23 +163,26 @@ def _axis_path(ax, j, eps, R, n_per_unit):
                     np.concatenate([-weights[g - 1::-1], weights[g:]]), True)
 
 
-def _shift_tuple(region, eps):
-    """``eps`` as one complex shift per axis of ``region``."""
-    eps = tuple(complex(e) for e in np.atleast_1d(np.asarray(eps, dtype=complex)))
-    if len(eps) != region.k:
+def _check_shift(duals, eps, grid=False):
+    """``eps`` checked against ``duals``, the dual sector of each axis: every
+    shift finite and in its axis's closed dual sector.  One shift comes back
+    as a tuple of Python complex, with ``grid`` an (E, k) array of shifts;
+    the one place a shift becomes an array.  The error names the first defect."""
+    try:
+        x = np.asarray(eps, dtype=complex)
+    except (TypeError, ValueError) as err:  # ragged or non-numeric shifts
+        raise QuadratureError("eps must have one entry per axis") from err
+    x = x.reshape(-1, 1) if grid and len(duals) == 1 and x.ndim == 1 else np.atleast_1d(x)
+    if x.ndim != 1 + grid or x.shape[-1] != len(duals) or not x.size:
         raise QuadratureError("eps must have one entry per axis")
-    return eps
-
-
-def _axis_shift(region, j, eps):
-    """``eps``, one complex shift or an array of them for axis ``j``, after
-    checking that each lies in the axis's closed dual sector; the error
-    names the first that does not."""
-    outside = ~region.axes[j].dual_sector.contains(eps, closed=True, tol=1e-9)
-    if outside.any():
-        bad = complex(np.asarray(eps, dtype=complex)[outside][0])
-        raise QuadratureError(f"shift {bad} is outside the closed dual sector of axis {j}")
-    return eps
+    if not np.isfinite(x).all():
+        raise QuadratureError(f"shift {complex(x[~np.isfinite(x)][0])} is not finite")
+    for j, dual in enumerate(duals):
+        outside = ~dual.contains(x[..., j], closed=True, tol=1e-9)
+        if outside.any():
+            raise QuadratureError(f"shift {complex(x[..., j][outside][0])} is outside "
+                                  f"the closed dual sector of axis {j}")
+    return x if grid else tuple(map(complex, x))
 
 
 def tail_radius(region, eps):
@@ -214,9 +217,8 @@ class ContourQuadrature:
     def from_region(region, eps, R=None, n_per_unit=_N0):
         """The contour on ``region`` shifted by ``eps``, with tail radius ``R``
         (by default :func:`tail_radius`)."""
-        eps = tuple(_axis_shift(region, j, e) for j, e in enumerate(_shift_tuple(region, eps)))
-        R = tail_radius(region, eps) if R is None else R
-        return _contour(region, eps, R, n_per_unit)
+        return _contour(region, _check_shift([ax.dual_sector for ax in region.axes], eps), R,
+                        n_per_unit)
 
     @property
     def k(self):
@@ -230,9 +232,11 @@ class ContourQuadrature:
         return n
 
 
-def _contour(region, eps, R, n_per_unit):
+def _contour(region, eps, R=None, n_per_unit=_N0):
     """The :class:`ContourQuadrature` of ``region`` shifted by the checked
-    per-axis shifts ``eps`` (Python complex), with tail radius ``R``."""
+    per-axis shifts ``eps`` (Python complex), with tail radius ``R`` (by
+    default :func:`tail_radius`)."""
+    R = tail_radius(region, eps) if R is None else R
     return ContourQuadrature(tuple(_axis_path(ax, j, e, R, n_per_unit) for j, (ax, e)
                                    in enumerate(zip(region.axes, eps))),
                              region, eps, R, n_per_unit)
@@ -536,21 +540,17 @@ def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None):
     """Tensor contour sums of ``f(zeta) * prod_j (lam_j A_j + m_j I)^{-1}`` for
     every ``f`` in ``scalar_fns``, where ``m_j = zeta_j - node_offsets[j]``,
     and their error estimates: a (len(scalar_fns), d, d) stack and a
-    (len(scalar_fns),) vector.
+    (len(scalar_fns),) vector; ``lam`` is checked by the caller.
 
     This is the hot kernel of the calculus: per-axis resolvent stacks are
     solved once in batch and every integrand is contracted against them
     block by block (see :func:`_contract`).  The caller applies any scalar
     prefactor.
     """
-    k = cq.k
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    offs = np.zeros(k, dtype=complex) if node_offsets is None else \
-        np.atleast_1d(np.asarray(node_offsets, dtype=complex))
     stacks = [
-        _kernels.resolvent_stack(np.asarray(matrices[j], dtype=complex), lam[j],
-                                 cq.axes[j].nodes - offs[j])
-        for j in range(k)
+        _kernels.resolvent_stack(np.asarray(matrices[j], dtype=complex), lam[j], ax.nodes
+                                 if node_offsets is None else ax.nodes - node_offsets[j])
+        for j, ax in enumerate(cq.axes)
     ]
     values, estimates = _estimated(scalar_fns, cq, stacks)
     return np.stack(values), estimates

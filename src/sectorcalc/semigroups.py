@@ -220,7 +220,7 @@ def check_in_domain(tup, j, zeta):
 def resolvent_product(tup, lam, zeta):
     """Product of the per-axis resolvents ``(lam_j*A_j + zeta_j*I)^{-1}``,
     multiplied in axis order (the factors commute)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    lam = _validate_lambda(tup, lam)
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     ident = np.eye(tup.dim, dtype=complex)
     x = ident
@@ -341,15 +341,19 @@ IN_N_ONLY = "in_N_only"
 OUTSIDE = "outside"
 
 
-def _validate_lambda(tup, lam, ps):
-    """``lam`` as a complex array, after checking that it and the sectors
-    ``ps`` have one entry per axis of ``tup`` and that each ``lam_j`` keeps
-    the sector of axis ``j`` inside its domain; raises :class:`SectorDomainError`."""
+def _validate_lambda(tup, lam, ps=None):
+    """``lam`` as a complex array (the one place it becomes one) with one
+    finite entry per axis of ``tup``; given the sectors ``ps``, also one per
+    axis, each ``lam_j`` keeping the sector of axis ``j`` inside its domain.
+    Raises :class:`SectorDomainError`."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if len(lam) != tup.k or ps.k != tup.k:
-        raise SectorDomainError(f"need one lambda and one sector per axis: {len(lam)} "
-                                f"lambdas and {ps.k} sectors for {tup.k} axes")
-    for j, (dom, sec) in enumerate(zip(tup.sectors.sectors, ps.sectors)):
+    if lam.shape != (tup.k,) or (ps is not None and ps.k != tup.k):
+        raise SectorDomainError(
+            f"need one lambda and one sector per axis: lambda of shape {lam.shape} and "
+            f"{tup.k if ps is None else ps.k} sectors for {tup.k} axes")
+    if not np.isfinite(lam).all():
+        raise SectorDomainError(f"lambda={lam.tolist()} is not finite")
+    for j, (dom, sec) in enumerate(zip(tup.sectors.sectors, () if ps is None else ps.sectors)):
         lj = lam[j]
         if dom.is_ray:
             if abs(sec.alpha - dom.alpha) > 1e-12 or not sec.is_ray:
@@ -357,19 +361,14 @@ def _validate_lambda(tup, lam, ps):
                     f"axis {j}: sector angles must equal the degenerate domain angle")
             if abs(lj.imag) > 1e-9 * (1 + abs(lj)) or lj.real < -1e-12:
                 raise SectorDomainError(f"axis {j}: lambda must be a nonnegative real")
-        else:
-            if not (dom.alpha < sec.alpha - 1e-12 and sec.beta < dom.beta - 1e-12):
+        elif not (dom.alpha < sec.alpha - 1e-12 and sec.beta < dom.beta - 1e-12):
+            raise SectorDomainError(
+                f"axis {j}: need domain alpha < alpha <= beta < domain beta")
+        elif abs(lj) > 1e-300:
+            lo, hi, ang = dom.alpha - sec.alpha, dom.beta - sec.beta, np.angle(lj)
+            if not (-1e-9 <= (ang - lo) % (2 * np.pi) <= (hi - lo) + 1e-9):
                 raise SectorDomainError(
-                    f"axis {j}: need domain alpha < alpha <= beta < domain beta")
-            if abs(lj) > 1e-300:
-                lo = dom.alpha - sec.alpha
-                hi = dom.beta - sec.beta
-                ang = np.angle(lj)
-                shifted = (ang - lo) % (2 * np.pi)
-                if not (-1e-9 <= shifted <= (hi - lo) + 1e-9):
-                    raise SectorDomainError(
-                        f"axis {j}: arg(lambda)={ang:.6g} outside the window "
-                        f"({lo:.6g}, {hi:.6g})")
+                    f"axis {j}: arg(lambda)={ang:.6g} outside the window ({lo:.6g}, {hi:.6g})")
     return lam
 
 
@@ -381,8 +380,12 @@ def n_set_classify(tup, lam, ps, z, tol=1e-12):
     spectral abscissas ``h`` the bounded set uses ``Re(z_j e^{iw}) <= -h``
     and the vanishing set uses strict inequality.
     """
-    lam = _validate_lambda(tup, lam, ps)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return _n_set_class(tup, _validate_lambda(tup, lam, ps), ps,
+                        np.atleast_1d(np.asarray(z, dtype=complex)), tol)
+
+
+def _n_set_class(tup, lam, ps, z, tol=1e-12):
+    """:func:`n_set_classify` of the checked ``lam`` and the anchor array ``z``."""
     strict = True
     weak = True
     for j, sec in enumerate(ps.sectors):
