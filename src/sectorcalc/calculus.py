@@ -10,7 +10,8 @@ with the per-axis orientation from ``exp(1j*(-pi/2-alpha_j))*inf`` to
 scalar oracle ``F(-lam*mu)``.  Bounded functions are reached through a
 squared-rational quotient, and quotient classes through a witness pair.
 All integrals of one quotient come from one contour pass, which solves
-each round's resolvent stacks once and accepts on the joint difference.
+each round's resolvent stacks once, against the Schur forms the tuple
+stores, and accepts on the joint difference.
 
 Everything is pure; contour evaluations inherit the deterministic
 reduction of the quadrature layer.
@@ -258,8 +259,8 @@ def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9):
             if shifted.axes[j].contains(np.asarray(p, dtype=complex), closed=True).any():
                 raise AdmissibilityError(f"{F.label} has a pole in the shifted region on axis {j}")
     pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
-    res = adaptive_contour(
-        lambda c: resolvent_contour_value(Fs, tup.matrices, lam, c), cq, tol)
+    schurs = [tup.schur(j) for j in range(tup.k)]
+    res = adaptive_contour(lambda c: resolvent_contour_value(Fs, schurs, lam, c), cq, tol)
     return pref * res.value
 
 
@@ -609,6 +610,6 @@ def resolvent_sup_on_contour(tup, lam, region, eps):
     cq = quadrature._contour(region, eps, _radius_floor(region, eps, tup, lam))
     sup = 1.0
     for j in range(tup.k):
-        stack = resolvent_stack(tup.matrices[j], lam[j], cq.axes[j].nodes)
+        stack = resolvent_stack(tup.schur(j)[1], lam[j], cq.axes[j].nodes)  # same 2-norms
         sup = sup * float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
     return sup

@@ -163,11 +163,8 @@ def sectorial_bank(seed, count=20, max_dim=6):
     """The shared random bank: diagonalizable matrices with spectrum in
     Re < -0.5, dimensions up to ``max_dim``."""
     rng = np.random.default_rng(seed)
-    bank = []
-    for _ in range(count):
-        dim = int(rng.integers(2, max_dim + 1))
-        bank.append(random_sectorial_matrix(rng, dim))
-    return bank
+    return [random_sectorial_matrix(rng, int(rng.integers(2, max_dim + 1)))
+            for _ in range(count)]
 
 
 def scenario_resolvent(seed, tol=1e-6):

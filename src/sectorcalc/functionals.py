@@ -29,8 +29,8 @@ from .quadrature import (_N0, ContourQuadrature, QuadratureError, _check_shift, 
                          _cut_tail, _parts_error, _product, _ray_rule, _separable,
                          adaptive_contour, initial_radius, integrate, ray_integral, refine,
                          resolvent_contour_value, richardson)
-from .semigroups import (_validate_lambda, check_in_domain, expm, orbit_integrals,
-                         resolvent_product)
+from .semigroups import (SectorDomainError, _validate_lambda, check_in_domain, expm,
+                         orbit_integrals, resolvent_product)
 
 MAX_DEGREE = 4
 
@@ -237,6 +237,8 @@ class Functional:
         """Transform evaluated at the commuting matrix argument
         ``(-lam_1 A_1 + eps_1 I, ..., -lam_k A_k + eps_k I)``, ``eps`` in the
         closed dual cone."""
+        if self.k != tup.k:
+            raise SectorDomainError(f"a functional of {self.k} axes for a tuple of {tup.k}")
         lam = _validate_lambda(tup, lam)
         eps = (0j,) * self.k if eps is None else _check_shift(self.sectors.dual().sectors, eps)
         dim = tup.dim
@@ -895,12 +897,13 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
         pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
         u_dual = np.array([_unit(-s.bisector_angle) for s in sectors.sectors])
         fb = _separable(phi.fb_terms)
+        schurs = [tup.schur(j) for j in range(tup.k)]
 
         def contour_value(eps, n):
             cq = _dual_cone_contour(phi, z, 3.0 if n else 1.0)
             scalar_fn = _product(fb, _wn(sectors, n, z)) if n else fb
             return pref * adaptive_contour(
-                lambda c: resolvent_contour_value((scalar_fn,), tup.matrices, lam, c,
+                lambda c: resolvent_contour_value((scalar_fn,), schurs, lam, c,
                                                   node_offsets=eps),
                 cq, tol).value[0]
 

@@ -536,24 +536,27 @@ def integrate(f, cq, tol=1e-8):
     return adaptive_contour(lambda c: tensor_sum(f, c), cq, tol)
 
 
-def resolvent_contour_value(scalar_fns, matrices, lam, cq, node_offsets=None):
+def resolvent_contour_value(scalar_fns, schurs, lam, cq, node_offsets=None):
     """Tensor contour sums of ``f(zeta) * prod_j (lam_j A_j + m_j I)^{-1}`` for
     every ``f`` in ``scalar_fns``, where ``m_j = zeta_j - node_offsets[j]``,
     and their error estimates: a (len(scalar_fns), d, d) stack and a
-    (len(scalar_fns),) vector; ``lam`` is checked by the caller.
+    (len(scalar_fns),) vector; ``schurs`` holds the pairs ``(q_j, t_j)`` of
+    ``A_j = q_j t_j q_j^H``, and ``lam`` is checked by the caller.
 
     This is the hot kernel of the calculus: per-axis resolvent stacks are
-    solved once in batch and every integrand is contracted against them
-    block by block (see :func:`_contract`).  The caller applies any scalar
-    prefactor.
+    solved once in batch against ``t_j``, carried into the next axis's basis
+    by the unitary ``q_j^H q_{j+1}`` and contracted block by block against
+    every integrand (see :func:`_contract`); each sum maps back once.  The
+    caller applies any scalar prefactor.
     """
-    stacks = [
-        _kernels.resolvent_stack(np.asarray(matrices[j], dtype=complex), lam[j], ax.nodes
-                                 if node_offsets is None else ax.nodes - node_offsets[j])
-        for j, ax in enumerate(cq.axes)
-    ]
+    offsets = np.zeros(len(schurs)) if node_offsets is None else node_offsets
+    stacks = [_kernels.resolvent_stack(t, lam[j], ax.nodes - offsets[j])
+              for j, ((_, t), ax) in enumerate(zip(schurs, cq.axes))]
+    for j in range(len(stacks) - 1):  # into the basis of axis j + 1
+        w = schurs[j][0].conj().T @ schurs[j + 1][0]
+        stacks[j] = (stacks[j].reshape(-1, len(w)) @ w).reshape(stacks[j].shape)
     values, estimates = _estimated(scalar_fns, cq, stacks)
-    return np.stack(values), estimates
+    return schurs[0][0] @ np.stack(values) @ schurs[-1][0].conj().T, estimates
 
 
 def richardson(values, ratio=2.0):

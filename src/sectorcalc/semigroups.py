@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import schur
 from .geometry import ProductSector, _unit
 from .quadrature import ray_integral, richardson
 
@@ -163,8 +164,9 @@ class CommutingTuple:
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "sectors", sectors)
         object.__setattr__(self, "_spectra", tuple(np.linalg.eigvals(m) for m in matrices))
-        for mu in self._spectra:
-            mu.setflags(write=False)
+        object.__setattr__(self, "_schurs", tuple(schur(m) for m in matrices))
+        for arr in self._spectra + sum(self._schurs, ()):
+            arr.setflags(write=False)
 
     @property
     def k(self):
@@ -177,6 +179,10 @@ class CommutingTuple:
     def eigenvalues(self, j):
         """Spectrum of ``A_j``, computed once at construction (read-only)."""
         return self._spectra[j]
+
+    def schur(self, j):
+        """Schur form ``(q, t)``, ``A_j = q t q^H``, computed once at construction."""
+        return self._schurs[j]
 
     def abscissa(self, j, omega, lam=1.0):
         """Growth rate of ``t -> |Exp(t * lam * exp(1j*omega) * A_j)|``, the
@@ -511,8 +517,6 @@ def random_commuting_tuple(rng, k, dim, sector=( -np.pi / 4, np.pi / 4),
     v = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim))
                              + 1j * rng.standard_normal((dim, dim)))
     vinv = np.linalg.inv(v)
-    mats = []
-    for _ in range(k):
-        vals = rng.uniform(*re_range, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
-        mats.append(v @ np.diag(vals) @ vinv)
+    mats = [v @ np.diag(rng.uniform(*re_range, dim) + 1j * rng.uniform(-1.0, 1.0, dim)) @ vinv
+            for _ in range(k)]
     return CommutingTuple(mats, [sector] * k)

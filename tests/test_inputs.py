@@ -120,6 +120,17 @@ class TestTypedRefusals:
         # no sector product to keep inside the domain: length and finiteness only
         assert np.all(np.isfinite(_lambda_calls(2, [-1.0, 1.0])[name]()))
 
+    def test_a_functional_of_another_k(self):
+        # a k=1 functional against a k=2 tuple: the transform refuses it
+        # first, as the pairing does, instead of reading axis 0 alone
+        tup = SETUPS[2][0]
+        phi = fn.dirac(ProductSector([SECT]), [0.5])
+        for call in (lambda: phi.fb_at_tuple(tup, [1.0, 1.0]),
+                     lambda: fn.pair_semigroup(tup, [1.0, 1.0], phi)):
+            _raises_only(sg.SectorDomainError, call)
+        assert "1 axes for a tuple of 2" in _raises_only(
+            sg.SectorDomainError, lambda: phi.fb_at_tuple(tup, [1.0, 1.0], [0.25]))
+
     @pytest.mark.parametrize("name", sorted(_shift_calls(2, None)))
     @pytest.mark.parametrize("eps, message", [
         ([[0.25, 0.25]], "one entry per axis"),

@@ -424,6 +424,11 @@ def _random_grid(rng, counts):
     return SimpleNamespace(axes=axes, k=len(axes))
 
 
+def _schurs(mats):
+    """Per-axis ``(q, t)`` Schur pairs, the operand of ``resolvent_contour_value``."""
+    return [q._kernels.schur(m) for m in mats]
+
+
 def _dense_values(f, cq):
     """``f`` on the full tensor grid, shape (N_0, ..., N_{k-1}, ...)."""
     mesh = np.meshgrid(*[ax.nodes for ax in cq.axes], indexing="ij")
@@ -493,7 +498,7 @@ class TestBlockedContraction:
         spec = ",".join([ix] + list(ix) + mat_ix) + "->w" + "wxyz"[cq.k]
         ref = np.einsum(spec, _dense_values(_smooth, cq),
                         *[ax.weights for ax in cq.axes], *stacks)
-        val = q.resolvent_contour_value([_smooth], mats, lam, cq, node_offsets=offs)[0][0]
+        val = q.resolvent_contour_value([_smooth], _schurs(mats), lam, cq, node_offsets=offs)[0][0]
         assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_batch_shares_one_stack_per_axis(self, grid, monkeypatch):
@@ -503,6 +508,7 @@ class TestBlockedContraction:
         mats = [rng.standard_normal((3, 3)) for _ in range(cq.k)]
         lam = 0.5 + 0.2j * np.arange(1, cq.k + 1)
         fns = [_smooth, lambda p: _smooth(p) ** 2, lambda p: 1.0 / (3.0 + p[:, -1])]
+        mats = _schurs(mats)
         singles = [q.resolvent_contour_value([f], mats, lam, cq)[0][0] for f in fns]
         calls = []
         solve = q._kernels.resolvent_stack
@@ -518,7 +524,7 @@ class TestBlockedContraction:
         cq, rng = grid
         mats = [rng.standard_normal((2, 2)) for _ in range(cq.k)]
         with pytest.raises(q.QuadratureError, match="scalar integrand"):
-            q.resolvent_contour_value([_smooth_matrix], mats, np.ones(cq.k), cq)
+            q.resolvent_contour_value([_smooth_matrix], _schurs(mats), np.ones(cq.k), cq)
 
     def test_default_block_size_over_several_blocks(self):
         rng = np.random.default_rng(7)
@@ -598,7 +604,8 @@ class TestSeparableContraction:
         spec = ",".join([ix] + list(ix) + mat_ix) + "->w" + "wxyz"[cq.k]
         ref = np.einsum(spec, _dense_values(bare, cq),
                         *[ax.weights for ax in cq.axes], *stacks)
-        val, dense = q.resolvent_contour_value([f, bare], mats, lam, cq, node_offsets=offs)[0]
+        val, dense = q.resolvent_contour_value([f, bare], _schurs(mats), lam, cq,
+                                               node_offsets=offs)[0]
         assert np.linalg.norm(val - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.linalg.norm(val - dense) <= 1e-13 * np.linalg.norm(ref)
 

@@ -115,6 +115,13 @@ class TestCommutingTuple:
             assert tup.eigenvalues(j) is mu
             with pytest.raises(ValueError):
                 mu[0] = 0.0
+            # so is the Schur form the calculus solves its resolvents against
+            q, t = tup.schur(j)
+            assert tup.schur(j) is tup.schur(j) and np.all(np.tril(t, -1) == 0)
+            assert np.linalg.norm(q @ t @ q.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+            for arr in (q, t):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.0
 
     def test_json_round_trip(self, rng):
         tup = sg.random_commuting_tuple(rng, 2, 3)
