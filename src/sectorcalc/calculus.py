@@ -117,9 +117,22 @@ def constant_function(k, value, label=None):
                               label or f"const({value})")
 
 
+def _per_axis(k, values, name, dtype=complex):
+    """``values`` as an array of one entry per axis; any other count is refused."""
+    values = np.atleast_1d(np.asarray(values, dtype=dtype))
+    if values.shape != (k,):
+        raise ValueError(f"{name} needs one entry per axis ({k}), got shape {values.shape}")
+    return values
+
+
+def _check_axis(k, axis):
+    if axis not in range(k):
+        raise ValueError(f"axis {axis} is not one of the {k} axes 0..{k - 1}")
+
+
 def inverse_square(k, shifts, label=None):
     """``prod_j (zeta_j + s_j)^{-2}``; the workhorse decaying test function."""
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
+    shifts = _per_axis(k, shifts, "shifts")
     term = [lambda x, s=shifts[j]: 1.0 / (x + s) ** 2 for j in range(k)]
     return replace(separable_function([term], "H1", (1.0, 2.0), None,
                                       label or f"invsq({shifts.tolist()})"),
@@ -129,8 +142,8 @@ def inverse_square(k, shifts, label=None):
 def rotated_inverse_square(k, angles, shifts, label=None):
     """``prod_j (zeta_j e^{i theta_j} + s_j)^{-2}`` (poles pushed behind the
     rotated half-planes); used as the bounded-function quotient."""
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    shifts = _per_axis(k, shifts, "shifts")
+    angles = _per_axis(k, angles, "angles", float)
     term = [lambda x, u=_unit(angles[j]), s=shifts[j]: 1.0 / (x * u + s) ** 2
             for j in range(k)]
     return replace(separable_function([term], "H1", (1.0, 2.0), None, label or "rot_invsq"),
@@ -140,8 +153,10 @@ def rotated_inverse_square(k, angles, shifts, label=None):
 def exponential_function(k, nu, axis=0, shifts=None, label=None):
     """``exp(-nu*zeta_axis)`` optionally damped by ``prod (zeta_j+s_j)^{-1}``."""
     nu = complex(nu)
+    _check_axis(k, axis)
     term = [(lambda x: np.exp(-nu * x)) if j == axis else _ones for j in range(k)]
     if shifts is not None:
+        shifts = _per_axis(k, shifts, "shifts")
         term = [lambda x, f=f, s=shifts[j]: f(x) / (x + s) for j, f in enumerate(term)]
     p = 1.0 if shifts is not None else 0.0
     return separable_function([term], "Hinf", (1.0, p), None,
@@ -150,6 +165,7 @@ def exponential_function(k, nu, axis=0, shifts=None, label=None):
 
 def monomial(k, axis=0):
     """``-zeta_axis``, the projection integrand of the quotient class."""
+    _check_axis(k, axis)
     term = [(lambda x: -x) if j == axis else _ones for j in range(k)]
     return separable_function([term], "Smirnov", None, None, f"-z{axis}")
 

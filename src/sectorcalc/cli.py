@@ -501,6 +501,19 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 
 
+def _complex_pairs(values, name, ndim):
+    """``values`` as a complex array: ``ndim`` levels of lists, the innermost
+    ``[re, im]`` pairs; any other shape is refused, naming the field."""
+    try:
+        pairs = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.ndim != ndim or pairs.shape[-1] != 2:
+        shape = ("a [re, im] pair", "a list of [re, im] pairs", "a matrix of [re, im] pairs")
+        raise ValueError(f"{name!r} must be {shape[ndim - 1]}, got {values!r}")
+    return pairs.view(complex)[..., 0]
+
+
 def run_scenario_file(path, seed):
     with open(path) as fh:
         spec = json.load(fh)
@@ -509,14 +522,17 @@ def run_scenario_file(path, seed):
     tol = float(spec.get("tol", 1e-6))
     if kind == "calculus":
         tup = CommutingTuple.from_json(spec["tuple"])
-        lam = [complex(v[0], v[1]) for v in spec["lambda"]]
+        lam = _complex_pairs(spec["lambda"], "lambda", 2)
         region = AdmissibleRegion.from_json(spec["region"])
         fdesc = spec["function"]
         if fdesc["type"] != "inverse_square":
             raise ValueError(f"unsupported function type {fdesc['type']!r}")
-        f = inverse_square(tup.k, [complex(s[0], s[1]) if isinstance(s, list) else s
-                                   for s in fdesc["shifts"]])
-        eps = [complex(v[0], v[1]) for v in spec["eps"]]
+        shifts = fdesc["shifts"]
+        if not isinstance(shifts, list):
+            raise ValueError(f"'shifts' must be a list of one shift per axis, got {shifts!r}")
+        f = inverse_square(tup.k, [_complex_pairs(s, "shifts", 1) if isinstance(s, list) else s
+                                   for s in shifts])
+        eps = _complex_pairs(spec["eps"], "eps", 2)
         computed = functional_calculus(f, tup, lam, region, eps,
                                        tol=float(spec.get("quad_tol", 1e-9)))
         oracle = spec.get("oracle")
@@ -525,11 +541,11 @@ def run_scenario_file(path, seed):
             rep = spectral_map_check(f, tup, lam, u, computed=computed)
             return [ReportRow(name, "vs eigen oracle", rep.max_eig_rel_err, 0.0,
                               tol, "abs")]
-        oracle = np.array([[complex(v[0], v[1]) for v in row] for row in oracle])
+        oracle = _complex_pairs(oracle, "oracle", 3)
         return [ReportRow(name, "vs stated oracle", computed, oracle, tol)]
     if kind == "resolvent":
         tup = CommutingTuple.from_json(spec["tuple"])
-        lam = complex(spec["lambda"][0], spec["lambda"][1])
+        lam = complex(_complex_pairs(spec["lambda"], "lambda", 1))
         computed = resolvent_via_laplace(tup, 0, lam, 1.0,
                                          tol=float(spec.get("quad_tol", 1e-9)))
         oracle = np.linalg.inv(lam * np.eye(tup.dim) - tup.matrices[0])

@@ -29,6 +29,7 @@ taken with ``np.hypot`` (NumPy's array ``*`` and ``abs`` round differently),
 so array answers equal the one-point answers bit for bit.
 """
 
+import cmath
 import copy
 from dataclasses import dataclass, field
 
@@ -231,6 +232,8 @@ class AxisRegion:
         theta = tuple(complex(t) for t in self.theta)
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "theta", theta)
+        if not all(map(cmath.isfinite, (self.z,) + theta)):
+            raise GeometryError(f"vertex {self.z} and polyline {theta} must be finite")
         if self.degenerate:
             if len(theta) > 1:
                 raise GeometryError("half-plane axis takes an empty excision")
@@ -379,46 +382,37 @@ class AxisRegion:
         return -b + np.sqrt(disc)
 
 
-def _halfplane_axis(alpha, z):
-    return AxisRegion(alpha, alpha, z, (0j,))
+def _preset_axis(kind, alpha, beta, z, params):
+    """One axis of a :func:`make_region` preset."""
+    if kind not in ("halfplane", "cone", "cone_minus_disk", "cone_minus_rect"):
+        raise GeometryError(f"unknown region kind {kind!r}")
+    radius, s0, s1 = (params.get(key, 0.0) for key in ("radius", "s0", "s1"))
+    if kind == "cone_minus_disk" and radius > 0:
+        # the arc is cone stable only for apertures >= pi/2: below that a
+        # dual-cone offset from an arc point re-enters the disk, and the
+        # AxisRegion validation rejects the polyline
+        ang = np.linspace(-np.pi / 2 - alpha, np.pi / 2 - beta, params.get("samples", 64))
+        return AxisRegion(alpha, beta, z, tuple(radius * _unit(a) for a in ang))
+    if kind == "cone_minus_rect" and (s0 > 0 or s1 > 0):
+        d0, d1 = _unit(-np.pi / 2 - alpha), _unit(np.pi / 2 - beta)
+        return AxisRegion(alpha, beta, z, (s0 * d0, s0 * d0 + s1 * d1, s1 * d1))
+    return AxisRegion(alpha, alpha if kind == "halfplane" else beta, z)
 
 
-def _cone_axis(alpha, beta, z):
-    return AxisRegion(alpha, beta, z, (0j,))
+def _points(pairs, name):
+    """A list of ``[re, im]`` pairs as complex numbers."""
+    try:
+        return [complex(float(re), float(im)) for re, im in pairs]
+    except (TypeError, ValueError):
+        raise GeometryError(f"{name} must be a list of [re, im] pairs, got {pairs!r}") from None
 
 
-def _cone_minus_disk_axis(alpha, beta, z, radius, samples=64):
-    # the arc is cone stable only for apertures >= pi/2: below that a
-    # dual-cone offset from an arc point re-enters the disk, and the
-    # AxisRegion validation rejects the polyline
-    if radius <= 0:
-        return _cone_axis(alpha, beta, z)
-    lo = -np.pi / 2 - alpha
-    hi = np.pi / 2 - beta
-    ang = np.linspace(lo, hi, samples)
-    theta = tuple(radius * _unit(a) for a in ang)
-    return AxisRegion(alpha, beta, z, theta)
-
-
-def _cone_minus_rect_axis(alpha, beta, z, s0, s1):
-    d0 = _unit(-np.pi / 2 - alpha)
-    d1 = _unit(np.pi / 2 - beta)
-    if s0 <= 0 and s1 <= 0:
-        return _cone_axis(alpha, beta, z)
-    theta = (s0 * d0, s0 * d0 + s1 * d1, s1 * d1)
-    return AxisRegion(alpha, beta, z, theta)
-
-
-_AXIS_BUILDERS = {
-    "halfplane": lambda a, b, z, p: _halfplane_axis(a, z),
-    "cone": lambda a, b, z, p: _cone_axis(a, b, z),
-    "cone_minus_disk": lambda a, b, z, p: _cone_minus_disk_axis(
-        a, b, z, p.get("radius", 0.0), p.get("samples", 64)
-    ),
-    "cone_minus_rect": lambda a, b, z, p: _cone_minus_rect_axis(
-        a, b, z, p.get("s0", 0.0), p.get("s1", 0.0)
-    ),
-}
+def _check_axis_count(alpha, **per_axis):
+    """Refuse a per-axis entry (a list, tuple or array) whose length is
+    not the number of axes, ``len(alpha)``."""
+    for name, values in per_axis.items():
+        if isinstance(values, (list, tuple, np.ndarray)) and len(values) != len(alpha):
+            raise GeometryError(f"{name} has {len(values)} entries for {len(alpha)} axes")
 
 
 @dataclass(frozen=True)
@@ -483,42 +477,39 @@ class AdmissibleRegion:
 
     @staticmethod
     def from_json(obj):
-        alphas = obj["alpha"]
-        betas = obj["beta"]
-        verts = [complex(v[0], v[1]) for v in obj["vertex"]]
+        """The region of :meth:`to_json`, or of a preset descriptor whose
+        ``excision`` holds the keywords of :func:`make_region`."""
+        verts = _points(obj["vertex"], "vertex")
         exc = obj.get("excision") or {}
-        axes = []
-        for j in range(len(alphas)):
-            if "axes" in exc:
-                theta = tuple(complex(p[0], p[1]) for p in exc["axes"][j]["theta"])
-                axes.append(AxisRegion(alphas[j], betas[j], verts[j], theta))
-            elif "kind" in exc:
-                kinds = exc["kind"]
-                kind = kinds[j] if isinstance(kinds, (list, tuple)) else kinds
-                params = {key: val[j] if isinstance(val, (list, tuple)) else val
-                          for key, val in exc.items() if key != "kind"}
-                axes.append(_AXIS_BUILDERS[kind](alphas[j], betas[j], verts[j], params))
-            else:
-                axes.append(_AXIS_BUILDERS["cone"](alphas[j], betas[j], verts[j], {}))
-        return AdmissibleRegion(axes)
+        if "axes" not in exc:
+            return make_region(obj["alpha"], obj["beta"], verts, **exc)
+        _check_axis_count(obj["alpha"], beta=obj["beta"], vertex=verts, axes=exc["axes"])
+        return AdmissibleRegion([
+            AxisRegion(a, b, z, tuple(_points(ax["theta"], "theta")))
+            for a, b, z, ax in zip(obj["alpha"], obj["beta"], verts, exc["axes"])])
 
 
 def make_region(alpha, beta, vertex, kind="cone", **params):
-    """Preset region builder; ``kind`` applies to every axis.
+    """Preset region builder.
 
-    Kinds: ``halfplane`` (degenerate axes), ``cone``, ``cone_minus_disk``
-    (``radius=``), ``cone_minus_rect`` (``s0=``, ``s1=``).
+    Kinds: ``halfplane`` (taking ``alpha`` only), ``cone``,
+    ``cone_minus_disk`` (``radius=``, ``samples=``), ``cone_minus_rect``
+    (``s0=``, ``s1=``); an empty excision gives the cone.  ``kind`` and each
+    parameter is one value for every axis or a list of one per axis.
+    Degenerate axes (``alpha == beta``) are half-planes whatever the kind.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     vertex = np.atleast_1d(np.asarray(vertex, dtype=complex))
-    axes = []
-    for j in range(len(alpha)):
-        p = {key: (val[j] if isinstance(val, (list, tuple, np.ndarray)) else val)
-             for key, val in params.items()}
-        axis_kind = "halfplane" if abs(beta[j] - alpha[j]) <= TOL else kind
-        axes.append(_AXIS_BUILDERS[axis_kind](alpha[j], beta[j], vertex[j], p))
-    return AdmissibleRegion(axes)
+    _check_axis_count(alpha, beta=beta, vertex=vertex, kind=kind, **params)
+
+    def at(val, j):
+        return val[j] if isinstance(val, (list, tuple, np.ndarray)) else val
+
+    return AdmissibleRegion([
+        _preset_axis("halfplane" if abs(b - a) <= TOL else at(kind, j), a, b, z,
+                     {key: at(val, j) for key, val in params.items()})
+        for j, (a, b, z) in enumerate(zip(alpha, beta, vertex))])
 
 
 def dist_to_boundary(region, j, zeta):
@@ -537,142 +528,68 @@ def dist_to_boundary(region, j, zeta):
 # ---------------------------------------------------------------------------
 
 
-def _chain_crossings(chain1, chain2):
-    """Crossing points of every segment of ``chain1`` with every segment of
-    ``chain2``, in row order; nearly parallel segments never cross."""
-    da, db = np.diff(chain1)[:, None], np.diff(chain2)
-    rhs = np.array(chain2[:-1]) - np.array(chain1[:-1])[:, None]
-    den = da.real * db.imag - da.imag * db.real
-    with np.errstate(divide="ignore", invalid="ignore"):  # parallel pairs are masked
-        t = (rhs.real * db.imag - rhs.imag * db.real) / den
-        s = (rhs.real * da.imag - rhs.imag * da.real) / den
-    scale = np.hypot(da.real, da.imag) * np.hypot(db.real, db.imag) + 1e-300
-    hit = ~(np.abs(den) < 1e-14 * scale) & (-1e-12 <= t) & (t <= 1 + 1e-12) \
-        & (-1e-12 <= s) & (s <= 1 + 1e-12)
-    # the few crossing points in Python complex arithmetic, as the chains are
-    return [chain1[i] + float(t[i, j]) * (chain1[i + 1] - chain1[i]) for i, j in np.argwhere(hit)]
+def _boundary_graph(ax, d0, d1):
+    """The boundary chain of ``ax`` as the graph ``x = X(s)``, ``s = y - x``,
+    in the oblique coordinates ``p = x*d0 + y*d1`` of a dual cone inside
+    the axis's own: the closed axis set is ``x >= X(s)``.  Returns X's
+    vertices ``(s, x)`` and its slopes ``dx/ds`` on the two rays."""
+    x, y = _oblique_coords(ax.z + np.array(ax.theta), d0, d1)
+    (a, b), (c, e) = (_oblique_coords(d, d0, d1) for d in (ax.d0, ax.d1))
+    return y - x, x, a / (b - a), c / (e - c)
 
 
-def _axis_chain(ax, z_ref, radius, min_extent=0.0):
-    """Absolute boundary polyline with long straight tails covering
-    ``B(z_ref, radius)`` and at least ``min_extent`` along each tail."""
-    extent = max(3.0 * (radius + abs(ax.z - z_ref) + ax.excision_radius + 1.0),
-                 min_extent)
-    pts = [ax.z + ax.theta[0] + extent * ax.d0]
-    pts.extend(ax.z + t for t in ax.theta)
-    pts.append(ax.z + ax.theta[-1] + extent * ax.d1)
-    return pts
-
-
-def _tail_rays(ax):
-    return ((ax.z + ax.theta[0], ax.d0), (ax.z + ax.theta[-1], ax.d1))
-
-
-def _tail_crossing_extent(a1, a2):
-    """Largest ray parameter at which the asymptotic tails of the two
-    boundaries can cross; the edges may meet at arbitrarily shallow
-    angles, so no fixed truncation multiple covers this."""
-    needed = 0.0
-    for p, dp in _tail_rays(a1):
-        for q, dq in _tail_rays(a2):
-            den = dp.real * dq.imag - dp.imag * dq.real
-            if abs(den) < 1e-12:
-                continue
-            rhs = q - p
-            t = (rhs.real * dq.imag - rhs.imag * dq.real) / den
-            s = (rhs.real * dp.imag - rhs.imag * dp.real) / den
-            if t > 0 and s > 0:
-                needed = max(needed, t, s)
-    return needed
+def _graph_at(graph, s):
+    """``X(s)`` of a :func:`_boundary_graph` at the array ``s``."""
+    sv, xv, m0, m1 = graph
+    return np.where(s < sv[0], xv[0] + m0 * (s - sv[0]),
+                    np.where(s > sv[-1], xv[-1] + m1 * (s - sv[-1]), np.interp(s, sv, xv)))
 
 
 def _intersect_axis(a1, a2):
+    """The intersection's boundary, exactly, as the upper envelope
+    ``max(X1, X2)`` of the two boundary graphs (:func:`_boundary_graph`)
+    in the oblique coordinates of the combined dual cone."""
     alpha = min(a1.alpha, a2.alpha)
     beta = max(a1.beta, a2.beta)
-    if beta - alpha >= np.pi - TOL and not (a1.degenerate and a2.degenerate and
-                                            abs(a1.alpha - a2.alpha) <= TOL):
-        raise GeometryError(
-            f"empty axis intersection: combined sector ({alpha}, {beta}) has no dual cone"
-        )
     if a1.degenerate and a2.degenerate and abs(a1.alpha - a2.alpha) <= TOL:
-        # nested half-planes: keep the smaller one
-        c1 = (a1.z * _unit(a1.alpha)).real
-        c2 = (a2.z * _unit(a2.alpha)).real
-        return a1 if c1 >= c2 else a2
-
-    d0 = _unit(-np.pi / 2 - alpha)
-    d1 = _unit(np.pi / 2 - beta)
-    n0 = 1j * d0  # inward normal of the lower asymptotic line
-    n1 = -1j * d1
-
-    def _binding(direction, normal, pick0):
-        best = None
-        for ax in (a1, a2):
-            dref = ax.d0 if pick0 else ax.d1
-            if abs(dref - direction) > 1e-9:
-                continue
-            c = (ax.z * normal.conjugate()).real
-            if best is None or c > best[0]:
-                best = (c, ax.z)
-        return best[1]
-
-    p_lo = _binding(d0, n0, True)
-    p_hi = _binding(d1, n1, False)
-    # vertex: intersection of the two binding asymptotic lines
-    den = d0.real * d1.imag - d0.imag * d1.real
-    rhs = p_hi - p_lo
-    t = (rhs.real * d1.imag - rhs.imag * d1.real) / den
-    z3 = p_lo + t * d0
-
-    radius = 4.0 * (abs(z3) + abs(a1.z) + abs(a2.z) + a1.excision_radius + a2.excision_radius + 1.0)
-    min_extent = 1.5 * _tail_crossing_extent(a1, a2) + 1.0
-    chain1 = _axis_chain(a1, z3, radius, min_extent)
-    chain2 = _axis_chain(a2, z3, radius, min_extent)
-
-    kept = (np.array(chain1)[a2.contains(chain1, closed=True, tol=1e-9)].tolist()
-            + np.array(chain2)[a1.contains(chain2, closed=True, tol=1e-9)].tolist())
-    kept += _chain_crossings(chain1, chain2)
-    if not kept:
-        raise GeometryError("empty axis intersection")
-
-    # order along the envelope: x decreasing, then y increasing, in the
-    # oblique coordinates of the combined dual cone
-    keyed = []
-    for p in kept:
-        x, y = _oblique_coords(p - z3, d0, d1)
-        keyed.append((round(-x, 9), round(y, 9), p))
-    keyed.sort(key=lambda r: (r[0], r[1]))
-    chain = []
-    for _, _, p in keyed:
-        if not chain or abs(p - chain[-1]) > 1e-9 * (1 + abs(p)):
-            chain.append(p)
-
-    def _on_line(p, anchor, d):
-        return abs(((p - anchor) * d.conjugate()).imag)
-
-    # trim the straight tails along the asymptotic lines
-    while len(chain) >= 2 and _on_line(chain[0], z3, d0) <= 1e-7 * (1 + abs(chain[0] - z3)) \
-            and _on_line(chain[1], z3, d0) <= 1e-7 * (1 + abs(chain[1] - z3)):
-        chain.pop(0)
-    while len(chain) >= 2 and _on_line(chain[-1], z3, d1) <= 1e-7 * (1 + abs(chain[-1] - z3)) \
-            and _on_line(chain[-2], z3, d1) <= 1e-7 * (1 + abs(chain[-2] - z3)):
-        chain.pop()
-
-    if len(chain) == 1 and abs(chain[0] - z3) <= 1e-9 * (1 + abs(z3)):
+        # nested half-planes Re(zeta*exp(1j*alpha)) > c: keep the larger c
+        return max((a1, a2), key=lambda a: (a.z * _unit(a.alpha)).real)
+    if beta - alpha >= np.pi - TOL:
+        raise GeometryError(f"empty axis intersection: combined sector ({alpha}, {beta}) "
+                            "has no dual cone")
+    d0, d1 = _unit(-np.pi / 2 - alpha), _unit(np.pi / 2 - beta)
+    g1, g2 = _boundary_graph(a1, d0, d1), _boundary_graph(a2, d0, d1)
+    # the envelope's breakpoints: each graph's vertices where it is the upper
+    # one, and the crossings; X1 - X2 is linear between consecutive vertices
+    # and on the two unbounded pieces, so each crossing has a closed form
+    s = np.concatenate([g1[0], g2[0]])
+    gap = np.concatenate([g1[1] - _graph_at(g2, g1[0]), _graph_at(g1, g2[0]) - g2[1]])
+    upper = np.concatenate([gap[:len(g1[0])] >= 0, gap[len(g1[0]):] <= 0])
+    order = np.argsort(s, kind="stable")
+    s, gap, upper = s[order], gap[order], upper[order]
+    i = np.flatnonzero(gap[:-1] * gap[1:] < 0)
+    crossings = [s[i] + (s[i + 1] - s[i]) * gap[i] / (gap[i] - gap[i + 1])]
+    for end, slope, side in ((0, g1[2] - g2[2], -1.0), (-1, g1[3] - g2[3], 1.0)):
+        if slope != 0 and -gap[end] / slope * side > 0:
+            crossings.append([s[end] - gap[end] / slope])
+    s = np.sort(np.concatenate([s[upper]] + crossings))
+    x = np.maximum(_graph_at(g1, s), _graph_at(g2, s))
+    y = x + s
+    tol = 1e-9 * (1 + np.abs(np.concatenate([x, y])).max())
+    keep = np.concatenate([[True], np.diff(s) > tol])
+    x, y = x[keep], y[keep]
+    # y rises and x falls along the envelope: a prefix of its points lies on
+    # the incoming asymptote y = y[0], a suffix on the outgoing one x = x[-1]
+    p = np.count_nonzero(y - y[0] <= tol) - 1
+    q = len(x) - np.count_nonzero(x - x[-1] <= tol)
+    if p >= q:
         theta = (0j,)
     else:
-        # snap the chain ends onto the asymptotic rays
-        first = chain[0] - z3
-        last = chain[-1] - z3
-        s0 = max(((first) * d0.conjugate()).real, 0.0)
-        s1 = max(((last) * d1.conjugate()).real, 0.0)
-        theta = [s0 * d0] + [p - z3 for p in chain[1:-1]] + [s1 * d1]
-        cleaned = [theta[0]]
-        for t in theta[1:]:
-            if abs(t - cleaned[-1]) > 1e-9 * (1 + abs(t)):
-                cleaned.append(t)
-        theta = tuple(cleaned) if len(cleaned) > 1 or abs(cleaned[0]) > 1e-12 else (0j,)
-    return AxisRegion(alpha, beta, z3, theta)
+        # the ends snapped onto the rays
+        xs, ys = x[p:q + 1] - x[-1], y[p:q + 1] - y[0]
+        xs[-1], ys[0] = 0.0, 0.0
+        theta = tuple(xs * d0 + ys * d1)
+    return AxisRegion(alpha, beta, x[-1] * d0 + y[0] * d1, theta)
 
 
 def intersect_admissible(u1, u2):

@@ -360,6 +360,25 @@ class TestSeparableFunctions:
         assert np.allclose(f(pts), ref, rtol=1e-13, atol=0.0)
         assert np.allclose(from_terms, ref, rtol=1e-13, atol=0.0)
 
+    # a builder given an axis outside 0..k-1, or per-axis values for some
+    # other number of axes (the first two used to evaluate to 1 everywhere)
+    BAD_AXES = {
+        "exponential axis": lambda: ca.exponential_function(1, 1.0, axis=1),
+        "negative exponential axis": lambda: ca.exponential_function(2, 1.0, axis=-1),
+        "monomial axis": lambda: ca.monomial(1, axis=3),
+        "exponential shifts": lambda: ca.exponential_function(2, 1.0, shifts=[3.0]),
+        "more shifts": lambda: ca.inverse_square(1, [1.0, 2.0]),
+        "no shifts": lambda: ca.inverse_square(1, []),
+        "scalar shift": lambda: ca.inverse_square(2, 3.0),
+        "rotated angles": lambda: ca.rotated_inverse_square(2, [0.1], [1.0, 2.0]),
+        "rotated shifts": lambda: ca.rotated_inverse_square(2, [0.1, 0.2], [1.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_AXES))
+    def test_per_axis_arguments_must_match_k(self, name):
+        with pytest.raises(ValueError, match="axis|axes"):
+            self.BAD_AXES[name]()
+
     def test_product_multiplies_ranks(self):
         two = ca.separable_function([[np.exp, np.exp], [np.sin, np.cos]])
         three = ca.separable_function([[np.cos, np.sin], [np.exp, np.cos],

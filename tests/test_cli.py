@@ -15,6 +15,21 @@ def run_cli(args):
     return cli.main(args)
 
 
+FILE_SCENARIO = {
+    "kind": "calculus",
+    "name": "file-calculus",
+    "tuple": {"k": 1, "dim": 1, "A": [[[[-2.0, 0.0]]]],
+              "sectors": [[-np.pi / 2 + 0.05, np.pi / 2 - 0.05]]},
+    "lambda": [[1.0, 0.0]],
+    "region": {"alpha": [-np.pi / 4], "beta": [np.pi / 4],
+               "vertex": [[0.0, 0.0]], "excision": {"kind": "cone"}},
+    "function": {"type": "inverse_square", "shifts": [[1.0, 0.0]]},
+    "eps": [[0.25, 0.0]],
+    "oracle": [[[1.0 / 9.0, 0.0]]],
+    "tol": 1e-6,
+}
+
+
 class TestRun:
     def test_builtin_scenario_exits_zero(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -99,23 +114,51 @@ class TestRun:
         assert "line" in err and "column" in err
 
     def test_file_scenario(self, tmp_path):
-        spec = {
-            "kind": "calculus",
-            "name": "file-calculus",
-            "tuple": {"k": 1, "dim": 1, "A": [[[[-2.0, 0.0]]]],
-                      "sectors": [[-np.pi / 2 + 0.05, np.pi / 2 - 0.05]]},
-            "lambda": [[1.0, 0.0]],
-            "region": {"alpha": [-np.pi / 4], "beta": [np.pi / 4],
-                       "vertex": [[0.0, 0.0]], "excision": {"kind": "cone"}},
-            "function": {"type": "inverse_square", "shifts": [[1.0, 0.0]]},
-            "eps": [[0.25, 0.0]],
-            "oracle": [[[1.0 / 9.0, 0.0]]],
-            "tol": 1e-6,
-        }
         path = tmp_path / "scn.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(FILE_SCENARIO))
         out = tmp_path / "r.csv"
         assert run_cli(["run", "--scenario", str(path), "--out", str(out)]) == 0
+
+    # one field replaced in FILE_SCENARIO, and a word of the refusal
+    MALFORMED = {
+        "alpha longer than beta": (
+            "region", {"alpha": [-0.7, -0.7], "beta": [0.7], "vertex": [[0, 0]]},
+            "beta has 1 entries for 2 axes"),
+        "beta and vertex longer than alpha": (
+            "region", {"alpha": [-0.7], "beta": [0.7, 0.7], "vertex": [[0, 0], [0, 0]]},
+            "beta has 2 entries for 1 axes"),
+        "nan vertex": (
+            "region", {"alpha": [-0.7], "beta": [0.7], "vertex": [[float("nan"), 0]]},
+            "must be finite"),
+        "infinite vertex": (
+            "region", {"alpha": [-0.7], "beta": [0.7], "vertex": [[float("inf"), 0]]},
+            "must be finite"),
+        "bare vertex entry": (
+            "region", {"alpha": [-0.7], "beta": [0.7], "vertex": [0.0]},
+            "vertex must be a list of [re, im] pairs"),
+        "bare shifts": (
+            "function", {"type": "inverse_square", "shifts": 1.0}, "'shifts' must be a list"),
+        "short shift pair": (
+            "function", {"type": "inverse_square", "shifts": [[1.0]]},
+            "'shifts' must be a [re, im] pair"),
+        "more shifts than axes": (
+            "function", {"type": "inverse_square", "shifts": [1.0, 2.0]}, "one entry per axis"),
+        "no shifts": (
+            "function", {"type": "inverse_square", "shifts": []}, "one entry per axis"),
+        "bare lambda": ("lambda", [1.0], "'lambda' must be a list of [re, im] pairs"),
+        "bare eps": ("eps", 0.25, "'eps' must be a list of [re, im] pairs"),
+        "bare oracle entry": ("oracle", [[1.0]], "'oracle' must be a matrix of [re, im] pairs"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_field_exits_two_with_a_message(self, case, tmp_path, capsys):
+        field, value, message = self.MALFORMED[case]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(dict(FILE_SCENARIO, **{field: value})))
+        assert run_cli(["run", "--scenario", str(path),
+                        "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_computation_failure_exits_three(self, tmp_path, capsys):
         spec = {

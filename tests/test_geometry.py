@@ -190,6 +190,48 @@ class TestRegions:
             with pytest.raises(g.GeometryError, match="expected 2"):
                 u.contains(point)
 
+    @pytest.mark.parametrize("alpha, beta, vertex", [
+        ([-.5, -.5], [.5], [0, 0]),   # the trailing axis has no beta
+        ([-.5], [.5, .5], [0, 0]),    # entries beyond the axes of alpha
+        ([-.5], [.5], [0, 0])])
+    def test_per_axis_lengths_must_agree(self, alpha, beta, vertex):
+        with pytest.raises(g.GeometryError, match="entries for"):
+            g.make_region(alpha, beta, vertex)
+        desc = {"alpha": alpha, "beta": beta, "vertex": [[v, 0.0] for v in vertex]}
+        with pytest.raises(g.GeometryError, match="entries for"):
+            g.AdmissibleRegion.from_json(desc)
+
+    def test_per_axis_excision_lengths_must_agree(self):
+        with pytest.raises(g.GeometryError, match="radius has 2 entries for 1 axes"):
+            g.make_region([-PI / 4], [PI / 4], [0], kind="cone_minus_disk", radius=[.5, .6])
+        u = g.make_region([-PI / 4, -PI / 4], [PI / 4, PI / 4], [0, 0],
+                          kind="cone_minus_rect", s0=0.3, s1=0.4)
+        desc = u.to_json()
+        desc["excision"]["axes"].pop()
+        with pytest.raises(g.GeometryError, match="axes has 1 entries for 2 axes"):
+            g.AdmissibleRegion.from_json(desc)
+        desc = {"alpha": [-PI / 4], "beta": [PI / 4], "vertex": [[0.0, 0.0]],
+                "excision": {"kind": ["cone", "cone"]}}
+        with pytest.raises(g.GeometryError, match="kind has 2 entries for 1 axes"):
+            g.AdmissibleRegion.from_json(desc)
+
+    def test_malformed_points_in_a_descriptor_are_refused(self):
+        u = g.make_region([-PI / 4], [PI / 4], [0], kind="cone_minus_rect", s0=0.3, s1=0.4)
+        desc = u.to_json()
+        desc["excision"]["axes"][0]["theta"][1] = [0.1]
+        with pytest.raises(g.GeometryError, match="theta must be a list of"):
+            g.AdmissibleRegion.from_json(desc)
+        desc["vertex"] = [0.0]
+        with pytest.raises(g.GeometryError, match="vertex must be a list of"):
+            g.AdmissibleRegion.from_json(desc)
+
+    @pytest.mark.parametrize("z, theta", [
+        (float("nan"), (0j,)), (complex(0.0, float("inf")), (0j,)),
+        (0.0, (0.5 * np.exp(-0.5j * PI), complex(float("inf"), 1.0), 0.5j))])
+    def test_a_non_finite_vertex_or_polyline_is_refused(self, z, theta):
+        with pytest.raises(g.GeometryError, match="must be finite"):
+            g.AxisRegion(-PI / 4, PI / 4 + 0.3, z, theta)
+
     def test_preset_descriptor_parsing(self):
         desc = {"alpha": [-PI / 4], "beta": [PI / 4], "vertex": [[0.0, 0.0]],
                 "excision": {"kind": "cone_minus_disk", "radius": [0.5]}}
@@ -269,27 +311,30 @@ class TestIntersect:
         rng = np.random.default_rng(99)
 
         def random_region(kind):
+            if kind == "intersection":
+                return g.AdmissibleRegion([_random_axis(kind, rng)])
             if kind == "cone_minus_disk":
                 a = rng.uniform(-0.9, -PI / 4)
                 b = rng.uniform(PI / 4 + (-a - PI / 4) + 0.01, 0.95)
             else:
                 a = rng.uniform(-0.9, -0.1)
-                b = rng.uniform(0.1, 0.9)
+                b = a if kind == "halfplane" else rng.uniform(0.1, 0.9)
             z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
             return g.make_region([a], [b], [z], kind=kind,
                                  radius=rng.uniform(0.2, 0.6),
                                  s0=rng.uniform(0.0, 0.5), s1=rng.uniform(0.0, 0.5))
 
-        kinds = ["cone", "cone_minus_disk", "cone_minus_rect"]
+        kinds = ["cone", "cone_minus_disk", "cone_minus_rect", "halfplane", "intersection"]
         checked = 0
-        for trial in range(40):
-            u1 = random_region(kinds[trial % 3])
-            u2 = random_region(kinds[(trial + 1) % 3])
+        for trial in range(50):  # every ordered pair of kinds, twice
+            u1 = random_region(kinds[trial // 5 % 5])
+            u2 = random_region(kinds[trial % 5])
             if max(u1.axes[0].beta, u2.axes[0].beta) \
                     - min(u1.axes[0].alpha, u2.axes[0].alpha) >= np.pi - 0.05:
                 continue
             w = g.intersect_admissible(u1, u2)
             w.validate(rng=np.random.default_rng(trial))
+            swapped = g.intersect_admissible(u2, u1)
             checked += 1
             for _ in range(60):
                 p = rng.uniform(-3, 6) + 1j * rng.uniform(-5, 5)
@@ -299,7 +344,21 @@ class TestIntersect:
                     continue
                 both = u1.contains([p]) and u2.contains([p])
                 assert w.contains([p]) == both, (trial, p)
+                assert swapped.contains([p]) == both, (trial, p)
         assert checked >= 15
+
+    def test_outgoing_edges_crossing_far_out(self):
+        # outgoing edges 1e-3 rad apart cross about 440 out: the
+        # intersection's boundary follows u2 out to there, then u1
+        u1 = g.make_region([-0.5], [0.5], [0])
+        u2 = g.make_region([-0.5], [0.499], [0.5], kind="cone_minus_rect", s0=0.2, s1=0.3)
+        ax = g.intersect_admissible(u1, u2).axes[0]
+        assert abs(ax.theta[-1]) > 400
+        edge = ax.z + ax.theta[-1] + np.linspace(1.0, 5e3, 2400) * ax.d1
+        # 1e-4 to the right of the edge (into the cone) and to its left
+        for p, inside in ((edge - 1e-4j * ax.d1, True), (edge + 1e-4j * ax.d1, False)):
+            both = u1.axes[0].contains(p) & u2.axes[0].contains(p)
+            assert (both == inside).all() and (ax.contains(p) == both).all()
 
 
 def _random_axis(kind, rng):
