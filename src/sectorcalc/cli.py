@@ -34,7 +34,7 @@ from .calculus import (boundary_contour_integral,
                        spectral_map_check, strongly_outer_check, WitnessSequence)
 from .functionals import (Functional, bisector_density, convolve, dirac,
                           exp_poly_function, pair_function, pair_semigroup)
-from .geometry import AdmissibleRegion, ProductSector, make_region
+from .geometry import AdmissibleRegion, ProductSector, complex_pairs, make_region
 from .quadrature import ContourQuadrature, QuadratureError, richardson, tensor_sum
 from .semigroups import (CommutingTuple, expm, mult_semigroup_gap,
                          mult_semigroup_gap_closed_form, opnorm,
@@ -159,12 +159,11 @@ def _timed(rows, scenario, case, fn, oracle, tol, check="rel"):
     rows.append(ReportRow(scenario, case, computed, oracle, tol, check, wall_time=secs))
 
 
-def sectorial_bank(seed, count=20, max_dim=6):
-    """The shared random bank: diagonalizable matrices with spectrum in
-    Re < -0.5, dimensions up to ``max_dim``."""
+def sectorial_bank(seed):
+    """The shared random bank: 20 diagonalizable matrices with spectrum in
+    Re < -0.5, of dimensions 2 to 6."""
     rng = np.random.default_rng(seed)
-    return [random_sectorial_matrix(rng, int(rng.integers(2, max_dim + 1)))
-            for _ in range(count)]
+    return [random_sectorial_matrix(rng, int(rng.integers(2, 7))) for _ in range(20)]
 
 
 def scenario_resolvent(seed, tol=1e-6):
@@ -214,7 +213,7 @@ def scenario_fb_cauchy(seed, tol=1e-8):
     return rows
 
 
-def _random_functional(rng, ps, allow_density=True):
+def _random_functional(rng, ps):
     atoms = []
     for _ in range(int(rng.integers(1, 3))):
         eta = [rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(-0.6, 0.6)
@@ -223,7 +222,7 @@ def _random_functional(rng, ps, allow_density=True):
         atoms.append((eta, complex(rng.standard_normal() + 0.3,
                                    0.3 * rng.standard_normal())))
     densities = []
-    if allow_density and rng.random() < 0.5:
+    if rng.random() < 0.5:
         d = bisector_density(ps, s=[1.0 + rng.uniform(0, 1.5) for _ in ps.sectors],
                              coeffs=[[rng.uniform(0.3, 1.0), rng.uniform(0, 0.5)]
                                      for _ in ps.sectors],
@@ -501,19 +500,6 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 
 
-def _complex_pairs(values, name, ndim):
-    """``values`` as a complex array: ``ndim`` levels of lists, the innermost
-    ``[re, im]`` pairs; any other shape is refused, naming the field."""
-    try:
-        pairs = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        pairs = None
-    if pairs is None or pairs.ndim != ndim or pairs.shape[-1] != 2:
-        shape = ("a [re, im] pair", "a list of [re, im] pairs", "a matrix of [re, im] pairs")
-        raise ValueError(f"{name!r} must be {shape[ndim - 1]}, got {values!r}")
-    return pairs.view(complex)[..., 0]
-
-
 def run_scenario_file(path, seed):
     with open(path) as fh:
         spec = json.load(fh)
@@ -522,7 +508,7 @@ def run_scenario_file(path, seed):
     tol = float(spec.get("tol", 1e-6))
     if kind == "calculus":
         tup = CommutingTuple.from_json(spec["tuple"])
-        lam = _complex_pairs(spec["lambda"], "lambda", 2)
+        lam = complex_pairs(spec["lambda"], "lambda", 2)
         region = AdmissibleRegion.from_json(spec["region"])
         fdesc = spec["function"]
         if fdesc["type"] != "inverse_square":
@@ -530,9 +516,11 @@ def run_scenario_file(path, seed):
         shifts = fdesc["shifts"]
         if not isinstance(shifts, list):
             raise ValueError(f"'shifts' must be a list of one shift per axis, got {shifts!r}")
-        f = inverse_square(tup.k, [_complex_pairs(s, "shifts", 1) if isinstance(s, list) else s
+        f = inverse_square(tup.k, [complex_pairs(s, "shifts", 1) if isinstance(s, list) else s
                                    for s in shifts])
-        eps = _complex_pairs(spec["eps"], "eps", 2)
+        eps = complex_pairs(spec["eps"], "eps", 2)
+        if len(eps) != tup.k:
+            raise ValueError(f"'eps' has {len(eps)} entries for {tup.k} axes")
         computed = functional_calculus(f, tup, lam, region, eps,
                                        tol=float(spec.get("quad_tol", 1e-9)))
         oracle = spec.get("oracle")
@@ -541,11 +529,13 @@ def run_scenario_file(path, seed):
             rep = spectral_map_check(f, tup, lam, u, computed=computed)
             return [ReportRow(name, "vs eigen oracle", rep.max_eig_rel_err, 0.0,
                               tol, "abs")]
-        oracle = _complex_pairs(oracle, "oracle", 3)
+        oracle = complex_pairs(oracle, "oracle", 3)
+        if oracle.shape != (tup.dim, tup.dim):
+            raise ValueError(f"'oracle' has shape {oracle.shape} for a {tup.dim}x{tup.dim} tuple")
         return [ReportRow(name, "vs stated oracle", computed, oracle, tol)]
     if kind == "resolvent":
         tup = CommutingTuple.from_json(spec["tuple"])
-        lam = complex(_complex_pairs(spec["lambda"], "lambda", 1))
+        lam = complex(complex_pairs(spec["lambda"], "lambda", 1))
         computed = resolvent_via_laplace(tup, 0, lam, 1.0,
                                          tol=float(spec.get("quad_tol", 1e-9)))
         oracle = np.linalg.inv(lam * np.eye(tup.dim) - tup.matrices[0])
@@ -586,10 +576,10 @@ def collect_rows(scenario, seed, tol_override=None):
 # ---------------------------------------------------------------------------
 
 
-def study_nodes(values=None):
+def study_nodes():
     """Interior-reproduction error against the node density; the error must
     fall monotonically (with observed-order estimates)."""
-    values = [1.0, 2.0, 4.0, 8.0] if values is None else values
+    values = [1.0, 2.0, 4.0, 8.0]
     region = make_region([SECT[0]], [SECT[1]], [0.0])
     f = inverse_square(1, [2.0])
     point = np.array([1.0 + 0j])
@@ -606,10 +596,10 @@ def study_nodes(values=None):
     return values, errs, orders
 
 
-def study_eps(seed=42, values=None):
+def study_eps(seed=42):
     """Shifted-argument evaluation of an atomic transform against the
     semigroup pairing: the shift-limit extrapolates to the pairing."""
-    values = [2.0 ** -m for m in range(6)] if values is None else values
+    values = [2.0 ** -m for m in range(6)]
     ps = ProductSector([SECT])
     tup = CommutingTuple([np.array([[-2.0]])], [DOMAIN])
     phi = dirac(ps, [0.7], 1.0)

@@ -20,14 +20,14 @@ All values are immutable; every evaluation route is pure.
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import ProductSector, _unit, make_region
 from .quadrature import (_N0, ContourQuadrature, QuadratureError, _check_shift, _contract,
                          _cut_tail, _parts_error, _product, _ray_rule, _separable,
-                         adaptive_contour, initial_radius, integrate, ray_integral, refine,
+                         adaptive_contour, initial_radius, integrate, refine,
                          resolvent_contour_value, richardson)
 from .semigroups import (SectorDomainError, _validate_lambda, check_in_domain, expm,
                          orbit_integrals, resolvent_product)
@@ -198,15 +198,20 @@ class Functional:
             anchors.append(np.zeros(self.k, dtype=complex))
         tight = np.zeros(self.k, dtype=complex)
         for j, sec in enumerate(self.sectors.sectors):
-            mid = sec.bisector_angle
-            r_lo = -np.inf
-            for d in self.densities:
-                ax = d.axes[j]
-                r_lo = max(r_lo, -ax.s.real / np.cos(ax.omega - mid))
+            r_lo = self._domain_floor(j)
             if np.isfinite(r_lo):
-                tight[j] = (r_lo + 0.5) * _unit(-mid)
+                tight[j] = (r_lo + 0.5) * _unit(-sec.bisector_angle)
         anchors.append(tight)
         return tuple(map(tuple, anchors))
+
+    def _domain_floor(self, j):
+        """Bound of the transform domain on axis ``j``'s anti-bisector: the
+        anchor ``r * exp(-1j*mid_j)`` lies in it exactly for ``r`` above the
+        largest ``-Re(s) / cos(omega - mid_j)`` over the densities (``-inf``
+        for none)."""
+        mid = self.sectors.sectors[j].bisector_angle
+        return max((-d.axes[j].s.real / np.cos(d.axes[j].omega - mid) for d in self.densities),
+                   default=-np.inf)
 
     @property
     def fb_terms(self):
@@ -305,11 +310,10 @@ class Functional:
         }
 
     @staticmethod
-    def from_json(obj, sectors=None):
+    def from_json(obj):
         if isinstance(obj, str):
             obj = json.loads(obj)
-        if sectors is None:
-            sectors = ProductSector(list(zip(obj["alpha"], obj["beta"])))
+        sectors = ProductSector(list(zip(obj["alpha"], obj["beta"])))
         atoms = [
             ([complex(e[0], e[1]) for e in a["eta"]], complex(a["w"][0], a["w"][1]))
             for a in obj.get("atoms", ())
@@ -481,12 +485,7 @@ def _anchor(tup, lam, sectors, phi=None, strict=False, margin=1.0):
         for omega in {sec.alpha, sec.beta}:
             c = np.cos(omega - mid)
             r_hi = min(r_hi, -tup.abscissa(j, omega, lam[j]) / c)
-        r_lo = -np.inf
-        if phi is not None:
-            for d in phi.densities:
-                ax = d.axes[j]
-                c = np.cos(ax.omega - mid)
-                r_lo = max(r_lo, -ax.s.real / c)
+        r_lo = -np.inf if phi is None else phi._domain_floor(j)
         if r_lo >= r_hi - 1e-12:
             raise NoAdmissibleAnchor(
                 f"axis {j}: domain bound {r_lo:.6g} meets growth bound {r_hi:.6g}")
@@ -559,37 +558,36 @@ def e_minus(sectors, w):
 
 
 def _cauchy_window(lam_j, sector):
-    """Ray angle for the transform-side Cauchy representation: the window
-    where ``cos(arg(lam) + omega) < 0`` intersected with the dual angles."""
+    """Ray angle for the transform-side Cauchy representation: the middle
+    of the window where ``cos(arg(lam) + omega) < 0`` intersected with the
+    dual angles, where ``exp(lam * sigma)`` decays at the rate
+    ``-cos(arg(lam) + omega) * |lam| > 0``.  ``lam_j`` lies outside the
+    closed sector (:func:`cauchy_transform` refuses any other), so its
+    angle is taken in ``(beta, alpha + 2 pi]``."""
     a, b = sector.alpha, sector.beta
     ang = float(np.angle(lam_j))
     while ang <= b + 1e-14:
         ang += 2 * np.pi
     while ang > a + 2 * np.pi + 1e-14:
         ang -= 2 * np.pi
-    if not (b < ang <= a + 2 * np.pi):
-        raise RouteError(f"lambda={lam_j} lies inside the closed sector")
-    if ang <= a + np.pi:
-        lo, hi = np.pi / 2 - ang, np.pi / 2 - b
-    elif ang <= b + np.pi:
-        lo, hi = -np.pi / 2 - a, np.pi / 2 - b
-    else:
-        lo, hi = -np.pi / 2 - a, 3 * np.pi / 2 - ang
+    lo, hi = max(np.pi / 2 - ang, -np.pi / 2 - a), min(3 * np.pi / 2 - ang, np.pi / 2 - b)
     if hi < lo:
         raise RouteError(f"empty angle window for lambda={lam_j}")
-    omega = 0.5 * (lo + hi)
-    rate = -np.cos(ang + omega) * abs(lam_j)
-    return omega, rate
+    return 0.5 * (lo + hi)
 
 
 def cauchy_transform(phi, lam, z=None, route="measure", tol=1e-10):
     """Weighted Cauchy transform ``C_z(phi)(lam)`` for ``lam`` outside every
     closed sector axis.
 
-    Route "measure" integrates the Cauchy kernel against the weighted
-    measure; route "fb" integrates ``exp(lam.sigma) FB(phi)(sigma+z)``
-    along rays in the admissible angle windows.  Both carry the
-    ``(2*pi*i)^-k`` prefactor and agree within quadrature tolerance.
+    Both routes are tensor ray integrals (:func:`_tensor_density_integral`).
+    Route "measure" pairs the Cauchy kernel ``zeta -> prod_j (zeta_j -
+    lam_j)^-1`` with the measure weighted by ``exp(-z.zeta)``
+    (:func:`pair_function`);
+    route "fb" integrates ``exp(lam.sigma) FB(phi)(sigma+z)`` along rays in
+    the admissible angle windows, as a tensor density of weight ``exp(lam_j
+    sigma_j) dsigma_j`` per axis.  Both carry the ``(2*pi*i)^-k`` prefactor
+    and agree within quadrature tolerance.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     z = np.zeros(phi.k, dtype=complex) if z is None else \
@@ -601,40 +599,22 @@ def cauchy_transform(phi, lam, z=None, route="measure", tol=1e-10):
             raise RouteError(f"lambda[{j}]={lam[j]} inside the closed sector")
     pref = (2j * np.pi) ** -phi.k
     if route == "measure":
-        total = 0j
-        for eta, w in phi.atoms:
-            term = w * np.exp(-np.dot(z, eta))
-            for j in range(phi.k):
-                term = term / (eta[j] - lam[j])
-            total += term
-        for d in phi.densities:
-            term = d.weight * np.exp(-np.dot(z, d.offset))
-            for j, ax in enumerate(d.axes):
-                u = _unit(ax.omega)
-                srate = (ax.s + z[j] * u).real
-
-                def g(ts, ax=ax, u=u, j=j, off=d.offset[j]):
-                    return ax.poly(ts) * np.exp(-(ax.s + z[j] * u) * ts) \
-                        / (off + ts * u - lam[j])
-
-                term = term * ray_integral(g, 0.0, 1.0, tol=tol,
-                                           decay=("exp", srate)).value
-            total += term
-        return pref * total
+        # the weight exp(-z.zeta) goes into the measure: Re(s_j + z_j e^{i omega_j}) > 0
+        # in the domain, so each weighted density's own rate certifies its ray
+        atoms = [(eta, w * np.exp(-np.dot(z, eta))) for eta, w in phi.atoms]
+        dens = [TensorDensity(d.weight * np.exp(-np.dot(z, d.offset)), d.offset,
+                              [replace(ax, s=ax.s + zj * _unit(ax.omega))
+                               for ax, zj in zip(d.axes, z)]) for d in phi.densities]
+        weighted = Functional(phi.sectors, atoms, dens, check_degree=False)
+        kernel = _separable([[lambda x, lj=lj: 1.0 / (x - lj) for lj in lam]])
+        return pref * pair_function(SectorFunction(kernel), weighted, "measure", tol)
     if route == "fb":
-        # the transform factorizes per term; integrate term by term
-        def axis_integral(j, fac):
-            omega, rate = _cauchy_window(lam[j], phi.sectors.sectors[j])
-            u = _unit(omega)
-
-            def g(ts):
-                sigma = ts * u
-                return np.exp(lam[j] * sigma) * fac(sigma + z[j]) * u
-
-            return ray_integral(g, 0.0, 1.0, tol=tol, decay=("exp", max(rate * 0.9, 1e-3))).value
-
-        return pref * sum(math.prod(axis_integral(j, fac) for j, fac in enumerate(term))
-                          for term in phi.fb_terms)
+        fb = _separable([[lambda x, f=f, zj=zj: f(x + zj) for f, zj in zip(term, z)]
+                         for term in phi.fb_terms])
+        omegas = [_cauchy_window(lj, sec) for lj, sec in zip(lam, phi.sectors.sectors)]
+        rays = TensorDensity(1.0, [0j] * phi.k, [AxisDensity(w, -lj * _unit(w), [_unit(w)])
+                                                 for lj, w in zip(lam, omegas)])
+        return pref * _tensor_density_integral(fb, rays, tol).value
     raise RouteError(f"unknown cauchy route {route!r}")
 
 

@@ -39,11 +39,21 @@ TOL = 1e-12
 
 
 class GeometryError(ValueError):
-    """Raised for invalid sector or region data."""
+    """Raised for invalid sector or region data, and for malformed pairs."""
 
 
 def _unit(angle):
     return complex(np.cos(angle), np.sin(angle))
+
+
+def ray_exit(anchor, d, radius):
+    """Largest ``t`` with ``|anchor + t*d| = radius``, for a unit ``d``: where
+    the ray leaves the circle of that radius about 0."""
+    b = (anchor * d.conjugate()).real
+    disc = b * b + radius * radius - abs(anchor) ** 2
+    if disc <= 0:
+        raise GeometryError(f"radius {radius} too small for the ray from {anchor}")
+    return -b + np.sqrt(disc)
 
 
 def cone_signed_distance(zeta, mid, half):
@@ -163,7 +173,7 @@ def _oblique_coords(p, d0, d1):
     return x, y
 
 
-def sup_points(points, ps, tol=TOL):
+def sup_points(points, ps):
     """Least upper bound of ``points`` for the dual-cone preorder.
 
     Returns ``(z, unique)`` where ``z + closed dual cone`` equals the
@@ -234,7 +244,7 @@ class AxisRegion:
         object.__setattr__(self, "theta", theta)
         if not all(map(cmath.isfinite, (self.z,) + theta)):
             raise GeometryError(f"vertex {self.z} and polyline {theta} must be finite")
-        if self.degenerate:
+        if self.sector.is_ray:
             if len(theta) > 1:
                 raise GeometryError("half-plane axis takes an empty excision")
             object.__setattr__(self, "theta", (0j,))
@@ -249,7 +259,7 @@ class AxisRegion:
         translation invariant, only the pieces are placed again."""
         out = copy.copy(self)
         object.__setattr__(out, "z", self.z + complex(eps))
-        if not out.degenerate:
+        if not out.sector.is_ray:
             out._place()
         return out
 
@@ -269,10 +279,6 @@ class AxisRegion:
             object.__setattr__(self, "_polygon", (
                 a.real, a.imag, b.imag, b.real - a.real,
                 np.where(b.imag == a.imag, 1.0, b.imag - a.imag)))
-
-    @property
-    def degenerate(self):
-        return abs(self.beta - self.alpha) <= TOL
 
     @property
     def d0(self):
@@ -329,7 +335,7 @@ class AxisRegion:
         the boundary chain: the least distance to its pieces, each
         projection clamped to the piece."""
         zeta = np.asarray(zeta, dtype=complex)
-        if self.degenerate:
+        if self.sector.is_ray:
             return np.abs(self._side(zeta))
         ax, ay, sx, sy, norm, reach = self._pieces
         x, y = zeta.real[..., None], zeta.imag[..., None]
@@ -351,7 +357,7 @@ class AxisRegion:
 
     def _contains(self, zeta, closed, tol, distance=None):
         """:meth:`contains` of complex ``zeta``, with its ``distance`` if known."""
-        if self.degenerate:
+        if self.sector.is_ray:
             side = self._side(zeta)
             return side >= -tol if closed else side > tol
         cone_d = self.dual_sector.signed_distance(zeta - self.z)
@@ -366,20 +372,11 @@ class AxisRegion:
         """Deterministic boundary samples out to ``radius`` (absolute points):
         10 on each ray and the excision vertices."""
         ts = np.linspace(0.2, 1.0, 10)
-        far0 = self._ray_extent(self.theta[0], self.d0, radius)
-        far1 = self._ray_extent(self.theta[-1], self.d1, radius)
+        far0 = ray_exit(self.z + self.theta[0], self.d0, radius)
+        far1 = ray_exit(self.z + self.theta[-1], self.d1, radius)
         return np.concatenate([self.z + self.theta[0] + ts * far0 * self.d0,
                                self.z + self.theta[-1] + ts * far1 * self.d1,
                                self.z + np.array(self.theta)])
-
-    def _ray_extent(self, rel_anchor, d, radius):
-        # largest t with |anchor + t*d| = radius (anchor measured from 0)
-        a = self.z + rel_anchor
-        b = (a * d.conjugate()).real
-        disc = b * b + radius * radius - abs(a) ** 2
-        if disc <= 0:
-            raise GeometryError("truncation radius too small for this region")
-        return -b + np.sqrt(disc)
 
 
 def _preset_axis(kind, alpha, beta, z, params):
@@ -399,12 +396,24 @@ def _preset_axis(kind, alpha, beta, z, params):
     return AxisRegion(alpha, alpha if kind == "halfplane" else beta, z)
 
 
-def _points(pairs, name):
-    """A list of ``[re, im]`` pairs as complex numbers."""
+def float_pairs(values, name, ndim, pair="[re, im]"):
+    """``values`` as a float array: ``ndim`` levels of lists, the innermost
+    ``pair``s; any other shape is refused, naming the field.  The one parser
+    of pairs in region, tuple and scenario data."""
     try:
-        return [complex(float(re), float(im)) for re, im in pairs]
+        out = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        raise GeometryError(f"{name} must be a list of [re, im] pairs, got {pairs!r}") from None
+        out = None
+    if out is None or out.ndim != ndim or out.shape[-1] != 2:
+        shape = ("a {}", "a list of {}s", "a matrix of {}s", "a list of matrices of {}s")
+        raise GeometryError(f"{name!r} must be {shape[ndim - 1].format(pair + ' pair')}, "
+                            f"got {values!r}")
+    return out
+
+
+def complex_pairs(values, name, ndim):
+    """:func:`float_pairs` of ``[re, im]`` pairs as a complex array of ``ndim - 1`` levels."""
+    return float_pairs(values, name, ndim).view(complex)[..., 0]
 
 
 def _check_axis_count(alpha, **per_axis):
@@ -479,13 +488,13 @@ class AdmissibleRegion:
     def from_json(obj):
         """The region of :meth:`to_json`, or of a preset descriptor whose
         ``excision`` holds the keywords of :func:`make_region`."""
-        verts = _points(obj["vertex"], "vertex")
+        verts = complex_pairs(obj["vertex"], "vertex", 2).tolist()
         exc = obj.get("excision") or {}
         if "axes" not in exc:
             return make_region(obj["alpha"], obj["beta"], verts, **exc)
         _check_axis_count(obj["alpha"], beta=obj["beta"], vertex=verts, axes=exc["axes"])
         return AdmissibleRegion([
-            AxisRegion(a, b, z, tuple(_points(ax["theta"], "theta")))
+            AxisRegion(a, b, z, tuple(complex_pairs(ax["theta"], "theta", 2).tolist()))
             for a, b, z, ax in zip(obj["alpha"], obj["beta"], verts, exc["axes"])])
 
 
@@ -551,7 +560,7 @@ def _intersect_axis(a1, a2):
     in the oblique coordinates of the combined dual cone."""
     alpha = min(a1.alpha, a2.alpha)
     beta = max(a1.beta, a2.beta)
-    if a1.degenerate and a2.degenerate and abs(a1.alpha - a2.alpha) <= TOL:
+    if a1.sector.is_ray and a2.sector.is_ray and abs(a1.alpha - a2.alpha) <= TOL:
         # nested half-planes Re(zeta*exp(1j*alpha)) > c: keep the larger c
         return max((a1, a2), key=lambda a: (a.z * _unit(a.alpha)).real)
     if beta - alpha >= np.pi - TOL:

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .geometry import ray_exit
 
 TAIL_RADIUS = 16.0  # the least radius at which a contour ray's mapped tail begins
 _PANEL = 16  # Gauss-Legendre nodes per panel, in every rule
@@ -119,9 +120,9 @@ def _ray_rule(start, direction, r0, n):
 def _axis_path(ax, j, eps, R, n_per_unit):
     """The boundary of axis ``ax`` (index ``j``) shifted by the checked
     ``eps``, as one chain of panels: incoming ray, excision edges, outgoing
-    ray.  A ray ``anchor + t*direction`` has graded panels on ``[0, extent]``
-    (``extent`` where it leaves the circle of radius ``R``), then the tail
-    ``t = extent / u`` on equal panels of ``u``, one per ``_TAIL_DENSITY``
+    ray.  A ray ``anchor + t*direction`` has graded panels on ``[0, e]``, ``e``
+    its :func:`~sectorcalc.geometry.ray_exit` from the circle of radius ``R``,
+    then the tail ``t = e / u`` on equal panels of ``u``, one per ``_TAIL_DENSITY``
     units of node density (at least one); an edge has equal panels.  The
     incoming ray is traversed toward its anchor: its nodes are reversed and
     its weights negated."""
@@ -135,16 +136,12 @@ def _axis_path(ax, j, eps, R, n_per_unit):
     m = max(1, int(np.ceil(n_per_unit / _TAIL_DENSITY)))
     u = np.arange(m, -1, -1) / m  # 1 down to 0, so t rises through the tail
 
-    def extent(anchor, d):  # where the ray anchor + t*d leaves the circle of radius R
-        b = (anchor * d.conjugate()).real
-        return -b + np.sqrt(b * b + R * R - abs(anchor) ** 2)
-
     def edge(a, b):
         length = abs(b - a)
         return np.linspace(0.0, length, max(1, int(np.ceil(length / h0))) + 1), a, (b - a) / length
 
     a0, a1 = anchors[0], anchors[-1]
-    e0, e1 = extent(a0, ax.d0), extent(a1, ax.d1)
+    e0, e1 = ray_exit(a0, ax.d0, R), ray_exit(a1, ax.d1, R)
     # (panel ends, anchor, direction) per piece: each ray's graded panels, then its tail
     pieces = [(_graded_breaks(e0, h0), a0, ax.d0), (u, a0, ax.d0)] \
         + [edge(a, b) for a, b in zip(anchors[:-1], anchors[1:])] \

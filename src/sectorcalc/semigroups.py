@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import schur
-from .geometry import ProductSector, _unit
+from .geometry import ProductSector, _unit, complex_pairs, float_pairs
 from .quadrature import ray_integral, richardson
 
 _PADE13_B = np.array([
@@ -199,10 +199,12 @@ class CommutingTuple:
 
     @staticmethod
     def from_json(obj):
+        """The tuple of :meth:`to_json`: ``A`` as (k, d, d) ``[re, im]`` pairs
+        and ``sectors`` as (k, 2) floats, any other shape refused."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        mats = [np.array([[complex(v[0], v[1]) for v in row] for row in m]) for m in obj["A"]]
-        return CommutingTuple(mats, [tuple(s) for s in obj["sectors"]])
+        return CommutingTuple(complex_pairs(obj["A"], "A", 4),
+                              float_pairs(obj["sectors"], "sectors", 2, "[alpha, beta]"))
 
 
 def evaluate(tup, j, zeta):
@@ -378,19 +380,19 @@ def _validate_lambda(tup, lam, ps=None):
     return lam
 
 
-def n_set_classify(tup, lam, ps, z, tol=1e-12):
+def n_set_classify(tup, lam, ps, z):
     """Classify an anchor ``z`` against the weighted-orbit boundedness sets.
 
     The boundedness of ``exp(t*z_j*e^{i w}) * |T_j(t*lam_j*e^{i w})|``
     reduces to the two edge directions ``w in {alpha_j, beta_j}``; with
     spectral abscissas ``h`` the bounded set uses ``Re(z_j e^{iw}) <= -h``
-    and the vanishing set uses strict inequality.
+    and the vanishing set uses strict inequality, both with slack 1e-12.
     """
     return _n_set_class(tup, _validate_lambda(tup, lam, ps), ps,
-                        np.atleast_1d(np.asarray(z, dtype=complex)), tol)
+                        np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
-def _n_set_class(tup, lam, ps, z, tol=1e-12):
+def _n_set_class(tup, lam, ps, z):
     """:func:`n_set_classify` of the checked ``lam`` and the anchor array ``z``."""
     strict = True
     weak = True
@@ -398,9 +400,9 @@ def _n_set_class(tup, lam, ps, z, tol=1e-12):
         for omega in {sec.alpha, sec.beta}:
             h = tup.abscissa(j, omega, lam[j])
             val = (z[j] * _unit(omega)).real
-            if not val <= -h + tol:
+            if not val <= -h + 1e-12:
                 weak = False
-            if not val < -h - tol:
+            if not val < -h - 1e-12:
                 strict = False
     if strict and weak:
         return IN_N0
@@ -502,21 +504,21 @@ def quasinilpotent_gap(n, t):
 # ---------------------------------------------------------------------------
 
 
-def random_sectorial_matrix(rng, dim, re_range=(-3.0, -0.5), im_range=(-1.0, 1.0),
-                            basis_spread=0.3):
-    """Random diagonalizable matrix with spectrum in ``Re < re_range[1]``."""
-    vals = rng.uniform(*re_range, dim) + 1j * rng.uniform(*im_range, dim)
+def random_sectorial_matrix(rng, dim, re_range=(-3.0, -0.5), basis_spread=0.3):
+    """Random diagonalizable matrix with spectrum in ``Re < re_range[1]``,
+    ``-1 < Im < 1``."""
+    vals = rng.uniform(*re_range, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
     v = np.eye(dim) + basis_spread * (rng.standard_normal((dim, dim))
                                       + 1j * rng.standard_normal((dim, dim)))
     return v @ np.diag(vals) @ np.linalg.inv(v)
 
 
-def random_commuting_tuple(rng, k, dim, sector=( -np.pi / 4, np.pi / 4),
-                           re_range=(-3.0, -0.5)):
-    """Commuting diagonalizable tuple sharing one random eigenbasis."""
+def random_commuting_tuple(rng, k, dim, sector=(-np.pi / 4, np.pi / 4)):
+    """Commuting diagonalizable tuple sharing one random eigenbasis, spectra
+    in ``-3 < Re < -0.5``, ``-1 < Im < 1``."""
     v = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim))
                              + 1j * rng.standard_normal((dim, dim)))
     vinv = np.linalg.inv(v)
-    mats = [v @ np.diag(rng.uniform(*re_range, dim) + 1j * rng.uniform(-1.0, 1.0, dim)) @ vinv
+    mats = [v @ np.diag(rng.uniform(-3.0, -0.5, dim) + 1j * rng.uniform(-1.0, 1.0, dim)) @ vinv
             for _ in range(k)]
     return CommutingTuple(mats, [sector] * k)

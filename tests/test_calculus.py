@@ -166,6 +166,9 @@ class TestMainCalculus:
         assert np.all(val == 0.0)
 
     def test_contour_independence(self, scalar_tuple, cone):
+        # the value depends neither on the admissible region nor on the shift:
+        # a scalar case on three regions, then random tuples (seeds 0-5) on the
+        # cone, the cone minus a disk and minus a rectangle, at two shifts
         f = ca.inverse_square(1, [1.0])
         tol = 1e-9
         v1 = ca.functional_calculus(f, scalar_tuple, [1.0], cone, [0.25], tol=tol)
@@ -176,6 +179,40 @@ class TestMainCalculus:
         v3 = ca.functional_calculus(f, scalar_tuple, [1.0], u3, [0.3], tol=tol)
         assert sg.opnorm(v1 - v2) <= 2 * tol
         assert sg.opnorm(v1 - v3) <= 2 * tol
+        for k, dim, seed in [(k, dim, seed) for k in (1, 2) for dim in (2, 3, 4)
+                             for seed in range(6)]:
+            tup = sg.random_commuting_tuple(np.random.default_rng(seed), k, dim, DOM)
+            u = ca.default_region(tup, [1.0] * k, ProductSector([SECT] * k), margin=2.0)
+            f = ca.inverse_square(k, 1.0 - u.vertex)  # poles left of the vertex
+            ref = ca.functional_calculus(f, tup, [1.0] * k, u, [0.25] * k, tol=tol)
+            for kind, params in (("cone_minus_disk", {"radius": 0.5}),
+                                 ("cone_minus_rect", {"s0": 0.4, "s1": 0.3})):
+                region = g.make_region([SECT[0]] * k, [SECT[1]] * k, u.vertex, kind=kind,
+                                       **params)
+                for eps in (0.25, 0.4 * np.exp(0.2j)):
+                    val = ca.functional_calculus(f, tup, [1.0] * k, region, [eps] * k, tol=tol)
+                    assert sg.opnorm(val - ref) <= 2 * tol, (k, dim, seed, kind, eps)
+
+    @pytest.mark.parametrize("similar", [False, True])
+    @pytest.mark.parametrize("dim, c", [(2, 0.3), (4, 3.0), (8, 0.3), (8, 3.0), (8, 10.0)])
+    def test_a_non_normal_tuple_never_yields_a_confident_wrong_number(self, dim, c, similar):
+        # a Jordan-like block -1.5 I + c N, plain or under a random similarity:
+        # the value is right within tol, or the refinement says it is not
+        a = -1.5 * np.eye(dim) + c * np.eye(dim, k=1)
+        if similar:
+            rng = np.random.default_rng(3)
+            v = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim))
+                                     + 1j * rng.standard_normal((dim, dim)))
+            a = v @ a @ np.linalg.inv(v)
+        tup = sg.CommutingTuple([a], [DOM])
+        region = ca.default_region(tup, [1.0], ProductSector([SECT]))
+        r = np.linalg.solve(3.0 * np.eye(dim) - a, np.eye(dim))
+        try:
+            val = ca.functional_calculus(ca.inverse_square(1, [3.0]), tup, [1.0], region,
+                                         [0.25], tol=1e-9)
+        except q.ConvergenceError:
+            return
+        assert np.linalg.norm(val - r @ r) <= 1e-9
 
     def test_multiplicativity(self, rng, scalar_tuple, cone):
         tol = 1e-9

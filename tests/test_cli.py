@@ -135,7 +135,7 @@ class TestRun:
             "must be finite"),
         "bare vertex entry": (
             "region", {"alpha": [-0.7], "beta": [0.7], "vertex": [0.0]},
-            "vertex must be a list of [re, im] pairs"),
+            "'vertex' must be a list of [re, im] pairs"),
         "bare shifts": (
             "function", {"type": "inverse_square", "shifts": 1.0}, "'shifts' must be a list"),
         "short shift pair": (
@@ -148,6 +148,17 @@ class TestRun:
         "bare lambda": ("lambda", [1.0], "'lambda' must be a list of [re, im] pairs"),
         "bare eps": ("eps", 0.25, "'eps' must be a list of [re, im] pairs"),
         "bare oracle entry": ("oracle", [[1.0]], "'oracle' must be a matrix of [re, im] pairs"),
+        "bare matrix entry": (
+            "tuple", dict(FILE_SCENARIO["tuple"], A=[[[-2.0]]]),
+            "'A' must be a list of matrices of [re, im] pairs"),
+        "short sector": (
+            "tuple", dict(FILE_SCENARIO["tuple"], sectors=[[-1.5]]),
+            "'sectors' must be a list of [alpha, beta] pairs"),
+        "more eps than axes": (
+            "eps", [[0.25, 0.0], [0.25, 0.0]], "'eps' has 2 entries for 1 axes"),
+        "oracle larger than the tuple": (
+            "oracle", [[[1.0 / 9.0, 0.0]] * 2] * 2,  # broadcast, it would pass
+            "'oracle' has shape (2, 2) for a 1x1 tuple"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

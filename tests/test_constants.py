@@ -10,6 +10,7 @@ import pytest
 
 import sectorcalc
 from sectorcalc import calculus as ca
+from sectorcalc import cli
 from sectorcalc import functionals as fn
 from sectorcalc import geometry as g
 from sectorcalc import quadrature as q
@@ -42,6 +43,16 @@ DELETED = [
     (g.AdmissibleRegion.validate, {"n_offsets"}),
     (g.AxisRegion.sample_boundary, {"per_piece"}),
     (ca._sample_points, {"n_boundary"}),
+    (cli._random_functional, {"allow_density"}),
+    (cli.sectorial_bank, {"count", "max_dim"}),
+    (cli.study_nodes, {"values"}),
+    (cli.study_eps, {"values"}),
+    (sg.random_sectorial_matrix, {"im_range"}),
+    (sg.random_commuting_tuple, {"re_range"}),
+    (sg.n_set_classify, {"tol"}),
+    (sg._n_set_class, {"tol"}),
+    (g.sup_points, {"tol"}),
+    (fn.Functional.from_json, {"sectors"}),
 ]
 
 
@@ -50,8 +61,8 @@ def test_no_deleted_option_is_accepted(fun, options):
     assert not options & set(inspect.signature(fun).parameters)
 
 
-def test_the_deleted_options_number_25():
-    assert sum(len(options) for _, options in DELETED) == 25
+def test_the_deleted_options_number_36():
+    assert sum(len(options) for _, options in DELETED) == 36
 
 
 def test_the_wrappers_are_gone():

@@ -180,8 +180,32 @@ class TestCauchyTransform:
 
     def test_lambda_inside_sector_rejected(self, ps1):
         phi = fn.dirac(ps1, [1.0])
-        with pytest.raises(fn.RouteError):
-            fn.cauchy_transform(phi, [1.0], route="measure")
+        for route in ("measure", "fb"):
+            for lam in (1.0, 2.0 * np.exp(1j * SECT[1]), 1e-3 * np.exp(1j * SECT[0])):
+                with pytest.raises(fn.RouteError, match="inside the closed sector"):
+                    fn.cauchy_transform(phi, [lam], route=route)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_routes_agree_at_slow_decay_anchors(self, k):
+        # the weighted density decays at the rate s + z_j: 0.1 at (1.3, -1.2)
+        # and (5, -4.9), 0.05 at (1.3, -1.25), where exp(-z_j zeta_j) alone
+        # overflows on a ray cut at the density's own rate s
+        ps = ProductSector([SECT] * k)
+        for s, zj in ((1.3, 0.0), (1.3, -0.6), (1.3, -1.0), (1.3, -1.2), (1.3, -1.25),
+                      (5.0, -4.9)):
+            dens = fn.bisector_density(ps, s=[s] * k, coeffs=[[1.0, 0.4]] * k).densities
+            phi = fn.Functional(ps, [([0.7] * k, 1.0)], dens)
+            v1 = fn.cauchy_transform(phi, [-1.0 + 0.5j] * k, [zj] * k, "measure", 1e-10)
+            v2 = fn.cauchy_transform(phi, [-1.0 + 0.5j] * k, [zj] * k, "fb", 1e-10)
+            assert abs(v1 - v2) <= 1e-10, (s, zj)
+
+    def test_both_routes_are_tensor_density_integrals(self, ps1, monkeypatch):
+        calls, inner = [], fn._tensor_density_integral
+        monkeypatch.setattr(fn, "_tensor_density_integral",
+                            lambda *args: calls.append(1) or inner(*args))
+        for route in ("measure", "fb"):
+            fn.cauchy_transform(fn.bisector_density(ps1), [-1.0], route=route)
+        assert len(calls) == 2 and not hasattr(fn, "ray_integral")
 
 
 class TestConvolution:

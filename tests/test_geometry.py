@@ -219,10 +219,10 @@ class TestRegions:
         u = g.make_region([-PI / 4], [PI / 4], [0], kind="cone_minus_rect", s0=0.3, s1=0.4)
         desc = u.to_json()
         desc["excision"]["axes"][0]["theta"][1] = [0.1]
-        with pytest.raises(g.GeometryError, match="theta must be a list of"):
+        with pytest.raises(g.GeometryError, match="'theta' must be a list of"):
             g.AdmissibleRegion.from_json(desc)
         desc["vertex"] = [0.0]
-        with pytest.raises(g.GeometryError, match="vertex must be a list of"):
+        with pytest.raises(g.GeometryError, match="'vertex' must be a list of"):
             g.AdmissibleRegion.from_json(desc)
 
     @pytest.mark.parametrize("z, theta", [
