@@ -330,8 +330,10 @@ def functional_calculus_hinf(F, tup, lam, region, tol=1e-9, eps=None):
 
 def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None):
     """Quotient-class extension through the witness pair carried by ``F``:
-    ``R_F = hinf(F*Gw) * hinf(Gw)^{-1}``; ``calc(F*Gw*G)``, ``calc(Gw*G)``
-    and ``calc(G)`` come from one contour pass (joint acceptance)."""
+    ``R_F = hinf(F*Gw) * hinf(Gw)^{-1}``.  The algebra of the tuple is
+    commutative, so ``calc(G)`` cancels and ``R_F = calc(F*Gw*G) *
+    calc(Gw*G)^{-1}``; both come from one contour pass (joint acceptance).
+    Raises :class:`DenseRangeError` when the image of ``Gw*G`` is singular."""
     lam = _validate_lambda(tup, lam, region.sectors)
     if F.witness is None:
         raise AdmissibilityError(f"{F.label} carries no witness pair")
@@ -341,10 +343,9 @@ def functional_calculus_smirnov(F, tup, lam, region, tol=1e-9, eps=None):
     sup_on_region(fg, region)
     sup_on_region(gw, region)
     g = _quotient_denominator(tup, lam, region)
-    m_fgg, m_gg, m_g = _calculus_batch(
-        [product_function(fg, g), product_function(gw, g), g], tup, lam, region, eps, tol)
-    return _quotient(_quotient(m_fgg, m_g, "quotient image"),
-                     _quotient(m_gg, m_g, "quotient image"), "witness image")
+    m_fgg, m_gg = _calculus_batch([product_function(fg, g), product_function(gw, g)],
+                                  tup, lam, region, eps, tol)
+    return _quotient(m_fgg, m_gg, "witness image")
 
 
 def _quotient(m_num, m_den, what):

@@ -596,7 +596,7 @@ def study_nodes():
     return values, errs, orders
 
 
-def study_eps(seed=42):
+def study_eps():
     """Shifted-argument evaluation of an atomic transform against the
     semigroup pairing: the shift-limit extrapolates to the pairing."""
     values = [2.0 ** -m for m in range(6)]
@@ -622,7 +622,7 @@ def run_study(args):
         rows.append(ReportRow("study-nodes", "errors decrease monotonically",
                               1.0 if monotone else 0.0, 1.0, 0.0, "abs"))
     elif args.sweep == "eps":
-        values, errs, final = study_eps(args.seed)
+        values, errs, final = study_eps()
         for v, e in zip(values, errs):
             rows.append(ReportRow("study-eps", f"eps={v}", e, 0.0, np.inf, "abs"))
         rows.append(ReportRow("study-eps", "extrapolated limit matches the pairing",
@@ -643,16 +643,17 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("run", "study"):
         q = sub.add_parser(name)
-        q.add_argument("--scenario", default="all",
-                       help="built-in name, 'all', or a JSON scenario file")
         q.add_argument("--out", default="-", help="output path ('-' = stdout)")
         q.add_argument("--format", choices=("csv", "json"), default="csv")
-        q.add_argument("--tol-override", type=float, default=None)
-        q.add_argument("--seed", type=int, default=42)
         q.add_argument("--timings", action="store_true",
                        help="include wall-clock times in the report "
                             "(breaks byte-identical reruns)")
-        if name == "study":
+        if name == "run":
+            q.add_argument("--scenario", default="all",
+                           help="built-in name, 'all', or a JSON scenario file")
+            q.add_argument("--tol-override", type=float, default=None)
+            q.add_argument("--seed", type=int, default=42)
+        else:
             q.add_argument("--sweep", choices=("nodes", "eps"), default="nodes")
     return p
 

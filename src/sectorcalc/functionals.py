@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ProductSector, _unit, make_region
+from .geometry import GeometryError, ProductSector, _unit, complex_pairs, make_region
 from .quadrature import (_N0, ContourQuadrature, QuadratureError, _check_shift, _contract,
                          _cut_tail, _parts_error, _product, _ray_rule, _separable,
                          adaptive_contour, initial_radius, integrate, refine,
@@ -126,7 +126,9 @@ class TensorDensity:
 
 @dataclass(frozen=True)
 class Functional:
-    """Atoms plus tensor ray densities over a fixed product sector."""
+    """Atoms plus tensor ray densities over a fixed product sector; ``_terms``
+    lists both as ``(weight, offset, axes)`` tensor terms, atoms first with
+    ``axes`` None, so density ``i`` is term ``len(atoms) + i``."""
 
     sectors: ProductSector
     atoms: tuple = ()
@@ -156,22 +158,28 @@ class Functional:
                 if check_degree and ax.degree > MAX_DEGREE:
                     raise ValueError(f"density degree {ax.degree} exceeds {MAX_DEGREE}")
             norm_dens.append(d)
-        # atom positions, then density offsets: one membership call per axis
-        pts = np.array([eta for eta, _ in norm_atoms] + [d.offset for d in norm_dens],
-                       dtype=complex).reshape(-1, sectors.k)
+        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "atoms", tuple(norm_atoms))
+        object.__setattr__(self, "densities", tuple(norm_dens))
+        object.__setattr__(self, "_terms", tuple(
+            [(w, eta, None) for eta, w in norm_atoms]
+            + [(d.weight, d.offset, d.axes) for d in norm_dens]))
+        pts = self._offsets  # one membership call per axis
         for j, s in enumerate(sectors.sectors):
             bad = np.flatnonzero(~s.contains(pts[:, j], closed=True, tol=1e-9))
             if bad.size and bad[0] < len(norm_atoms):
                 raise ValueError(f"atom coordinate {pts[bad[0], j]} outside closed sector axis {j}")
             if bad.size:
                 raise ValueError(f"density offset outside closed sector on axis {j}")
-        object.__setattr__(self, "sectors", sectors)
-        object.__setattr__(self, "atoms", tuple(norm_atoms))
-        object.__setattr__(self, "densities", tuple(norm_dens))
 
     @property
     def k(self):
         return self.sectors.k
+
+    @property
+    def _offsets(self):
+        """(terms, k) array of the term offsets."""
+        return np.array([o for _, o, _ in self._terms], dtype=complex).reshape(-1, self.k)
 
     def is_atomic(self):
         return not self.densities
@@ -249,20 +257,12 @@ class Functional:
         dim = tup.dim
         ident = np.eye(dim, dtype=complex)
         args = [-lam[j] * tup.matrices[j] + eps[j] * ident for j in range(self.k)]
-        # Exp(-shift_j * args_j) of every atom, then every density offset: one call
-        shifts = np.array([eta for eta, _ in self.atoms] + [d.offset for d in self.densities],
-                          dtype=complex).reshape(-1, self.k)
-        exps = expm(np.stack(args), -shifts)
+        exps = expm(np.stack(args), -self._offsets)  # Exp(-offset_j * args_j), one call
         out = np.zeros((dim, dim), dtype=complex)
-        for (_, w), axis_exps in zip(self.atoms, exps):
+        for (w, _, axes), axis_exps in zip(self._terms, exps):
             term = w * ident
-            for e in axis_exps:
-                term = term @ e
-            out = out + term
-        for d, axis_exps in zip(self.densities, exps[len(self.atoms):]):
-            term = d.weight * ident
-            for e, arg, ax in zip(axis_exps, args, d.axes):
-                term = term @ e @ ax.fb_factor_matrix(arg)
+            for j, e in enumerate(axis_exps):
+                term = term @ e if axes is None else term @ e @ axes[j].fb_factor_matrix(args[j])
             out = out + term
         return out
 
@@ -279,10 +279,9 @@ class Functional:
         extra = np.broadcast_to(np.asarray(extra_powers, dtype=float), (self.k,))
         for j, sec in enumerate(self.sectors.sectors):
             edges = [_unit(-np.pi / 2 - sec.alpha), _unit(np.pi / 2 - sec.beta)]
-            terms = [(eta[j], 0.0) for eta, _ in self.atoms] + [
-                (d.offset[j], d.axes[j].min_degree + 1.0) for d in self.densities]
-            for shift, power in terms:
-                if min((e * shift).real for e in edges) <= 1e-12 \
+            for _, o, axes in self._terms:
+                power = 0.0 if axes is None else axes[j].min_degree + 1.0
+                if min((e * o[j]).real for e in edges) <= 1e-12 \
                         and power + extra[j] < 2.0 - 1e-12:
                     return False
         return True
@@ -311,28 +310,24 @@ class Functional:
 
     @staticmethod
     def from_json(obj):
+        """The functional of :meth:`to_json`'s dict or text.  Each ``[re, im]``
+        pair is read by :func:`~sectorcalc.geometry.complex_pairs` (per axis for
+        ``poly``); a density's ``w`` (default 1) and ``eta`` (default 0) are optional."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         sectors = ProductSector(list(zip(obj["alpha"], obj["beta"])))
-        atoms = [
-            ([complex(e[0], e[1]) for e in a["eta"]], complex(a["w"][0], a["w"][1]))
-            for a in obj.get("atoms", ())
-        ]
-
-        def _coef(c):
-            return complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-
+        atoms = [(complex_pairs(a["eta"], "eta", 2), complex(complex_pairs(a["w"], "w", 1)))
+                 for a in obj.get("atoms", ())]
         densities = []
         for d in obj.get("densities", ()):
-            k = len(d["omega"])
-            offset = [complex(o[0], o[1]) for o in d.get("eta", [[0, 0]] * k)]
-            w = complex(d["w"][0], d["w"][1]) if "w" in d else 1.0
-            axes = [
-                AxisDensity(d["omega"][j], complex(d["s"][j][0], d["s"][j][1]),
-                            [_coef(c) for c in d["poly"][j]])
-                for j in range(k)
-            ]
-            densities.append(TensorDensity(w, offset, axes))
+            k, s, poly = len(d["omega"]), complex_pairs(d["s"], "s", 2), d["poly"]
+            if len(s) != k or len(poly) != k:
+                raise GeometryError(f"'s' and 'poly' need one entry per 'omega' ({k})")
+            axes = [AxisDensity(om, sj, complex_pairs(p, "poly", 2))
+                    for om, sj, p in zip(d["omega"], s, poly)]
+            w = complex(complex_pairs(d.get("w", [1.0, 0.0]), "w", 1))
+            densities.append(TensorDensity(
+                w, complex_pairs(d.get("eta", [[0.0, 0.0]] * k), "eta", 2), axes))
         return Functional(sectors, atoms, densities)
 
 
@@ -432,30 +427,24 @@ def convolve(phi1, phi2):
     for s1, s2 in zip(phi1.sectors.sectors, phi2.sectors.sectors):
         if abs(s1.alpha - s2.alpha) > 1e-12 or abs(s1.beta - s2.beta) > 1e-12:
             raise RouteError("convolution across different sector classes is unsupported")
-    sectors = phi1.sectors
-    atoms = []
-    densities = []
-    for eta1, w1 in phi1.atoms:
-        for eta2, w2 in phi2.atoms:
-            atoms.append((tuple(np.asarray(eta1) + np.asarray(eta2)), w1 * w2))
+    terms = []
+    for w1, o1, a1 in phi1._terms:
+        for w2, o2, a2 in phi2._terms:
+            offset = tuple(np.asarray(o1) + np.asarray(o2))
+            if a1 is None or a2 is None:  # an atom shifts the other term
+                terms.append((w1 * w2, offset, a2 if a1 is None else a1))
+            else:
+                terms += [(w1 * w2, offset, axes)
+                          for axes in itertools.product(*map(_convolve_axis, a1, a2))]
+    return _from_terms(phi1.sectors, terms)
 
-    def shift_density(d, eta, w):
-        return TensorDensity(d.weight * w,
-                             tuple(np.asarray(d.offset) + np.asarray(eta)), d.axes)
 
-    for eta, w in phi1.atoms:
-        for d in phi2.densities:
-            densities.append(shift_density(d, eta, w))
-    for eta, w in phi2.atoms:
-        for d in phi1.densities:
-            densities.append(shift_density(d, eta, w))
-    for d1 in phi1.densities:
-        for d2 in phi2.densities:
-            axis_terms = [_convolve_axis(a1, a2) for a1, a2 in zip(d1.axes, d2.axes)]
-            offset = tuple(np.asarray(d1.offset) + np.asarray(d2.offset))
-            for axes in itertools.product(*axis_terms):
-                densities.append(TensorDensity(d1.weight * d2.weight, offset, axes))
-    return Functional(sectors, atoms, densities, check_degree=False)
+def _from_terms(sectors, terms):
+    """The functional of ``(weight, offset, axes)`` terms, ``axes`` None for
+    an atom; degrees are not capped."""
+    return Functional(sectors, [(o, w) for w, o, a in terms if a is None],
+                      [TensorDensity(w, o, a) for w, o, a in terms if a is not None],
+                      check_degree=False)
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +590,10 @@ def cauchy_transform(phi, lam, z=None, route="measure", tol=1e-10):
     if route == "measure":
         # the weight exp(-z.zeta) goes into the measure: Re(s_j + z_j e^{i omega_j}) > 0
         # in the domain, so each weighted density's own rate certifies its ray
-        atoms = [(eta, w * np.exp(-np.dot(z, eta))) for eta, w in phi.atoms]
-        dens = [TensorDensity(d.weight * np.exp(-np.dot(z, d.offset)), d.offset,
-                              [replace(ax, s=ax.s + zj * _unit(ax.omega))
-                               for ax, zj in zip(d.axes, z)]) for d in phi.densities]
-        weighted = Functional(phi.sectors, atoms, dens, check_degree=False)
+        weighted = _from_terms(phi.sectors, [
+            (w * np.exp(-np.dot(z, o)), o, None if axes is None else
+             [replace(ax, s=ax.s + zj * _unit(ax.omega)) for ax, zj in zip(axes, z)])
+            for w, o, axes in phi._terms])
         kernel = _separable([[lambda x, lj=lj: 1.0 / (x - lj) for lj in lam]])
         return pref * pair_function(SectorFunction(kernel), weighted, "measure", tol)
     if route == "fb":
@@ -819,7 +807,7 @@ def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
+def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9):
     """Pairing ``<T_(lam), phi>`` of the scaled semigroup orbit with the
     functional, as a matrix in the algebra generated by the tuple.
 
@@ -830,7 +818,8 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
     transform), ``eps_shift`` (same contour with shifted resolvent
     arguments, limit extrapolated), ``regularized`` (squared-rational
     weight, double limit; only a bounded-orbit anchor required).  The
-    limits start from the shift 0.25 and halve it along ``EPS_SCHEDULE``.
+    contour routes take their anchor from :func:`anchor_for`; the limits
+    start from the shift 0.25 and halve it along ``EPS_SCHEDULE``.
     """
     sectors = phi.sectors
     lam = _validate_lambda(tup, lam, sectors)
@@ -838,17 +827,16 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
     if route == "measure":
         _anchor(tup, lam, sectors, phi, strict=False)  # existence gate
         k, dim = tup.k, tup.dim
-        # atom points lam_j eta_j, then density offsets lam_j offset_j: one
-        # membership call per axis, one expm call for all of them
-        pts = lam * np.array([eta for eta, _ in phi.atoms] + [d.offset for d in phi.densities],
-                             dtype=complex).reshape(-1, k)
+        # every term's points lam_j offset_j: one membership call per axis,
+        # one expm call for all of them
+        pts = lam * phi._offsets
         for j in range(k):
             check_in_domain(tup, j, pts[:, j])
         factors = expm(np.stack(tup.matrices), pts)
-        if phi.densities:
+        axes = [(j, ax) for _, _, a in phi._terms if a is not None for j, ax in enumerate(a)]
+        if axes:
             # one ray integral for every density on every axis; a density's
             # factor on axis j is its offset's value times that integral
-            axes = [(j, ax) for d in phi.densities for j, ax in enumerate(d.axes)]
             orbit = orbit_integrals(
                 tup, [j for j, _ in axes], [lam[j] * _unit(ax.omega) for j, ax in axes],
                 [lambda ts, ax=ax: ax.poly(ts) * np.exp(-ax.s * ts) for _, ax in axes],
@@ -856,8 +844,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
             n_atoms = len(phi.atoms)
             factors[n_atoms:] = factors[n_atoms:] @ orbit.reshape(-1, k, dim, dim)
         total = np.zeros((dim, dim), dtype=complex)
-        weights = [w for _, w in phi.atoms] + [d.weight for d in phi.densities]
-        for w, axis_factors in zip(weights, factors):
+        for (w, _, _), axis_factors in zip(phi._terms, factors):
             term = w * np.eye(dim, dtype=complex)
             for f in axis_factors:
                 term = term @ f
@@ -867,11 +854,7 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9, z=None):
     if route in ("resolvent_contour", "eps_shift", "regularized"):
         # only the direct route needs the vanishing-orbit anchor; the
         # shifted and regularized routes work from a bounded-orbit anchor
-        strict = route == "resolvent_contour"
-        if z is None:
-            z = _anchor(tup, lam, sectors, phi, strict=strict)
-        else:
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
+        z = _anchor(tup, lam, sectors, phi, strict=route == "resolvent_contour")
         if route in ("resolvent_contour", "eps_shift") and not phi.fb_integrable_on_cone():
             raise RouteError("transform of the functional is not integrable on the contour")
         pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k

@@ -500,9 +500,15 @@ def _hinf_by_parts(F, tup, lam, region, tol=1e-9):
 
 
 def _smirnov_by_parts(F, tup, lam, region, tol=1e-9):
-    gw = F.witness
-    return ca._quotient(_hinf_by_parts(ca.product_function(F, gw), tup, lam, region, tol),
-                        _hinf_by_parts(gw, tup, lam, region, tol), "witness image")
+    """The witness quotient ``calc(F*Gw*G) * calc(Gw*G)^{-1}`` from separate
+    public calculus calls."""
+    gw, gq = F.witness, ca._quotient_denominator(tup, lam, region)
+    eps = ca._default_eps(region)
+    return ca._quotient(
+        ca.functional_calculus(ca.product_function(ca.product_function(F, gw), gq), tup, lam,
+                               region, eps, tol),
+        ca.functional_calculus(ca.product_function(gw, gq), tup, lam, region, eps, tol),
+        "witness image")
 
 
 @pytest.mark.usefixtures("audited_refine")
@@ -620,7 +626,7 @@ class TestQuotientBatch:
                                region, ca._default_eps(region), tol=1e-9)
         assert len(stacks) == 1
 
-    @pytest.mark.parametrize("kind,parts", [("hinf", 2), ("smirnov", 4)])
+    @pytest.mark.parametrize("kind,parts", [("hinf", 2), ("smirnov", 2)])
     def test_one_resolvent_stack_per_round(self, kind, parts, monkeypatch):
         tup, lam, region, nu = _grid_case(5, 4)
         if kind == "hinf":

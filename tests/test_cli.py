@@ -230,6 +230,15 @@ class TestStudy:
         assert final["passed"] == "True"
         assert float(final["abs_err"]) <= 1e-6
 
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--scenario", "gaps"],
+                                        ["--tol-override", "1e-3"]])
+    def test_run_options_are_refused(self, option, capsys):
+        # a study reads none of them, so none is accepted
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["study", "--sweep", "eps", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFormatting:
     def test_complex_formatting_round_trips(self):

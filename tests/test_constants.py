@@ -1,7 +1,8 @@
 """Discretization constants are not options: no public entry point takes
-the round limit, a limit route's starting shift, a tolerance or a sample
-count that no caller sets, and the round limit ``_MAX_ROUNDS`` stops every
-adaptive quadrature."""
+the round limit, a limit route's starting shift, a tolerance, a sample
+count, an anchor or a seed that no caller sets (or that its body never
+reads), and the round limit ``_MAX_ROUNDS`` stops every adaptive
+quadrature."""
 
 import inspect
 
@@ -33,7 +34,7 @@ DELETED = [
     (ca._abs_integrals, {"max_rounds"}),
     (fn._tensor_density_integral, {"max_rounds"}),
     (fn.pair_function, {"eps0", "eta0"}),
-    (fn.pair_semigroup, {"eps0"}),
+    (fn.pair_semigroup, {"eps0", "z"}),
     (sg.mult_semigroup_gap, {"grid", "refine_tol"}),
     (ca.strongly_outer_check, {"slack", "decrease_slack"}),
     (ca.check_admissible_for, {"tol"}),
@@ -46,7 +47,7 @@ DELETED = [
     (cli._random_functional, {"allow_density"}),
     (cli.sectorial_bank, {"count", "max_dim"}),
     (cli.study_nodes, {"values"}),
-    (cli.study_eps, {"values"}),
+    (cli.study_eps, {"values", "seed"}),
     (sg.random_sectorial_matrix, {"im_range"}),
     (sg.random_commuting_tuple, {"re_range"}),
     (sg.n_set_classify, {"tol"}),
@@ -61,8 +62,8 @@ def test_no_deleted_option_is_accepted(fun, options):
     assert not options & set(inspect.signature(fun).parameters)
 
 
-def test_the_deleted_options_number_36():
-    assert sum(len(options) for _, options in DELETED) == 36
+def test_the_deleted_options_number_38():
+    assert sum(len(options) for _, options in DELETED) == 38
 
 
 def test_the_wrappers_are_gone():

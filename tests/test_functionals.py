@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from sectorcalc import functionals as fn
 from sectorcalc import quadrature as q
 from sectorcalc import semigroups as sg
-from sectorcalc.geometry import ProductSector
+from sectorcalc.geometry import GeometryError, ProductSector
 from sectorcalc.quadrature import ConvergenceError
 
 PI = np.pi
@@ -130,6 +131,37 @@ class TestTransform:
         z = rng.uniform(0, 1, (5, 1)) + 0j
         assert np.allclose(phi.fb(z), phi2.fb(z))
 
+    def test_json_round_trip_with_degrees_per_axis(self, rng, ps2):
+        phi = fn.Functional(ps2, atoms=[([0.5 + 0.1j, 0.3], 2.0 - 1.0j)],
+                            densities=fn.bisector_density(
+                                ps2, s=[1.2 + 0.3j, 0.9], coeffs=[[1.0, 0.5, 0.2], [0.0, 1.0]],
+                                weight=0.5 - 0.25j).densities)
+        phi2 = fn.Functional.from_json(json.dumps(phi.to_json()))
+        assert phi2 == phi
+        z = rng.uniform(0, 1, (5, 2)) + 0j
+        assert np.array_equal(phi.fb(z), phi2.fb(z))
+
+    @pytest.mark.parametrize("part, field, value", [
+        ("atoms", "eta", [1.0]),
+        ("atoms", "w", 1.0),
+        ("densities", "s", [[1.0]]),
+        ("atoms", "w", "x"),
+        ("densities", "poly", [[1.0, [0.5, 0.0]]]),  # a bare coefficient
+        ("densities", "eta", [[0.0, 0.0, 0.0]]),
+    ])
+    def test_json_refuses_a_malformed_pair_naming_the_field(self, ps1, part, field, value):
+        obj = fn.Functional(ps1, atoms=[([0.5], 2.0)],
+                            densities=fn.bisector_density(ps1).densities).to_json()
+        obj[part][0][field] = value
+        with pytest.raises(GeometryError, match=f"'{field}' must be"):
+            fn.Functional.from_json(obj)
+
+    def test_json_refuses_an_axis_count_mismatch(self, ps1):
+        obj = fn.bisector_density(ps1).to_json()
+        obj["densities"][0]["poly"] *= 2
+        with pytest.raises(GeometryError, match="'s' and 'poly' need one entry per 'omega'"):
+            fn.Functional.from_json(obj)
+
 
 class TestWn:
     def test_unit_at_origin(self, ps2):
@@ -225,6 +257,18 @@ class TestConvolution:
         (d,) = phi.densities
         assert d.offset[0] == pytest.approx(0.7)
         assert d.weight == pytest.approx(2.0)
+
+    def test_terms_pair_in_order(self, ps1):
+        # atom x atom, atom x density, density x atom, then the partial
+        # fractions of density x density; atoms lead the term list
+        p1 = fn.Functional(ps1, [([0.25], 2.0)], fn.bisector_density(ps1, s=[1.0]).densities)
+        p2 = fn.Functional(ps1, [([0.5], 3.0)], fn.bisector_density(ps1, s=[2.0]).densities)
+        c = fn.convolve(p1, p2)
+        assert c.atoms == (((0.75 + 0j,), 6.0 + 0j),)
+        assert [(d.weight, d.offset[0], d.axes[0].s) for d in c.densities] == [
+            (2.0, 0.25, 2.0), (3.0, 0.5, 1.0), (1.0, 0.0, 1.0), (1.0, 0.0, 2.0)]
+        assert c._terms == tuple((w, eta, None) for eta, w in c.atoms) + tuple(
+            (d.weight, d.offset, d.axes) for d in c.densities)
 
     def test_transform_multiplicative(self, rng, ps1):
         for _ in range(100):

@@ -111,3 +111,18 @@ def test_kahan_reduction_is_accurate():
     total = K.reduce_weighted(np.ones(n, dtype=np.complex128), vals)
     expected = n / 2 + (n / 2) * 1e-16
     assert abs(total - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+def test_schur_deflation_stays_backward_stable_on_defective_matrices(d):
+    # a Jordan block, eigenvalue -1.5 and superdiagonal c, under a random
+    # similarity: each deflation step must take the eigenvalue of its own
+    # trailing block (the eigenvalues of the whole matrix, computed once,
+    # are perturbed by about u^(1/d) and break the bounds below)
+    rng = np.random.default_rng(d)
+    for c in (0.3, 3.0, 10.0):
+        v = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        a = v @ (-1.5 * np.eye(d) + c * np.eye(d, k=1)) @ np.linalg.inv(v)
+        q, t = K.schur(a)
+        assert np.linalg.norm(a - q @ t @ q.conj().T) <= 50 * d * EPS * np.linalg.norm(a)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(d)) <= 50 * d * EPS
