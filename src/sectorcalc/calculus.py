@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quadrature
 from ._kernels import resolvent_stack
-from .geometry import AdmissibleRegion, GeometryError, ProductSector, _unit, make_region
+from .geometry import AdmissibleRegion, GeometryError, ProductSector, _unit, make_region, per_axis
 from .quadrature import (ContourQuadrature, _call_factor, _check_shift,
                          _contract, _panel_error, _parts_error, _product, _product_rule,
                          _separable, adaptive_contour, integrate, resolvent_contour_value,
@@ -49,12 +49,10 @@ class HoloFunction:
     ``exp_rate`` optionally certifies exponential decay along the contour
     directions.  ``witness`` carries the quotient pair for the Smirnov
     class: a bounded ``G`` claimed invertible-approximable with ``F*G``
-    bounded.  ``terms``, when set, is the separable (CP) form
-    ``F = sum_r prod_j terms[r][j](zeta_j)``: a tuple of terms, each a tuple
-    of k callables on 1-D node arrays; contour sums then factorize per
-    axis (see :func:`separable_function`).  ``poles``, when set, holds per
-    axis the points where ``F`` is singular in that coordinate; the
-    calculus refuses a pole inside its contour.
+    bounded.  :attr:`terms` is the separable (CP) form ``fun`` carries, if
+    any.  ``poles``, when set, holds per axis the points where ``F`` is
+    singular in that coordinate; the calculus refuses a pole inside its
+    contour.
     """
 
     fun: object
@@ -63,8 +61,15 @@ class HoloFunction:
     exp_rate: float = None
     witness: object = None
     label: str = "F"
-    terms: tuple = None
     poles: tuple = None
+
+    @property
+    def terms(self):
+        """The separable (CP) form ``F = sum_r prod_j terms[r][j](zeta_j)`` of
+        ``fun``, or None: a tuple of terms, each a tuple of k callables on
+        1-D node arrays; contour sums then factorize per axis (see
+        :func:`separable_function`)."""
+        return getattr(self.fun, "terms", None)
 
     def __call__(self, pts):
         return np.asarray(self.fun(np.atleast_2d(np.asarray(pts, dtype=complex))),
@@ -77,8 +82,7 @@ class HoloFunction:
 def separable_function(terms, klass="H1", decay=None, exp_rate=None, label="F"):
     """``HoloFunction`` given by its separable terms; ``fun`` evaluates
     ``sum_r prod_j terms[r][j](pts[:, j])``, so the two cannot disagree."""
-    fun = _separable(terms)
-    return HoloFunction(fun, klass, decay, exp_rate, None, label, fun.terms)
+    return HoloFunction(_separable(terms), klass, decay, exp_rate, None, label)
 
 
 def _ones(x):
@@ -103,9 +107,8 @@ def product_function(f, g, label=None):
     poles = f.poles or g.poles
     if f.poles and g.poles:
         poles = tuple(a + b for a, b in zip(f.poles, g.poles))
-    fun = _product(f, g)
-    return HoloFunction(fun, "H1", decay, rate, None, label or f"{f.label}*{g.label}",
-                        getattr(fun, "terms", None), poles)
+    return HoloFunction(_product(f, g), "H1", decay, rate, None,
+                        label or f"{f.label}*{g.label}", poles)
 
 
 def constant_function(k, value, label=None):
@@ -117,14 +120,6 @@ def constant_function(k, value, label=None):
                               label or f"const({value})")
 
 
-def _per_axis(k, values, name, dtype=complex):
-    """``values`` as an array of one entry per axis; any other count is refused."""
-    values = np.atleast_1d(np.asarray(values, dtype=dtype))
-    if values.shape != (k,):
-        raise ValueError(f"{name} needs one entry per axis ({k}), got shape {values.shape}")
-    return values
-
-
 def _check_axis(k, axis):
     if axis not in range(k):
         raise ValueError(f"axis {axis} is not one of the {k} axes 0..{k - 1}")
@@ -132,7 +127,7 @@ def _check_axis(k, axis):
 
 def inverse_square(k, shifts, label=None):
     """``prod_j (zeta_j + s_j)^{-2}``; the workhorse decaying test function."""
-    shifts = _per_axis(k, shifts, "shifts")
+    shifts = per_axis(shifts, k, "shifts")
     term = [lambda x, s=shifts[j]: 1.0 / (x + s) ** 2 for j in range(k)]
     return replace(separable_function([term], "H1", (1.0, 2.0), None,
                                       label or f"invsq({shifts.tolist()})"),
@@ -142,8 +137,8 @@ def inverse_square(k, shifts, label=None):
 def rotated_inverse_square(k, angles, shifts, label=None):
     """``prod_j (zeta_j e^{i theta_j} + s_j)^{-2}`` (poles pushed behind the
     rotated half-planes); used as the bounded-function quotient."""
-    shifts = _per_axis(k, shifts, "shifts")
-    angles = _per_axis(k, angles, "angles", float)
+    shifts = per_axis(shifts, k, "shifts")
+    angles = per_axis(angles, k, "angles", float)
     term = [lambda x, u=_unit(angles[j]), s=shifts[j]: 1.0 / (x * u + s) ** 2
             for j in range(k)]
     return replace(separable_function([term], "H1", (1.0, 2.0), None, label or "rot_invsq"),
@@ -156,7 +151,7 @@ def exponential_function(k, nu, axis=0, shifts=None, label=None):
     _check_axis(k, axis)
     term = [(lambda x: np.exp(-nu * x)) if j == axis else _ones for j in range(k)]
     if shifts is not None:
-        shifts = _per_axis(k, shifts, "shifts")
+        shifts = per_axis(shifts, k, "shifts")
         term = [lambda x, f=f, s=shifts[j]: f(x) / (x + s) for j, f in enumerate(term)]
     p = 1.0 if shifts is not None else 0.0
     return separable_function([term], "Hinf", (1.0, p), None,
@@ -602,7 +597,7 @@ def outer_diagnostic_disk(f, r_grid=None, t_grid=None):
 def interior_cauchy_value(F, region, eps, point, tol=1e-9):
     """Reproduce ``F(point)`` from its boundary values on the shifted
     distinguished boundary (the interior reproduction identity)."""
-    point = np.atleast_1d(np.asarray(point, dtype=complex))
+    point = per_axis(point, region.k, "point")
     _require_certificate(F)
     cq = ContourQuadrature.from_region(region, eps)
     kernel = separable_function([[lambda x, p=p: 1.0 / (p - x) for p in point]])

@@ -24,13 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import GeometryError, ProductSector, _unit, complex_pairs, make_region
+from .geometry import (GeometryError, ProductSector, _check_axis_count, _unit, complex_pairs,
+                       make_region, per_axis)
 from .quadrature import (_N0, ContourQuadrature, QuadratureError, _check_shift, _contract,
                          _cut_tail, _parts_error, _product, _ray_rule, _separable,
                          adaptive_contour, initial_radius, integrate, refine,
                          resolvent_contour_value, richardson)
-from .semigroups import (SectorDomainError, _validate_lambda, check_in_domain, expm,
-                         orbit_integrals, resolvent_product)
+from .semigroups import (SectorDomainError, _edge_growth, _validate_lambda, check_in_domain,
+                         expm, orbit_integrals, resolvent_product)
 
 MAX_DEGREE = 4
 
@@ -189,7 +190,7 @@ class Functional:
     def domain_contains(self, z):
         """True when ``z`` lies in the transform domain: every density must
         keep ``Re(s_j + z_j e^{i omega_j}) > 0`` (atoms are entire)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        z = per_axis(z, self.k, "z")
         for d in self.densities:
             for j, ax in enumerate(d.axes):
                 if (ax.s + z[j] * _unit(ax.omega)).real <= 0.0:
@@ -232,18 +233,13 @@ class Functional:
                               for ax, o in zip(d.axes, d.offset)]) for d in self.densities]
         return tuple((lambda x, w=w, f=fs[0]: w * f(x),) + tuple(fs[1:]) for w, fs in terms)
 
-    def fb(self, z, check_domain=False):
+    def fb(self, z):
         """Closed-form transform value at ``z`` of shape (k,) or (N, k).
 
-        The closed form continues meromorphically past the domain; pass
-        ``check_domain=True`` to reject arguments outside it."""
-        z = np.asarray(z, dtype=complex)
-        pts = np.atleast_2d(z)
-        if check_domain:
-            for p in pts:
-                if not self.domain_contains(p):
-                    raise RouteError(f"transform argument {p} outside the domain")
-        out = _separable(self.fb_terms)(pts)
+        The closed form continues meromorphically past the domain, which
+        :meth:`domain_contains` tests."""
+        z = per_axis(z, self.k, "z", grid=True)
+        out = _separable(self.fb_terms)(np.atleast_2d(z))
         return out[0] if z.ndim == 1 else out
 
     def fb_at_tuple(self, tup, lam, eps=None):
@@ -312,19 +308,22 @@ class Functional:
     def from_json(obj):
         """The functional of :meth:`to_json`'s dict or text.  Each ``[re, im]``
         pair is read by :func:`~sectorcalc.geometry.complex_pairs` (per axis for
-        ``poly``); a density's ``w`` (default 1) and ``eta`` (default 0) are optional."""
+        ``poly``), and each density's ``omega`` by :func:`~sectorcalc.geometry.per_axis`;
+        a density's ``w`` (default 1) and ``eta`` (default 0) are optional."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        _check_axis_count(obj["alpha"], beta=obj["beta"])
         sectors = ProductSector(list(zip(obj["alpha"], obj["beta"])))
         atoms = [(complex_pairs(a["eta"], "eta", 2), complex(complex_pairs(a["w"], "w", 1)))
                  for a in obj.get("atoms", ())]
         densities = []
         for d in obj.get("densities", ()):
-            k, s, poly = len(d["omega"]), complex_pairs(d["s"], "s", 2), d["poly"]
+            omega = per_axis(d["omega"], sectors.k, "omega", float).tolist()
+            k, s, poly = len(omega), complex_pairs(d["s"], "s", 2), d["poly"]
             if len(s) != k or len(poly) != k:
                 raise GeometryError(f"'s' and 'poly' need one entry per 'omega' ({k})")
             axes = [AxisDensity(om, sj, complex_pairs(p, "poly", 2))
-                    for om, sj, p in zip(d["omega"], s, poly)]
+                    for om, sj, p in zip(omega, s, poly)]
             w = complex(complex_pairs(d.get("w", [1.0, 0.0]), "w", 1))
             densities.append(TensorDensity(
                 w, complex_pairs(d.get("eta", [[0.0, 0.0]] * k), "eta", 2), axes))
@@ -342,8 +341,9 @@ def bisector_density(sectors, s=None, coeffs=None, weight=1.0):
     if not isinstance(sectors, ProductSector):
         sectors = ProductSector(sectors)
     k = sectors.k
-    s = [1.0] * k if s is None else list(np.atleast_1d(s))
+    s = per_axis(np.ones(k) if s is None else s, k, "s")
     coeffs = [[1.0]] * k if coeffs is None else coeffs
+    _check_axis_count(s, coeffs=coeffs)
     axes = [AxisDensity(sec.bisector_angle, s[j], coeffs[j])
             for j, sec in enumerate(sectors.sectors)]
     return Functional(sectors, densities=[TensorDensity(weight, [0j] * k, axes)])
@@ -354,7 +354,7 @@ def wn_regularizer(zeta, n, sectors):
     modulus at most 1 on the closed dual product sector."""
     if not isinstance(sectors, ProductSector):
         sectors = ProductSector(sectors)
-    zeta = np.asarray(zeta, dtype=complex)
+    zeta = per_axis(zeta, sectors.k, "zeta", grid=True)
     out = _wn(sectors, n, np.zeros(sectors.k))(np.atleast_2d(zeta))
     return out[0] if zeta.ndim == 1 else out
 
@@ -467,13 +467,11 @@ def anchor_for(tup, lam, sectors, phi=None, strict=False, margin=1.0):
 def _anchor(tup, lam, sectors, phi=None, strict=False, margin=1.0):
     """:func:`anchor_for` of the checked ``lam``."""
     z = np.empty(sectors.k, dtype=complex)
-    for j, sec in enumerate(sectors.sectors):
+    for j, (sec, edges) in enumerate(zip(sectors.sectors, _edge_growth(tup, lam, sectors))):
         mid = sec.bisector_angle
         u = _unit(-mid)
-        r_hi = np.inf
-        for omega in {sec.alpha, sec.beta}:
-            c = np.cos(omega - mid)
-            r_hi = min(r_hi, -tup.abscissa(j, omega, lam[j]) / c)
+        # the N-set boundary along the anti-bisector
+        r_hi = min(-h / np.cos(omega - mid) for omega, h in edges)
         r_lo = -np.inf if phi is None else phi._domain_floor(j)
         if r_lo >= r_hi - 1e-12:
             raise NoAdmissibleAnchor(
@@ -520,8 +518,9 @@ def exp_poly_function(sectors, w, coeffs=None, label=None):
     transform ``prod_j sum_m c_m m! / (lam_j + w_j)^(m+1)``."""
     if not isinstance(sectors, ProductSector):
         sectors = ProductSector(sectors)
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    w = per_axis(w, sectors.k, "w")
     coeffs = [[1.0]] * sectors.k if coeffs is None else [list(c) for c in coeffs]
+    _check_axis_count(w, coeffs=coeffs)
     fun = _separable([[lambda x, c=c, wj=wj: _horner(c, x) * np.exp(-wj * x)
                        for c, wj in zip(coeffs, w)]])
     fb = _separable([[lambda x, c=c, wj=wj: _laplace(c, x + wj) for c, wj in zip(coeffs, w)]])
@@ -578,9 +577,8 @@ def cauchy_transform(phi, lam, z=None, route="measure", tol=1e-10):
     sigma_j) dsigma_j`` per axis.  Both carry the ``(2*pi*i)^-k`` prefactor
     and agree within quadrature tolerance.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    z = np.zeros(phi.k, dtype=complex) if z is None else \
-        np.atleast_1d(np.asarray(z, dtype=complex))
+    lam = per_axis(lam, phi.k, "lam")
+    z = np.zeros(phi.k, dtype=complex) if z is None else per_axis(z, phi.k, "z")
     if not phi.domain_contains(z):
         raise RouteError(f"anchor {z} outside the transform domain")
     for j, s in enumerate(phi.sectors.sectors):
@@ -616,7 +614,7 @@ def _tensor_density_integral(fvec, d, tol):
     axis is truncated where its exponential envelope drops below tol/100,
     and the truncations double with the node density each round; each
     axis's estimate adds its cut tail at the envelope's rate."""
-    r0 = [initial_radius(("exp", ax.s.real), tol) for ax in d.axes]
+    r0 = [initial_radius(ax.s.real, tol) for ax in d.axes]
 
     def value_at(n_per_unit):
         nodes, weights, rule = [], [], []
@@ -681,9 +679,8 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None):
     if route in ("fb_eps", "fb_direct", "wn_limit"):
         if f.fb is None:
             raise RouteError(f"route {route} needs a closed-form transform for {f.label}")
-        if z is None:  # valid for this measure class: every density has Re(s) > 0
-            z = np.zeros(phi.k, dtype=complex)
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        # z = 0 is valid for this measure class: every density has Re(s) > 0
+        z = np.zeros(phi.k, dtype=complex) if z is None else per_axis(z, phi.k, "z")
         if not phi.domain_contains(z):
             raise RouteError(f"anchor {z} outside the transform domain")
         pref = (2j * np.pi) ** -phi.k
@@ -750,11 +747,10 @@ def pair_translated_cauchy(f, phi, eta, z=None, tol=1e-9):
             raise RouteError("boundary-kernel route needs alpha < beta on every axis")
     if not phi.is_atomic():
         raise RouteError("boundary-kernel route implemented for atomic functionals")
-    eta = np.atleast_1d(np.asarray(eta, dtype=complex))
+    eta = per_axis(eta, phi.k, "eta")
+    z = np.zeros(phi.k, dtype=complex) if z is None else per_axis(z, phi.k, "z")
     if not sectors.contains(eta, closed=False):
         raise RouteError("translation must be strictly inside the open product sector")
-    z = np.zeros(phi.k, dtype=complex) if z is None else \
-        np.atleast_1d(np.asarray(z, dtype=complex))
     pref = (2j * np.pi) ** -phi.k
     if f.sector_decay is None:
         raise RouteError(f"{f.label} carries no boundary decay certificate")
@@ -890,8 +886,7 @@ def fb_of_orbit(tup, lam, z, zeta, u, route="resolvent", tol=1e-10):
     which refuses a singular factor; route "integral" performs the
     defining tensor ray integral.  Both agree within tolerance.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    z, zeta = per_axis(z, tup.k, "z"), per_axis(zeta, tup.k, "zeta")
     u = np.asarray(u, dtype=complex)
     if route == "resolvent":
         return (-1.0) ** tup.k * resolvent_product(tup, lam, z - zeta) @ u

@@ -156,13 +156,27 @@ class ProductSector:
         return _product_contains(self.sectors, point, closed, tol)
 
 
+def per_axis(values, k, name, dtype=complex, grid=False):
+    """``values`` as an array of one finite entry per axis, of ``k`` axes;
+    with ``grid`` also an (N, k) array of such points.  The one place a
+    per-axis point becomes an array: a wrong count or shape, a ragged or
+    non-numeric value, a complex entry for a real ``dtype`` or a non-finite
+    entry raises :class:`GeometryError` naming ``name``."""
+    try:
+        out = np.atleast_1d(np.asarray(values).astype(dtype, casting="same_kind", copy=False))
+    except (TypeError, ValueError):  # ragged, non-numeric or lossy
+        out = None
+    if out is None or out.shape[-1:] != (k,) or out.ndim > 1 + grid:
+        raise GeometryError(f"{name} needs one entry per axis ({k}), got {values!r}")
+    if not np.isfinite(out).all():
+        raise GeometryError(f"{name}={out.tolist()} is not finite")
+    return out
+
+
 def preceq(z, zp, ps, tol=TOL):
     """Componentwise test ``zp[j] - z[j] in closed dual sector`` (the cone preorder)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zp = np.atleast_1d(np.asarray(zp, dtype=complex))
-    if z.shape != (ps.k,) or zp.shape != (ps.k,):
-        raise GeometryError("points must have dimension k")
-    return ps.dual().contains(zp - z, closed=True, tol=tol)
+    z = per_axis(z, ps.k, "z")
+    return ps.dual().contains(per_axis(zp, ps.k, "zp") - z, closed=True, tol=tol)
 
 
 def _oblique_coords(p, d0, d1):

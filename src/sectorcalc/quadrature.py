@@ -459,7 +459,8 @@ def _product(*fns):
     products of their terms (ranks multiply); otherwise it carries none."""
     if all(getattr(f, "terms", None) is not None for f in fns):
         return _separable(
-            tuple(lambda x, fs=fs: math.prod(f(x) for f in fs) for fs in zip(*combo))
+            tuple(lambda x, fs=fs: math.prod(f(x) for f in fs)
+                  for fs in zip(*combo, strict=True))
             for combo in itertools.product(*(f.terms for f in fns)))
     return lambda pts: math.prod(f(pts) for f in fns)
 
@@ -580,41 +581,33 @@ def richardson(values, ratio=2.0):
     return best, residual
 
 
-def initial_radius(decay, tol):
-    """Truncation radius at which an ``exp(-rate*t)`` envelope, given as
-    ``decay = ("exp", rate)``, drops below tol/100, at least ``TAIL_RADIUS``;
-    ``TAIL_RADIUS`` without one."""
-    if decay is None:
-        return TAIL_RADIUS
-    if decay[0] != "exp":
-        raise QuadratureError(f"unknown decay kind {decay[0]!r}")
-    rate = decay[1]
-    if rate <= 0:
-        raise QuadratureError("exponential decay rate must be positive")
+def initial_radius(rate, tol):
+    """Truncation radius at which the envelope ``exp(-rate*t)`` drops below
+    tol/100, at least ``TAIL_RADIUS``."""
+    if not rate > 0:
+        raise QuadratureError(f"exponential decay rate {rate} must be positive")
     return max(TAIL_RADIUS, np.log(100.0 / tol) / rate)
 
 
-def ray_integral(f, start, direction, tol=1e-10, decay=None):
+def ray_integral(f, start, direction, rate, tol=1e-10):
     """Adaptive integral of ``f`` along ``start + t*direction``, ``t >= 0``.
 
-    The caller asserts integrability; ``decay`` supplies the envelope that
-    sets the first round's truncation (see :func:`initial_radius`), and the
-    truncation doubles with the node density each round.  Under an
-    exponential envelope the cut tail is below tol/100, and an orbit
+    The caller asserts integrability: ``|f|`` decays at least like
+    ``exp(-rate*t)``.  That envelope sets the first round's truncation (see
+    :func:`initial_radius`), and the truncation doubles with the node
+    density each round, so the cut tail is below tol/100 and an orbit
     ``Exp(t*A)`` that grows is never evaluated far beyond it, where it
-    would overflow.  A round's estimate adds the :func:`_cut_tail`; without
-    ``decay`` there is none, and rounds are accepted on their difference.
+    would overflow.  A round's estimate adds the :func:`_cut_tail`.
     """
     direction = complex(direction)
     direction /= abs(direction)
-    r0 = initial_radius(decay, tol)
+    r0 = initial_radius(rate, tol)
 
     def value_at(n):
         nodes, weights = _ray_rule(complex(start), direction, r0, n)
         vals = _call_integrand(lambda q: f(q[:, 0]), nodes[:, None])
         wf = weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
-        est = np.inf if decay is None else (_panel_error(wf).sum()
-                                            + _cut_tail(wf, weights, nodes, decay[1]))
+        est = _panel_error(wf).sum() + _cut_tail(wf, weights, nodes, rate)
         return _kernels.reduce_weighted(weights, vals), len(nodes), est
 
     return refine(value_at, _N0, tol, "ray integral")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import schur
-from .geometry import ProductSector, _unit, complex_pairs, float_pairs
+from .geometry import ProductSector, _unit, complex_pairs, float_pairs, per_axis
 from .quadrature import ray_integral, richardson
 
 _PADE13_B = np.array([
@@ -229,7 +229,7 @@ def resolvent_product(tup, lam, zeta):
     """Product of the per-axis resolvents ``(lam_j*A_j + zeta_j*I)^{-1}``,
     multiplied in axis order (the factors commute)."""
     lam = _validate_lambda(tup, lam)
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    zeta = per_axis(zeta, tup.k, "zeta")
     ident = np.eye(tup.dim, dtype=complex)
     x = ident
     for j in reversed(range(tup.k)):
@@ -274,8 +274,7 @@ def orbit_integrals(tup, j, directions, weights, rate, tol=1e-10):
         w = np.stack([weight(ts) for weight in weights], axis=1)
         return (w[:, :, None, None] * orbits).reshape(len(ts), n * d, d)
 
-    res = ray_integral(f, 0.0, 1.0, tol=tol, decay=("exp", rate))
-    return res.value.reshape(n, d, d)
+    return ray_integral(f, 0.0, 1.0, rate, tol).value.reshape(n, d, d)
 
 
 def resolvent_via_laplace(tup, j, lam, zeta0=1.0, tol=1e-10):
@@ -388,27 +387,25 @@ def n_set_classify(tup, lam, ps, z):
     spectral abscissas ``h`` the bounded set uses ``Re(z_j e^{iw}) <= -h``
     and the vanishing set uses strict inequality, both with slack 1e-12.
     """
-    return _n_set_class(tup, _validate_lambda(tup, lam, ps), ps,
-                        np.atleast_1d(np.asarray(z, dtype=complex)))
+    return _n_set_class(tup, _validate_lambda(tup, lam, ps), ps, per_axis(z, tup.k, "z"))
+
+
+def _edge_growth(tup, lam, ps):
+    """Per axis ``j``, the pairs ``(omega, h)`` for the sector edges ``omega``
+    in ``{alpha_j, beta_j}`` of ``ps``, ``h`` the growth rate of the scaled
+    orbit ``t -> |Exp(t*lam_j*e^{i omega}*A_j)|`` (checked ``lam``)."""
+    return [[(omega, tup.abscissa(j, omega, lam[j])) for omega in {sec.alpha, sec.beta}]
+            for j, sec in enumerate(ps.sectors)]
 
 
 def _n_set_class(tup, lam, ps, z):
     """:func:`n_set_classify` of the checked ``lam`` and the anchor array ``z``."""
-    strict = True
-    weak = True
-    for j, sec in enumerate(ps.sectors):
-        for omega in {sec.alpha, sec.beta}:
-            h = tup.abscissa(j, omega, lam[j])
-            val = (z[j] * _unit(omega)).real
-            if not val <= -h + 1e-12:
-                weak = False
-            if not val < -h - 1e-12:
-                strict = False
-    if strict and weak:
+    edges = [((z[j] * _unit(omega)).real, h)
+             for j, axis in enumerate(_edge_growth(tup, lam, ps)) for omega, h in axis]
+    weak = all(val <= -h + 1e-12 for val, h in edges)
+    if weak and all(val < -h - 1e-12 for val, h in edges):
         return IN_N0
-    if weak:
-        return IN_N_ONLY
-    return OUTSIDE
+    return IN_N_ONLY if weak else OUTSIDE
 
 
 def mult_semigroup_gap(t, s):

@@ -25,7 +25,7 @@ DELETED = [
     (q.refine, {"max_rounds"}),
     (q.adaptive_contour, {"max_rounds"}),
     (q.integrate, {"max_rounds"}),
-    (q.ray_integral, {"max_rounds"}),
+    (q.ray_integral, {"max_rounds", "decay"}),
     (ca.functional_calculus, {"max_rounds"}),
     (ca._calculus_batch, {"max_rounds"}),
     (ca.functional_calculus_hinf, {"max_rounds"}),
@@ -54,6 +54,7 @@ DELETED = [
     (sg._n_set_class, {"tol"}),
     (g.sup_points, {"tol"}),
     (fn.Functional.from_json, {"sectors"}),
+    (fn.Functional.fb, {"check_domain"}),
 ]
 
 
@@ -62,13 +63,18 @@ def test_no_deleted_option_is_accepted(fun, options):
     assert not options & set(inspect.signature(fun).parameters)
 
 
-def test_the_deleted_options_number_38():
-    assert sum(len(options) for _, options in DELETED) == 38
+def test_the_deleted_options_number_40():
+    assert sum(len(options) for _, options in DELETED) == 40
 
 
 def test_the_wrappers_are_gone():
     for mod in (sectorcalc, sg, fn):
         assert not hasattr(mod, "GrowthProfile") and not hasattr(mod, "FBDomainInfo")
+
+
+def test_per_axis_points_have_one_checker():
+    # the calculus presets read their shifts and angles through geometry.per_axis
+    assert not hasattr(ca, "_per_axis") and hasattr(g, "per_axis")
 
 
 def _counted(fun, calls):
@@ -88,7 +94,8 @@ class TestRoundLimit:
     def test_ray_integral(self):
         calls = []
         with pytest.raises(q.ConvergenceError, match="ray integral .* in 3 rounds"):
-            q.ray_integral(_counted(lambda t: 1.0 / (1.0 + t), calls), 0.0, 1.0, tol=1e-12)
+            q.ray_integral(_counted(lambda t: 1.0 / (1.0 + t), calls), 0.0, 1.0, rate=1.0,
+                           tol=1e-12)
         assert len(calls) == 3
 
     def test_adaptive_contour(self):

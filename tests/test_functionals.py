@@ -41,6 +41,13 @@ def random_atomic(rng, ps, n_atoms=2):
     return fn.Functional(ps, atoms)
 
 
+def _two_atoms_two_axes(ps2):
+    """Two atoms in the closed product sector, and ``f`` a product of
+    exponential polynomials of different rates and degrees."""
+    phi = fn.Functional(ps2, [([0.8, 0.5 + 0.1j], 1.3), ([0.4 - 0.1j, 1.1], -0.7 + 0.2j)])
+    return phi, fn.exp_poly_function(ps2, [1.0, 1.2], [[0.2, 1.0], [1.0]])
+
+
 def _fb_reference(phi, pts):
     """The transform summed atom by atom and density by density, each
     density's Laplace factors written out term by term, and the sum of the
@@ -160,6 +167,26 @@ class TestTransform:
         obj = fn.bisector_density(ps1).to_json()
         obj["densities"][0]["poly"] *= 2
         with pytest.raises(GeometryError, match="'s' and 'poly' need one entry per 'omega'"):
+            fn.Functional.from_json(obj)
+
+    def test_json_refuses_a_beta_longer_than_alpha(self, ps2):
+        # zip would drop the third beta and read a functional of two axes
+        obj = fn.bisector_density(ps2).to_json()
+        obj["beta"].append(PI / 4)
+        with pytest.raises(GeometryError, match="beta has 3 entries for 2 axes"):
+            fn.Functional.from_json(obj)
+
+    @pytest.mark.parametrize("omega", [0.0, [0.0], [0.0, 0.0, 0.0], [0.0, float("nan")]])
+    def test_json_reads_omega_one_entry_per_axis(self, ps2, omega):
+        obj = fn.bisector_density(ps2).to_json()
+        obj["densities"][0]["omega"] = omega
+        with pytest.raises(GeometryError, match="^omega"):
+            fn.Functional.from_json(obj)
+
+    def test_json_missing_field_is_a_key_error(self, ps2):
+        obj = fn.bisector_density(ps2).to_json()
+        del obj["densities"][0]["omega"]
+        with pytest.raises(KeyError):
             fn.Functional.from_json(obj)
 
 
@@ -415,6 +442,23 @@ class TestPairFunction:
         f = fn.SectorFunction(lambda p: np.exp(-p[:, 0]), label="bare exp")
         with pytest.raises(fn.RouteError, match="bare exp carries no boundary decay"):
             fn.pair_translated_cauchy(f, fn.dirac(ps1, [0.8]), [0.3])
+
+    def test_boundary_kernel_route_on_two_axes(self, ps2):
+        # two atoms on two axes against a product of exponential polynomials:
+        # every axis of the boundary-kernel contour carries a kernel factor
+        phi, f = _two_atoms_two_axes(ps2)
+        oracle = fn.pair_function(f, phi, "measure")
+        assert abs(fn.pair_function(f, phi, "cauchy", tol=1e-8) - oracle) <= 1e-9
+
+    @pytest.mark.parametrize("z", [[0.0, 0.0], [0.3, 0.2], [0.6, 0.5], [0.9, 0.9]])
+    def test_translated_cauchy_on_two_axes(self, ps2, z):
+        # the anchor weight grows along the sector edges on both axes; the
+        # translated pairing is the sum of w * f(eta_a + eta) for every z
+        phi, f = _two_atoms_two_axes(ps2)
+        eta = np.array([0.3, 0.25 + 0.05j])
+        direct = sum(w * f(np.asarray(e)[None, :] + eta)[0] for e, w in phi.atoms)
+        val = fn.pair_translated_cauchy(f, phi, eta, z=z)
+        assert abs(val - direct) <= 1e-12
 
     def test_contour_integrability_per_axis(self, ps2):
         phi = fn.bisector_density(ps2)  # transform decays like 1/|sigma_j| per axis
@@ -733,9 +777,8 @@ class TestDomainInfo:
 
     def test_checked_transform_rejects_outside_points(self, ps1):
         phi = fn.bisector_density(ps1, s=[0.5])
-        with pytest.raises(fn.RouteError):
-            phi.fb(np.array([-1.0 + 0j]), check_domain=True)
-        # the unchecked call continues the closed form
+        assert not phi.domain_contains(np.array([-1.0 + 0j]))
+        # the transform continues the closed form past the domain
         assert np.isfinite(phi.fb(np.array([-1.0 + 0j])))
 
 

@@ -1,11 +1,13 @@
-"""The two calculus inputs besides F and the tuple, each checked by one owner.
+"""Inputs checked by one owner each.
 
 ``semigroups._validate_lambda`` is the only place the scalings ``lam``
-become an array, and ``quadrature._check_shift`` the only place a contour
-shift ``eps`` does.  Every public entry point calls its owner before it
+become an array, ``quadrature._check_shift`` the only place a contour
+shift ``eps`` does, and ``geometry.per_axis`` the only place any other
+per-axis point does.  Every public entry point calls its owner before it
 touches the value: a malformed ``lam`` raises ``SectorDomainError``, a
-malformed ``eps`` raises ``QuadratureError``, and neither gets as far as
-any arithmetic that could warn.
+malformed ``eps`` raises ``QuadratureError``, a malformed point raises
+``GeometryError`` naming its argument, and none gets as far as any
+arithmetic that could warn.
 """
 
 import warnings
@@ -233,3 +235,122 @@ class TestValidationCount:
         counted.clear()
         call()
         assert len(counted) == count
+
+
+# a valid value of each per-axis argument below, on every axis
+GOOD = {"z": 0.0, "zp": 1.0, "zeta": 3.0, "w": 1.0, "s": 1.0, "point": 1.0, "lam": -1.0,
+        "eta": 0.3, "shifts": 3.0, "angles": 0.0}
+
+
+def _point_calls(k, value):
+    """Every public entry point that takes a per-axis point, keyed by (entry,
+    argument), with ``value`` as that argument and valid values elsewhere."""
+    tup, u, f, phi, _ = SETUPS[k]
+    ps = ProductSector([SECT] * k)
+    lam, ones, zeros = [1.0] * k, np.ones(k), np.zeros(k)
+    h = fn.exp_poly_function(ps, ones)  # with a transform and a boundary certificate
+    atoms = fn.dirac(ps, 0.5 * ones)
+    calls = {
+        ("Functional.fb", "z"): lambda: phi.fb(value),
+        ("Functional.domain_contains", "z"): lambda: phi.domain_contains(value),
+        ("wn_regularizer", "zeta"): lambda: fn.wn_regularizer(value, 7, ps),
+        ("exp_poly_function", "w"): lambda: fn.exp_poly_function(ps, value),
+        ("bisector_density", "s"): lambda: fn.bisector_density(ps, value),
+        ("resolvent_product", "zeta"): lambda: sg.resolvent_product(tup, lam, value),
+        ("n_set_classify", "z"): lambda: sg.n_set_classify(tup, lam, ps, value),
+        ("interior_cauchy_value", "point"): lambda: ca.interior_cauchy_value(
+            f, u, ca._default_eps(u), value),
+        ("cauchy_transform", "lam"): lambda: fn.cauchy_transform(phi, value),
+        ("cauchy_transform", "z"): lambda: fn.cauchy_transform(phi, -ones, value),
+        ("pair_translated_cauchy", "z"): lambda: fn.pair_translated_cauchy(
+            h, atoms, 0.3 * ones, z=value),
+        ("pair_translated_cauchy", "eta"): lambda: fn.pair_translated_cauchy(h, atoms, value),
+        ("preceq", "z"): lambda: g.preceq(value, ones, ps),
+        ("preceq", "zp"): lambda: g.preceq(zeros, value, ps),
+        ("inverse_square", "shifts"): lambda: ca.inverse_square(k, value),
+        ("rotated_inverse_square", "angles"): lambda: ca.rotated_inverse_square(
+            k, value, 3 * ones),
+        ("rotated_inverse_square", "shifts"): lambda: ca.rotated_inverse_square(
+            k, zeros, value),
+        ("exponential_function", "shifts"): lambda: ca.exponential_function(
+            k, 1.0, shifts=value),
+    }
+    for route in ("resolvent", "integral"):
+        calls[f"fb_of_orbit {route}", "z"] = lambda r=route: fn.fb_of_orbit(
+            tup, lam, value, 3 * ones, np.ones(tup.dim), r)
+        calls[f"fb_of_orbit {route}", "zeta"] = lambda r=route: fn.fb_of_orbit(
+            tup, lam, zeros, value, np.ones(tup.dim), r)
+    for route in ("fb_eps", "fb_direct", "wn_limit", "cauchy"):
+        calls[f"pair_function {route}", "z"] = lambda r=route: fn.pair_function(
+            h, atoms, r, z=value)
+    return calls
+
+
+class TestPerAxisPoints:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_valid_points_are_accepted(self, k):
+        for entry, arg in sorted(_point_calls(k, None)):
+            _point_calls(k, GOOD[arg] * np.ones(k))[entry, arg]()
+
+    def test_interior_cauchy_value_refuses_a_third_coordinate(self):
+        # the separable product dropped the third factor and returned F(2.0, 2.5)
+        _, u, f, _, _ = SETUPS[2]
+        msg = _raises_only(g.GeometryError, lambda: ca.interior_cauchy_value(
+            f, u, ca._default_eps(u), [2.0, 2.5, 7.0]))
+        assert msg.startswith("point needs one entry per axis (2)")
+
+    def test_fb_of_orbit_refuses_one_anchor_coordinate_for_two_axes(self):
+        # the resolvent route broadcast z = [0.0] to both axes
+        tup = SETUPS[2][0]
+        msg = _raises_only(g.GeometryError, lambda: fn.fb_of_orbit(
+            tup, [1.0, 1.0], [0.0], [2.0, 2.5], np.ones(2)))
+        assert msg.startswith("z needs one entry per axis (2)")
+
+    @pytest.mark.parametrize("build", [fn.exp_poly_function, fn.bisector_density])
+    def test_one_coefficient_list_per_axis(self, build):
+        # a missing list raised IndexError or dropped an axis; an extra one was ignored
+        ps = ProductSector([SECT] * 2)
+        for coeffs in ([[1.0]], [[1.0]] * 3):
+            msg = _raises_only(g.GeometryError, lambda: build(ps, np.ones(2), coeffs))
+            assert msg == f"coeffs has {len(coeffs)} entries for 2 axes"
+
+    def test_a_real_argument_refuses_a_complex_entry(self):
+        # the cast to float dropped the imaginary part, with only a ComplexWarning
+        msg = _raises_only(g.GeometryError, lambda: ca.rotated_inverse_square(
+            1, np.array([0.1 + 1.0j]), [3.0]))
+        assert msg.startswith("angles needs one entry per axis (1)")
+
+    def test_transform_refuses_an_extra_column(self):
+        # the separable transform read the first k columns of (N, k + 1) points
+        phi = SETUPS[2][3]
+        msg = _raises_only(g.GeometryError, lambda: phi.fb(np.ones((4, 3))))
+        assert msg.startswith("z needs one entry per axis (2)")
+        assert phi.fb(np.ones((4, 2))).shape == (4,) and np.ndim(phi.fb(np.ones(2))) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 2), data=st.data())
+def test_a_malformed_point_raises_geometry_error_naming_it(k, data):
+    kinds = ["k - 1", "k + 1", "ragged", "non-numeric", "non-finite"] + ["scalar"] * (k == 2)
+    kind = data.draw(st.sampled_from(kinds))
+    at = data.draw(st.integers(0, k - 1))  # the entry made malformed
+
+    def malformed(good):
+        entries = [good] * k
+        if kind == "k - 1":
+            return entries[1:]
+        if kind == "k + 1":
+            return entries + [good]
+        if kind == "scalar":
+            return good
+        if kind == "ragged":
+            return [[good], [good, good]]
+        entries[at] = data.draw(st.sampled_from(
+            ["x", {"re": good}] if kind == "non-numeric"
+            else [NAN, INF, -INF, complex(NAN, 0.0), complex(0.0, INF)]))
+        return entries
+
+    for entry, arg in sorted(_point_calls(k, None)):
+        msg = _raises_only(g.GeometryError, _point_calls(k, malformed(GOOD[arg]))[entry, arg])
+        assert msg.startswith(f"{arg} needs one entry per axis ({k})") or \
+            msg.startswith(f"{arg}=") and msg.endswith("is not finite"), (entry, msg)

@@ -102,7 +102,7 @@ class TestPanelError:
 
     def test_estimate_decides_the_first_round(self):
         # a smooth ray integral is accepted in its first round
-        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, tol=1e-10, decay=("exp", 1.0))
+        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, rate=1.0, tol=1e-10)
         assert res.rounds == 1 and abs(res.value - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-10])
@@ -111,8 +111,7 @@ class TestPanelError:
         # the cut tail reads the decay its last nodes show (at tol 1e-3 the
         # sixth round's cut value is below tol, its tail 50 times that is not)
         try:
-            res = q.ray_integral(lambda t: np.exp(-t / 50), 0.0, 1.0, tol=tol,
-                                 decay=("exp", 1.0))
+            res = q.ray_integral(lambda t: np.exp(-t / 50), 0.0, 1.0, rate=1.0, tol=tol)
         except q.ConvergenceError:
             return
         assert res.rounds > 1 and abs(res.value - 50.0) <= tol
@@ -177,44 +176,48 @@ class TestRefine:
 
 class TestRayIntegral:
     def test_gamma_one(self):
-        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, tol=1e-12,
-                             decay=("exp", 1.0))
+        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, rate=1.0, tol=1e-12)
         assert abs(res.value - 1.0) <= 1e-12
 
     def test_rotated_ray(self):
-        res = q.ray_integral(lambda t: np.exp(-t), 0.0, np.exp(1j * PI / 4),
-                             tol=1e-12, decay=("exp", 0.7))
+        res = q.ray_integral(lambda t: np.exp(-t), 0.0, np.exp(1j * PI / 4), rate=0.7,
+                             tol=1e-12)
         assert abs(res.value - 1.0) <= 1e-11
 
     def test_gamma_two(self):
-        res = q.ray_integral(lambda t: t * np.exp(-t), 0.0, 1.0, tol=1e-12,
-                             decay=("exp", 0.9))
+        res = q.ray_integral(lambda t: t * np.exp(-t), 0.0, 1.0, rate=0.9, tol=1e-12)
         assert abs(res.value - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_a_rate_that_certifies_no_decay_is_refused(self, rate):
+        with pytest.raises(q.QuadratureError, match="must be positive"):
+            q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, rate=rate)
 
     def test_nonconvergent_raises(self, monkeypatch):
         monkeypatch.setattr(q, "_MAX_ROUNDS", 3)
         with pytest.raises(q.ConvergenceError):
-            q.ray_integral(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, tol=1e-12)
+            q.ray_integral(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, rate=1.0, tol=1e-12)
 
     def test_history_has_one_record_per_round(self):
-        # a ray integral doubles its truncation with the node density; without
-        # a decay certificate there is no estimate, and the difference of the
-        # rounds cut at 32 and 64 is the first below the tolerance
-        for decay, rounds in ((("exp", 1.0), 1), (None, 3)):
+        # a ray integral doubles its truncation with the node density; an
+        # oscillating integrand takes a second round, since its first cut
+        # shows no decay at the last two nodes and so bounds no tail
+        for fun, exact, rounds in ((lambda t: np.exp(-t), 1.0, 1),
+                                   (lambda t: np.cos(3 * t) * np.exp(-t), 0.1, 2)):
             reach = []
 
             def f(t):
                 reach.append(np.max(t.real))
-                return np.exp(-t)
+                return fun(t)
 
-            res = q.ray_integral(f, 0.0, 1.0, tol=1e-12, decay=decay)
+            res = q.ray_integral(f, 0.0, 1.0, rate=1.0, tol=1e-12)
             assert len(res.history) == res.rounds == len(reach) == rounds
-            assert abs(res.value - 1.0) <= 1e-12
-            r0 = q.initial_radius(decay, 1e-12)
+            assert abs(res.value - exact) <= 1e-12
+            r0 = q.initial_radius(1.0, 1e-12)
             for r, (n, nodes, err) in enumerate(res.history):
                 assert n == 8.0 * 2.0 ** r
                 assert 0.9 * r0 * 2.0 ** r < reach[r] < r0 * 2.0 ** r
-                assert nodes > 0 and (err == np.inf) == (r == 0 and decay is None)
+                assert nodes > 0 and (err == np.inf) == (r < rounds - 1)
             assert res.history[-1][1:] == (res.node_count, res.error_estimate)
 
 

@@ -287,9 +287,9 @@ class TestGeneratorRecovery:
             return np.asarray([np.eye(2) + t * a for t in ts])
 
         b = ray_integral(lambda ts: np.asarray([t * np.exp(-t) for t in ts])[:, None, None]
-                         * orbit(ts), 0.0, 1.0, tol=1e-12, decay=("exp", 0.9)).value
+                         * orbit(ts), 0.0, 1.0, tol=1e-12, rate=0.9).value
         c = ray_integral(lambda ts: np.asarray([(1 - t) * np.exp(-t) for t in ts])[:, None, None]
-                         * orbit(ts), 0.0, 1.0, tol=1e-12, decay=("exp", 0.9)).value
+                         * orbit(ts), 0.0, 1.0, tol=1e-12, rate=0.9).value
         assert np.allclose(b, [[1.0, 2.0], [0.0, 1.0]], atol=1e-11)
         assert np.allclose(c, [[0.0, -1.0], [0.0, 0.0]], atol=1e-11)
 
@@ -319,11 +319,11 @@ class TestGeneratorRecovery:
         lam = 1.0
         bmat = ray_integral(lambda ts: np.asarray([t * np.exp(-lam * t) for t in ts])
                             [:, None, None] * orbit(ts), 0.0, 1.0, tol=1e-10,
-                            decay=("exp", 0.5)).value
+                            rate=0.5).value
         cmat = ray_integral(lambda ts: np.asarray([(1 - lam * t) * np.exp(-lam * t)
                                                    for t in ts])[:, None, None]
                             * orbit(ts), 0.0, 1.0, tol=1e-10,
-                            decay=("exp", 0.5)).value
+                            rate=0.5).value
         got = -np.linalg.solve(bmat.T, cmat.T).T
         assert sg.opnorm(got - (a + b)) <= 1e-8 * max(sg.opnorm(a + b), 1.0)
 
