@@ -11,23 +11,20 @@ Modules
 ``cli``         batch scenario runner (``sectorcalc`` entry point)
 """
 
-from .geometry import (AdmissibleRegion, AxisRegion, GeometryError,
-                       ProductSector, Sector, dist_to_boundary,
-                       intersect_admissible, make_region, preceq, sup_points)
+from .geometry import (AdmissibleRegion, AxisRegion, GeometryError, ProductSector, Sector,
+                       intersect_admissible, make_region)
 from .quadrature import (ContourQuadrature, ConvergenceError, IntegrationResult,
                          QuadratureError, integrate, ray_integral, richardson)
 from .semigroups import (CommutationError, CommutingTuple, DivergenceError,
-                         SectorDomainError, SingularFactorError, evaluate, expm,
-                         generator_from_difference_quotient,
-                         generator_from_weighted_integrals, generator_holomorphic,
-                         mult_semigroup_gap, mult_semigroup_gap_closed_form,
-                         n_set_classify, opnorm, orbit_integrals, quasinilpotent_gap,
-                         resolvent_product, resolvent_via_laplace)
+                         SectorDomainError, SingularFactorError, expm,
+                         generator_from_weighted_integrals, mult_semigroup_gap,
+                         mult_semigroup_gap_closed_form, opnorm, orbit_integrals,
+                         quasinilpotent_gap, resolvent_product, resolvent_via_laplace)
 from .functionals import (AxisDensity, Functional, NoAdmissibleAnchor,
                           RouteError, SectorFunction, TensorDensity, anchor_for,
                           bisector_density, cauchy_transform, convolve, dirac,
-                          e_minus, exp_poly_function, fb_of_orbit, pair_function,
-                          pair_semigroup, pair_translated_cauchy, wn_regularizer)
+                          exp_poly_function, fb_of_orbit, pair_function,
+                          pair_semigroup, pair_translated_cauchy)
 from .calculus import (AdmissibilityError, AdmissibilityReport, DenseRangeError,
                        HoloFunction, WitnessSequence, check_admissible_for,
                        default_region, exponential_function, functional_calculus,

@@ -25,22 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (boundary_contour_integral,
+from .calculus import (boundary_contour_integral, constant_function,
                        default_eps_grid, default_region, exponential_function,
                        functional_calculus, functional_calculus_hinf,
                        functional_calculus_smirnov, h1_norm, interior_cauchy_value,
                        inverse_square, outer_diagnostic_disk, pointwise_bound_check,
-                       product_function, projection_function, separable_function,
-                       spectral_map_check, strongly_outer_check, WitnessSequence)
+                       product_function, projection_function, resolvent_sup_on_contour,
+                       separable_function, spectral_map_check, strongly_outer_check,
+                       WitnessSequence)
 from .functionals import (Functional, bisector_density, convolve, dirac,
-                          exp_poly_function, pair_function, pair_semigroup)
-from .geometry import AdmissibleRegion, ProductSector, complex_pairs, make_region
+                          exp_poly_function, fb_of_orbit, pair_function, pair_semigroup)
+from .geometry import (AdmissibleRegion, ProductSector, complex_pairs, intersect_admissible,
+                       make_region)
 from .quadrature import ContourQuadrature, QuadratureError, richardson, tensor_sum
 from .semigroups import (CommutingTuple, expm, mult_semigroup_gap,
                          mult_semigroup_gap_closed_form, opnorm,
                          quasinilpotent_gap, random_commuting_tuple,
-                         random_sectorial_matrix, resolvent_via_laplace,
-                         generator_from_weighted_integrals)
+                         random_sectorial_matrix, resolvent_product,
+                         resolvent_via_laplace, generator_from_weighted_integrals)
 
 DOMAIN = (-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 SECT = (-np.pi / 4, np.pi / 4)
@@ -177,6 +179,12 @@ def scenario_resolvent(seed, tol=1e-6):
         _timed(rows, "resolvent", f"dim={dim} i={i}",
                lambda t=tup, l=lam: resolvent_via_laplace(t, 0, l, 1.0, tol=1e-9),
                oracle, tol)
+    # the transform of the weighted orbit e_z T(lam .) u is a resolvent product
+    t2 = random_commuting_tuple(rng, 2, 3, sector=DOMAIN)
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    _timed(rows, "resolvent", "orbit transform of a 3x3 pair",
+           lambda: fb_of_orbit(t2, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], u),
+           resolvent_product(t2, [1.0, 1.0], [-1.0, -1.0]) @ u, tol)
     return rows
 
 
@@ -289,6 +297,11 @@ def scenario_calculus_k1(seed, tol=1e-6):
     _timed(rows, "calculus-k1", "contour independence",
            lambda: functional_calculus(f, tup, [1.0], u2, [0.5 + 0.1j], tol=1e-9),
            v1, 2e-6)
+    u3 = make_region([-np.pi / 3], [np.pi / 3], [-0.2], kind="cone_minus_rect", s0=0.4, s1=0.3)
+    _timed(rows, "calculus-k1", "contour independence on an intersection",
+           lambda: functional_calculus(f, tup, [1.0], intersect_admissible(u2, u3), [0.25],
+                                       tol=1e-9),
+           v1, 2e-6)
     return rows
 
 
@@ -352,6 +365,10 @@ def scenario_special_cases(seed, tol=1e-6):
     _timed(rows, "special-cases", "projection on a random 3x3",
            lambda: functional_calculus_smirnov(fproj3, t3, [1.0], u3, tol=1e-9),
            t3.matrices[0], tol)
+    c = 2.5 - 1j  # the H^inf calculus is unital
+    _timed(rows, "special-cases", "constant reproduces its multiple of the identity",
+           lambda: functional_calculus_hinf(constant_function(1, c), t3, [1.0], u3, tol=1e-9),
+           c * np.eye(3), tol)
     return rows
 
 
@@ -408,6 +425,14 @@ def scenario_hardy(seed, tol=1e-8):
            lambda: pointwise_bound_check(inverse_square(1, [1.0]), u1,
                                          [[1.0], [2.0], [4.0 + 0.5j]], tol=1e-6)[0],
            1.0, 1e-3, "le")
+    # ||F(-lam A)|| <= (2 pi)^-1 sup ||R|| ||F||_H1 on a random 3x3
+    t = random_commuting_tuple(np.random.default_rng(seed), 1, 3, sector=DOMAIN)
+    ut = default_region(t, [1.0], ProductSector([SECT]))
+    ft = inverse_square(1, 1.0 - ut.vertex)
+    _timed(rows, "hardy", "boundedness estimate ratio (<= 1)",
+           lambda: opnorm(functional_calculus(ft, t, [1.0], ut, [0.25], tol=1e-9))
+           / ((2 * np.pi) ** -1 * resolvent_sup_on_contour(t, [1.0], ut, [0.25])
+              * h1_norm(ft, ut)), 1.0, 1e-3, "le")
     return rows
 
 

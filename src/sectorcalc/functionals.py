@@ -31,7 +31,7 @@ from .quadrature import (_N0, ContourQuadrature, QuadratureError, _check_shift, 
                          adaptive_contour, initial_radius, integrate, refine,
                          resolvent_contour_value, richardson)
 from .semigroups import (SectorDomainError, _edge_growth, _validate_lambda, check_in_domain,
-                         expm, orbit_integrals, resolvent_product)
+                         expm, orbit_integrals)
 
 MAX_DEGREE = 4
 
@@ -197,22 +197,6 @@ class Functional:
                     return False
         return True
 
-    def domain_anchors(self):
-        """Anchor points, as a tuple of k-tuples, whose shifted dual cones lie
-        inside the transform domain, generated from the density decay bounds
-        (atoms impose no constraint).  The anchors absorb closed dual-cone
-        offsets."""
-        anchors = []
-        if self.domain_contains(np.zeros(self.k)):
-            anchors.append(np.zeros(self.k, dtype=complex))
-        tight = np.zeros(self.k, dtype=complex)
-        for j, sec in enumerate(self.sectors.sectors):
-            r_lo = self._domain_floor(j)
-            if np.isfinite(r_lo):
-                tight[j] = (r_lo + 0.5) * _unit(-sec.bisector_angle)
-        anchors.append(tight)
-        return tuple(map(tuple, anchors))
-
     def _domain_floor(self, j):
         """Bound of the transform domain on axis ``j``'s anti-bisector: the
         anchor ``r * exp(-1j*mid_j)`` lies in it exactly for ``r`` above the
@@ -349,18 +333,10 @@ def bisector_density(sectors, s=None, coeffs=None, weight=1.0):
     return Functional(sectors, densities=[TensorDensity(weight, [0j] * k, axes)])
 
 
-def wn_regularizer(zeta, n, sectors):
-    """Squared-rational weight ``prod_j n^2 / (n + zeta_j e^{i mid_j})^2``;
-    modulus at most 1 on the closed dual product sector."""
-    if not isinstance(sectors, ProductSector):
-        sectors = ProductSector(sectors)
-    zeta = per_axis(zeta, sectors.k, "zeta", grid=True)
-    out = _wn(sectors, n, np.zeros(sectors.k))(np.atleast_2d(zeta))
-    return out[0] if zeta.ndim == 1 else out
-
-
 def _wn(sectors, n, z):
-    """``zeta -> wn_regularizer(zeta - z, n, sectors)`` as a separable function."""
+    """The squared-rational weight ``zeta -> prod_j n^2 / (n + (zeta_j - z_j)
+    e^{i mid_j})^2`` as a separable function; modulus at most 1 on the
+    closed dual product sector translated by ``z``."""
     return _separable([[lambda x, u=_unit(s.bisector_angle), zj=zj:
                         n ** 2 / (n + (x - zj) * u) ** 2 for s, zj in zip(sectors.sectors, z)]])
 
@@ -535,11 +511,6 @@ def exp_poly_function(sectors, w, coeffs=None, label=None):
     return SectorFunction(fun, fb, tuple(decay), powers, tuple(w), name)
 
 
-def e_minus(sectors, w):
-    """The exponential ``zeta -> exp(-w.zeta)``."""
-    return exp_poly_function(sectors, w, label=f"e_-({w})")
-
-
 # ---------------------------------------------------------------------------
 # Cauchy transform
 # ---------------------------------------------------------------------------
@@ -658,7 +629,7 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None):
     """Pairing ``<f, phi>`` by the requested evaluation route.
 
     Routes: ``measure`` (reference; direct integration against the
-    measure), ``fb_eps`` (regularized transform-side contour, limit in the
+    measure, no anchor ``z``), ``fb_eps`` (regularized transform-side contour, limit in the
     exponential weight), ``fb_direct`` (transform-side contour, needs both
     integrability certificates), ``wn_limit`` (squared-rational
     regularizer, double limit with extrapolation), ``cauchy``
@@ -669,6 +640,8 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None):
     """
     sectors = phi.sectors
     if route == "measure":
+        if z is not None:
+            raise RouteError("route measure takes no anchor z")
         total = 0j
         for eta, w in phi.atoms:
             total += w * complex(np.asarray(f(np.asarray(eta, dtype=complex)[None, :]))[0])
@@ -878,30 +851,22 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9):
     raise RouteError(f"unknown semigroup pairing route {route!r}")
 
 
-def fb_of_orbit(tup, lam, z, zeta, u, route="resolvent", tol=1e-10):
-    """Transform of the weighted orbit ``e_z T(lam .) u`` at ``zeta``.
-
-    Route "resolvent" evaluates ``(-1)^k prod_j ((z_j - zeta_j) I +
-    lam_j A_j)^{-1} u`` with :func:`~sectorcalc.semigroups.resolvent_product`,
-    which refuses a singular factor; route "integral" performs the
-    defining tensor ray integral.  Both agree within tolerance.
-    """
+def fb_of_orbit(tup, lam, z, zeta, u, tol=1e-10):
+    """Transform of the weighted orbit ``e_z T(lam .) u`` at ``zeta``: the
+    defining tensor ray integral, member j on axis j at its best angle.
+    It equals ``(-1)^k prod_j ((z_j - zeta_j) I + lam_j A_j)^{-1} u``."""
     z, zeta = per_axis(z, tup.k, "z"), per_axis(zeta, tup.k, "zeta")
     u = np.asarray(u, dtype=complex)
-    if route == "resolvent":
-        return (-1.0) ** tup.k * resolvent_product(tup, lam, z - zeta) @ u
-    if route == "integral":  # one ray integral, member j on axis j at its best angle
-        lam = _validate_lambda(tup, lam)
-        best = [max(((((zeta[j] - z[j]) * _unit(w)).real - tup.abscissa(j, w, lam[j]), w)
-                     for w in np.linspace(sec.alpha, sec.beta, 7)), key=lambda p: p[0])
-                for j, sec in enumerate(tup.sectors.sectors)]
-        dirs = [_unit(w) for _, w in best]
-        orbits = orbit_integrals(
-            tup, list(range(tup.k)), [lam[j] * d for j, d in enumerate(dirs)],
-            [lambda ts, j=j, d=d: np.exp((z[j] - zeta[j]) * ts * d) for j, d in enumerate(dirs)],
-            min(rate for rate, _ in best), tol)
-        x = u
-        for j in reversed(range(tup.k)):
-            x = dirs[j] * orbits[j] @ x
-        return x
-    raise RouteError(f"unknown orbit route {route!r}")
+    lam = _validate_lambda(tup, lam)
+    best = [max(((((zeta[j] - z[j]) * _unit(w)).real - tup.abscissa(j, w, lam[j]), w)
+                 for w in np.linspace(sec.alpha, sec.beta, 7)), key=lambda p: p[0])
+            for j, sec in enumerate(tup.sectors.sectors)]
+    dirs = [_unit(w) for _, w in best]
+    orbits = orbit_integrals(
+        tup, list(range(tup.k)), [lam[j] * d for j, d in enumerate(dirs)],
+        [lambda ts, j=j, d=d: np.exp((z[j] - zeta[j]) * ts * d) for j, d in enumerate(dirs)],
+        min(rate for rate, _ in best), tol)
+    x = u
+    for j in reversed(range(tup.k)):
+        x = dirs[j] * orbits[j] @ x
+    return x

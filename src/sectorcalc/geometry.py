@@ -173,50 +173,12 @@ def per_axis(values, k, name, dtype=complex, grid=False):
     return out
 
 
-def preceq(z, zp, ps, tol=TOL):
-    """Componentwise test ``zp[j] - z[j] in closed dual sector`` (the cone preorder)."""
-    z = per_axis(z, ps.k, "z")
-    return ps.dual().contains(per_axis(zp, ps.k, "zp") - z, closed=True, tol=tol)
-
-
 def _oblique_coords(p, d0, d1):
     """Coordinates (x, y) with p = x*d0 + y*d1; requires d0, d1 independent."""
     det = d0.real * d1.imag - d0.imag * d1.real
     x = (p.real * d1.imag - p.imag * d1.real) / det
     y = (d0.real * p.imag - d0.imag * p.real) / det
     return x, y
-
-
-def sup_points(points, ps):
-    """Least upper bound of ``points`` for the dual-cone preorder.
-
-    Returns ``(z, unique)`` where ``z + closed dual cone`` equals the
-    intersection of the translated cones.  On axes with ``alpha < beta``
-    the representative is unique (intersection of the two extreme
-    boundary rays); on degenerate axes the translated half-planes are
-    nested, the canonical representative is the input whose half-plane is
-    smallest and ``unique`` is False.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    if pts.shape[1] != ps.k:
-        raise GeometryError("points must have dimension k")
-    if pts.shape[0] == 0:
-        raise GeometryError("need a nonempty list of points")
-    out = np.empty(ps.k, dtype=complex)
-    unique = True
-    for j, s in enumerate(ps.sectors):
-        col = pts[:, j]
-        if s.is_ray:
-            # half-planes Re(z e^{i alpha}) >= c are linearly ordered
-            offsets = (col * _unit(s.alpha)).real
-            out[j] = col[int(np.argmax(offsets))]
-            unique = False
-        else:
-            d0 = _unit(-np.pi / 2 - s.alpha)
-            d1 = _unit(np.pi / 2 - s.beta)
-            xs, ys = _oblique_coords(col, d0, d1)
-            out[j] = xs.max() * d0 + ys.max() * d1
-    return out, unique
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +495,6 @@ def make_region(alpha, beta, vertex, kind="cone", **params):
         _preset_axis("halfplane" if abs(b - a) <= TOL else at(kind, j), a, b, z,
                      {key: at(val, j) for key, val in params.items()})
         for j, (a, b, z) in enumerate(zip(alpha, beta, vertex))])
-
-
-def dist_to_boundary(region, j, zeta):
-    """Distance from ``zeta`` (a point or an array of points) to the
-    boundary of axis ``j``; requires every point inside the open axis set."""
-    ax = region.axes[j]
-    zeta = np.asarray(zeta, dtype=complex)
-    outside = ~ax.contains(zeta)
-    if outside.any():
-        raise GeometryError(f"point {zeta[outside][0]} is not inside axis {j}")
-    return ax.boundary_distance(zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -557,8 +557,8 @@ def resolvent_contour_value(scalar_fns, schurs, lam, cq, node_offsets=None):
     return schurs[0][0] @ np.stack(values) @ schurs[-1][0].conj().T, estimates
 
 
-def richardson(values, ratio=2.0):
-    """Richardson extrapolation of a sequence computed at steps h, h/ratio, ...
+def richardson(values):
+    """Richardson extrapolation of a sequence computed at steps h, h/2, ...
 
     ``values`` may be scalars or arrays.  Returns ``(limit, residual)``
     where the residual is the distance between the last two diagonal
@@ -569,7 +569,7 @@ def richardson(values, ratio=2.0):
         return vals[0], np.inf
     table = [vals]
     for m in range(1, len(vals)):
-        fac = ratio ** m
+        fac = 2.0 ** m
         prev = table[-1]
         table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
                       for i in range(len(prev) - 1)])

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._kernels import schur
 from .geometry import ProductSector, _unit, complex_pairs, float_pairs, per_axis
-from .quadrature import ray_integral, richardson
+from .quadrature import ray_integral
 
 _PADE13_B = np.array([
     64764752532480000., 32382376266240000., 7771770303897600.,
@@ -207,13 +207,6 @@ class CommutingTuple:
                               float_pairs(obj["sectors"], "sectors", 2, "[alpha, beta]"))
 
 
-def evaluate(tup, j, zeta):
-    """Semigroup values ``Exp(zeta*A_j)`` of one ``zeta`` or an array; each
-    must be in the closed sector domain of axis j (0 gives the identity)."""
-    check_in_domain(tup, j, zeta)
-    return expm(tup.matrices[j], zeta)
-
-
 def check_in_domain(tup, j, zeta):
     """Raise :class:`SectorDomainError` naming the first of the points
     ``zeta`` (one or an array) outside the closed sector domain of axis j."""
@@ -310,39 +303,6 @@ def generator_from_weighted_integrals(tup, j, lam, tol=1e-10):
     return -np.linalg.solve(b.T, c.T).T
 
 
-def generator_from_difference_quotient(tup, j, u, ts=None):
-    """Richardson-extrapolated limit of ``(T(t)u - u)/t``.
-
-    Returns ``(v, residual)`` where ``v`` approximates ``A_j u`` and the
-    residual is the Cauchy gap of the extrapolation table.
-    """
-    u = np.asarray(u, dtype=complex)
-    if ts is None:
-        ts = 2.0 ** -np.arange(3, 13)
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
-        raise ValueError("t-sequence must be positive decreasing")
-    a = tup.matrices[j]
-    quotients = list((expm(a, ts) @ u - u) / ts[:, None])
-    ratio = ts[0] / ts[1]
-    limit, residual = richardson(quotients, ratio=ratio)
-    return np.asarray(limit), residual
-
-
-def generator_holomorphic(tup, j, zeta0):
-    """Generator via the holomorphic-orbit quotient ``T'(zeta0) T(zeta0)^{-1}``;
-    independent of the interior point ``zeta0``."""
-    zeta0 = complex(zeta0)
-    sec = tup.sectors.sectors[j]
-    if sec.is_ray:
-        raise SectorDomainError("axis has an empty open sector; no holomorphic quotient")
-    if not sec.contains(zeta0, closed=False):
-        raise SectorDomainError(f"zeta0={zeta0} is not strictly inside the sector")
-    a = tup.matrices[j]
-    e = expm(a, zeta0)
-    return np.linalg.solve(e.T, (a @ e).T).T
-
-
 IN_N0 = "in_N0"
 IN_N_ONLY = "in_N_only"
 OUTSIDE = "outside"
@@ -379,17 +339,6 @@ def _validate_lambda(tup, lam, ps=None):
     return lam
 
 
-def n_set_classify(tup, lam, ps, z):
-    """Classify an anchor ``z`` against the weighted-orbit boundedness sets.
-
-    The boundedness of ``exp(t*z_j*e^{i w}) * |T_j(t*lam_j*e^{i w})|``
-    reduces to the two edge directions ``w in {alpha_j, beta_j}``; with
-    spectral abscissas ``h`` the bounded set uses ``Re(z_j e^{iw}) <= -h``
-    and the vanishing set uses strict inequality, both with slack 1e-12.
-    """
-    return _n_set_class(tup, _validate_lambda(tup, lam, ps), ps, per_axis(z, tup.k, "z"))
-
-
 def _edge_growth(tup, lam, ps):
     """Per axis ``j``, the pairs ``(omega, h)`` for the sector edges ``omega``
     in ``{alpha_j, beta_j}`` of ``ps``, ``h`` the growth rate of the scaled
@@ -399,7 +348,14 @@ def _edge_growth(tup, lam, ps):
 
 
 def _n_set_class(tup, lam, ps, z):
-    """:func:`n_set_classify` of the checked ``lam`` and the anchor array ``z``."""
+    """Classify the anchor array ``z`` against the weighted-orbit
+    boundedness sets (checked ``lam``).
+
+    The boundedness of ``exp(t*z_j*e^{i w}) * |T_j(t*lam_j*e^{i w})|``
+    reduces to the two edge directions ``w in {alpha_j, beta_j}``; with
+    spectral abscissas ``h`` the bounded set uses ``Re(z_j e^{iw}) <= -h``
+    and the vanishing set uses strict inequality, both with slack 1e-12.
+    """
     edges = [((z[j] * _unit(omega)).real, h)
              for j, axis in enumerate(_edge_growth(tup, lam, ps)) for omega, h in axis]
     weak = all(val <= -h + 1e-12 for val, h in edges)

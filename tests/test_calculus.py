@@ -350,6 +350,29 @@ class TestMainCalculus:
         kk = ca.resolvent_sup_on_contour(scalar_tuple, [1.0], cone, [0.25])
         assert sg.opnorm(val) <= (2 * PI) ** -1 * kk * norm * (1 + 1e-6)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_boundedness_estimate_on_random_matrices(self, k):
+        # ||F(-lam A)|| <= (2 pi)^-k sup ||R|| ||F||_H1 on random 3x3 tuples
+        for seed in (0, 1, 42):
+            tup = sg.random_commuting_tuple(np.random.default_rng(seed), k, 3, DOM)
+            u = ca.default_region(tup, [1.0] * k, ProductSector([SECT] * k))
+            f = ca.inverse_square(k, 1.0 - u.vertex)
+            eps = [0.25] * k
+            val = ca.functional_calculus(f, tup, [1.0] * k, u, eps, tol=1e-9)
+            kk = ca.resolvent_sup_on_contour(tup, [1.0] * k, u, eps)
+            assert sg.opnorm(val) <= (2 * PI) ** -k * kk * ca.h1_norm(f, u)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_hinf_calculus_is_unital(self, rng, k):
+        # a constant c maps to c times the identity
+        c = 2.5 - 1j
+        for _ in range(3):
+            tup = sg.random_commuting_tuple(rng, k, 3, DOM)
+            u = ca.default_region(tup, [1.0] * k, ProductSector([SECT] * k))
+            val = ca.functional_calculus_hinf(ca.constant_function(k, c), tup, [1.0] * k, u,
+                                              tol=1e-9)
+            assert sg.opnorm(val - c * np.eye(3)) <= 1e-12 * abs(c)
+
 
 def _unit_angles(k):
     return np.exp(1j * 0.2 * np.arange(k))

@@ -2,9 +2,12 @@
 the round limit, a limit route's starting shift, a tolerance, a sample
 count, an anchor or a seed that no caller sets (or that its body never
 reads), and the round limit ``_MAX_ROUNDS`` stops every adaptive
-quadrature."""
+quadrature.  No public function is reached by tests alone: each feeds the
+library, a report row or a benchmark workload."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,11 +53,11 @@ DELETED = [
     (cli.study_eps, {"values", "seed"}),
     (sg.random_sectorial_matrix, {"im_range"}),
     (sg.random_commuting_tuple, {"re_range"}),
-    (sg.n_set_classify, {"tol"}),
     (sg._n_set_class, {"tol"}),
-    (g.sup_points, {"tol"}),
     (fn.Functional.from_json, {"sectors"}),
     (fn.Functional.fb, {"check_domain"}),
+    (q.richardson, {"ratio"}),
+    (fn.fb_of_orbit, {"route"}),
 ]
 
 
@@ -118,8 +121,31 @@ def test_the_round_limit_is_8():
     assert q._MAX_ROUNDS == 8
 
 
-def test_atomic_domain_anchors_lie_in_the_domain():
-    phi = fn.dirac(ProductSector([SECT] * 2), [1.0, 0.5])
-    anchors = phi.domain_anchors()
-    assert anchors and all(len(a) == 2 for a in anchors)
-    assert all(phi.domain_contains(a) for a in anchors)
+LIBRARY = ("geometry", "quadrature", "semigroups", "functionals", "calculus")
+# kept without a caller: the dense reference quasinilpotent_gap is tested against
+TEST_REFERENCES = {"shift_matrix"}
+
+
+def test_every_public_function_has_a_caller():
+    # a top-level public def or class of the library modules must be used,
+    # as a name or an attribute, outside its own definition and __init__.py:
+    # by library code, a CLI scenario or a sectorbench workload
+    src = Path(q.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "sectorbench"
+    files = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted(bench.glob("*.py"))
+    defined, used = {}, set()
+    for path in files:
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            if path.stem in LIBRARY and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and not owner.startswith("_"):
+                defined[owner] = path.stem
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and (name != owner or path.stem != defined.get(name)):
+                    used.add(name)
+    assert bench.is_dir() and len(defined) > 50
+    unused = sorted(set(defined) - used - TEST_REFERENCES)
+    assert not unused, f"public functions reached by tests alone: {unused}"

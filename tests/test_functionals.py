@@ -192,18 +192,18 @@ class TestTransform:
 
 class TestWn:
     def test_unit_at_origin(self, ps2):
-        assert fn.wn_regularizer(np.zeros(2, complex), 7, ps2) == pytest.approx(1.0)
+        assert fn._wn(ps2, 7, np.zeros(2))(np.zeros((1, 2), complex))[0] == pytest.approx(1.0)
 
     def test_halfline_value(self):
         ps = ProductSector([(0.0, 0.0)])
-        assert fn.wn_regularizer(np.array([1.0 + 0j]), 1, ps) == pytest.approx(0.25)
+        assert fn._wn(ps, 1, np.zeros(1))(np.array([[1.0 + 0j]]))[0] == pytest.approx(0.25)
 
     def test_modulus_bounded_on_dual_cone(self, rng, ps1):
         angs = rng.uniform(-PI / 4, PI / 4, 1000)
         mags = 10.0 ** rng.uniform(-2, 2, 1000)
         pts = (mags * np.exp(1j * angs))[:, None]
         for n in (1, 8, 64):
-            assert np.abs(fn.wn_regularizer(pts, n, ps1)).max() <= 1.0 + 1e-12
+            assert np.abs(fn._wn(ps1, n, np.zeros(1))(pts)).max() <= 1.0 + 1e-12
 
 
 class TestCauchyTransform:
@@ -348,6 +348,13 @@ class TestPairFunction:
             val = fn.pair_function(f, phi, route, tol=1e-10)
             assert abs(val - oracle) <= tol
 
+    def test_measure_route_refuses_an_anchor(self, ps2):
+        # the measure route never reads z, so it refuses one rather than ignore it
+        phi, f = _two_atoms_two_axes(ps2)
+        for z in ([1, 2, 3], [0.0, 0.0]):
+            with pytest.raises(fn.RouteError, match="route measure takes no anchor z"):
+                fn.pair_function(f, phi, "measure", z=z)
+
     def test_measure_route_rejects_nonfinite_values(self, ps2):
         phi = fn.bisector_density(ps2)
         bad = fn.SectorFunction(lambda pts: np.full(pts.shape[0], np.nan + 0j), label="nan")
@@ -367,7 +374,7 @@ class TestPairFunction:
         # f = e_{-w}: every route returns the transform at w
         phi = random_atomic(rng, ps1, 2)
         w = 0.8 + 0.1j
-        f = fn.e_minus(ps1, [w])
+        f = fn.exp_poly_function(ps1, [w])
         expect = phi.fb(np.array([w]))
         for route in ("measure", "fb_direct", "fb_eps", "cauchy"):
             assert abs(fn.pair_function(f, phi, route, tol=1e-10) - expect) <= 1e-8
@@ -501,7 +508,7 @@ class TestPairFunction:
 
     def test_dilation_limit(self, ps1):
         # pairing against shrinking probability densities converges to f
-        f = fn.e_minus(ps1, [1.0])
+        f = fn.exp_poly_function(ps1, [1.0])
         grid = np.linspace(0.1, 2.0, 9)[:, None].astype(complex)
         sups = []
         for r in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
@@ -705,28 +712,24 @@ class TestOrbitTransform:
     def test_scalar_value(self):
         tup = sg.CommutingTuple([np.array([[-1.0]])], [SECT])
         u = np.array([1.0])
-        a = fn.fb_of_orbit(tup, [1.0], [0.0], [1.0], u, "resolvent")
-        b = fn.fb_of_orbit(tup, [1.0], [0.0], [1.0], u, "integral")
-        assert a[0] == pytest.approx(0.5)
-        assert abs(a[0] - b[0]) <= 1e-10
+        b = fn.fb_of_orbit(tup, [1.0], [0.0], [1.0], u)
+        assert abs(b[0] - 0.5) <= 1e-10
 
     def test_zero_vector(self):
         tup = sg.CommutingTuple([np.array([[-1.0]])], [SECT])
-        out = fn.fb_of_orbit(tup, [1.0], [0.0], [1.0], np.zeros(1), "integral")
+        out = fn.fb_of_orbit(tup, [1.0], [0.0], [1.0], np.zeros(1))
         assert np.allclose(out, 0.0)
 
     def test_separable_diagonal(self, rng):
         tup = sg.CommutingTuple([np.diag([-1.0, -2.0]), np.diag([-3.0, -4.0])],
                                 [SECT] * 2)
         u = rng.standard_normal(2) + 0j
-        a = fn.fb_of_orbit(tup, [1, 1], [0, 0], [1.0, 1.0], u, "resolvent")
-        b = fn.fb_of_orbit(tup, [1, 1], [0, 0], [1.0, 1.0], u, "integral")
-        assert np.linalg.norm(a - b) <= 1e-9
+        b = fn.fb_of_orbit(tup, [1, 1], [0, 0], [1.0, 1.0], u)
         # oracle: product of per-axis scalars on each diagonal entry
         expect = u * np.array([1.0 / (1 + 1) / (1 + 3), 1.0 / (1 + 2) / (1 + 4)])
-        assert np.allclose(a, expect, atol=1e-12)
+        assert np.linalg.norm(b - expect) <= 1e-9
 
-    def test_integral_route_makes_one_ray_integral(self, rng, monkeypatch):
+    def test_makes_one_ray_integral(self, rng, monkeypatch):
         # both axes' orbit integrals share one ray integral
         tup = sg.random_commuting_tuple(rng, 2, 3, sector=DOM)
         rays, real_ray = [], sg.ray_integral
@@ -738,41 +741,62 @@ class TestOrbitTransform:
         monkeypatch.setattr(sg, "ray_integral", spy_ray)
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         args = (tup, [1.0, 0.5j], [0.0, 0.0], [1.5, 2.0 - 0.5j], u)
-        b = fn.fb_of_orbit(*args, "integral")
+        b = fn.fb_of_orbit(*args)
         assert len(rays) == 1
-        a = fn.fb_of_orbit(*args, "resolvent")
+        # oracle: (-1)^k prod_j ((z_j - zeta_j) I + lam_j A_j)^{-1} u
+        a = sg.resolvent_product(tup, [1.0, 0.5j], [-1.5, -2.0 + 0.5j]) @ u
         assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
 
-    def test_resolvent_route_refuses_a_singular_factor(self, rng):
+    def test_resolvent_product_refuses_a_singular_factor(self, rng):
         # zeta_1 = z_1 + lam_1 mu makes ((z_1 - zeta_1) I + lam_1 A_1) singular
         tup = sg.random_commuting_tuple(rng, 2, 3, sector=DOM)
         lam, z = [1.0, 0.5j], [0.0, 0.2]
         zeta = [1.5, z[1] + lam[1] * tup.eigenvalues(1)[0]]
         with pytest.raises(sg.SingularFactorError) as info:
-            fn.fb_of_orbit(tup, lam, z, zeta, np.ones(3), "resolvent")
+            sg.resolvent_product(tup, lam, np.subtract(z, zeta))
         assert info.value.axis == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_resolvent_product_at_random_points(self, rng, k):
+        # the paper's identity behind the report's orbit-transform row, off
+        # the row's z = 0, zeta = 1 and lam = 1
+        for _ in range(3):
+            tup = sg.random_commuting_tuple(rng, k, 3, sector=DOM)
+            lam = np.exp(1j * rng.uniform(-0.3, 0.3, k))
+            z = 0.2 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            zeta = z + rng.uniform(0.5, 2.0, k) + 1j * rng.uniform(-0.5, 0.5, k)
+            u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            got = fn.fb_of_orbit(tup, lam, z, zeta, u)
+            expect = (-1) ** k * sg.resolvent_product(tup, lam, z - zeta) @ u
+            assert np.linalg.norm(got - expect) <= 1e-9 * np.linalg.norm(expect)
 
     def test_invalid_anchor_raises(self):
         tup = sg.CommutingTuple([np.array([[1.0]])], [SECT])  # growing orbit
         with pytest.raises(sg.DivergenceError):
-            fn.fb_of_orbit(tup, [1.0], [0.0], [0.5], np.ones(1), "integral")
+            fn.fb_of_orbit(tup, [1.0], [0.0], [0.5], np.ones(1))
 
 
 class TestDomainInfo:
-    def test_anchors_absorb_dual_offsets(self, rng, ps1):
+    def test_domain_absorbs_dual_offsets(self, rng, ps1):
         phi = fn.bisector_density(ps1, s=[0.7], coeffs=[[1.0, 0.2]])
         assert phi.domain_contains(np.zeros(1))
-        for anchor in phi.domain_anchors():
-            anchor = np.asarray(anchor)
-            assert phi.domain_contains(anchor)
-            for _ in range(100):
-                off = rng.uniform(0, 3) * np.exp(1j * rng.uniform(-np.pi / 4,
-                                                                  np.pi / 4))
-                assert phi.domain_contains(anchor + np.array([off]))
+        for _ in range(100):
+            off = rng.uniform(0, 3) * np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4))
+            assert phi.domain_contains(np.array([off]))
+
+    def test_anchors_lie_in_the_domain(self, rng, ps2):
+        # anchor_for stays inside the transform domain and the set where
+        # the weighted orbit vanishes
+        tup = sg.random_commuting_tuple(rng, 2, 3, sector=DOM)
+        phi = fn.bisector_density(ps2, s=[0.3, 0.7], coeffs=[[1.0, 0.2], [1.0]])
+        lam = sg._validate_lambda(tup, [1.0, 1.0], ps2)
+        for strict in (False, True):
+            z = fn.anchor_for(tup, lam, ps2, phi, strict=strict)
+            assert phi.domain_contains(z)
+            assert sg._n_set_class(tup, lam, ps2, z) == sg.IN_N0
 
     def test_atomic_domain_is_everything(self, ps1):
         phi = fn.dirac(ps1, [1.0])
-        assert phi.domain_anchors()
         assert phi.domain_contains(np.array([-50.0 + 30.0j]))
 
     def test_checked_transform_rejects_outside_points(self, ps1):

@@ -68,38 +68,53 @@ class TestSector:
             assert abs(np.exp(-edge * zeta)) <= 1.0 + 1e-12
 
 
+def _preceq(z, zp, ps, tol=1e-9):
+    # the cone preorder: zp - z lies in the closed dual sector on every axis
+    return ps.dual().contains(np.asarray(zp, complex) - np.asarray(z, complex), closed=True,
+                              tol=tol)
+
+
 class TestPreorder:
     def setup_method(self):
         self.ps = g.ProductSector([(-PI / 4, PI / 4)])
 
     def test_examples(self):
-        assert g.preceq([0], [1], self.ps)
-        assert not g.preceq([0], [1j], self.ps)
-        assert g.preceq([0.3 + 0.2j], [0.3 + 0.2j], self.ps)
+        assert _preceq([0], [1], self.ps)
+        assert not _preceq([0], [1j], self.ps)
+        assert _preceq([0.3 + 0.2j], [0.3 + 0.2j], self.ps)
 
     def test_preorder_axioms(self, rng):
+        # the closed dual sector is a convex cone (reflexive, transitive),
+        # and pointed when alpha < beta (antisymmetric)
         for _ in range(200):
             pts = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
             x, y, z = pts
-            assert g.preceq(x, x, self.ps)
-            if g.preceq(x, y, self.ps) and g.preceq(y, z, self.ps):
-                assert g.preceq(x, z, self.ps)
-            if g.preceq(x, y, self.ps) and g.preceq(y, x, self.ps):
-                assert abs(x[0] - y[0]) < 1e-9  # antisymmetric when alpha < beta
+            assert _preceq(x, x, self.ps)
+            if _preceq(x, y, self.ps) and _preceq(y, z, self.ps):
+                assert _preceq(x, z, self.ps)
+            if _preceq(x, y, self.ps) and _preceq(y, x, self.ps):
+                assert abs(x[0] - y[0]) < 1e-9
 
 
 class TestSup:
+    # the intersection of two translated cones is the cone translated to
+    # the least upper bound of their vertices for the cone preorder
     def setup_method(self):
-        self.ps = g.ProductSector([(-PI / 4, PI / 4)])
+        self.sect = (-PI / 4, PI / 4)
+        self.ps = g.ProductSector([self.sect])
+
+    def _sup(self, v1, v2):
+        w = g.intersect_admissible(g.make_region([self.sect[0]], [self.sect[1]], [v1]),
+                                   g.make_region([self.sect[0]], [self.sect[1]], [v2]))
+        assert w.axes[0].theta == (0j,)  # a translated cone again
+        return w.axes[0].z
 
     def test_comparable_points(self):
-        z, unique = g.sup_points([[0], [1]], self.ps)
-        assert z[0] == pytest.approx(1.0)
-        assert unique
+        assert self._sup(0.0, 1.0) == pytest.approx(1.0)
+        assert self._sup(1.0, 0.0) == pytest.approx(1.0)
 
     def test_incomparable_points_against_brute_force(self):
-        z, unique = g.sup_points([[1j], [-1j]], self.ps)
-        assert unique
+        z = self._sup(1j, -1j)
         # brute-force oracle: the smallest real grid vertex whose translated
         # cone sits inside both translated cones
         best = None
@@ -107,48 +122,53 @@ class TestSup:
             v = complex(x)
             probes = [v + t * np.exp(1j * ang)
                       for t in (0.0, 0.5, 2.0) for ang in (-PI / 4, 0.0, PI / 4)]
-            if all(g.preceq([1j], [p], self.ps) and g.preceq([-1j], [p], self.ps)
+            if all(_preceq([1j], [p], self.ps) and _preceq([-1j], [p], self.ps)
                    for p in probes):
                 best = v
                 break
         assert best is not None
-        assert abs(z[0] - best) <= 0.02
-        assert z[0] == pytest.approx(1.0, abs=1e-9)
+        assert abs(z - best) <= 0.02
+        assert z == pytest.approx(1.0, abs=1e-9)
 
     def test_sup_dominates_and_is_least(self, rng):
         for _ in range(50):
-            pts = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-            z, _ = g.sup_points(pts, self.ps)
-            assert g.preceq(pts[0], z, self.ps, tol=1e-9)
-            assert g.preceq(pts[1], z, self.ps, tol=1e-9)
-            # any box sample dominating both inputs must dominate the sup
+            p1, p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            z = self._sup(p1, p2)
+            assert _preceq([p1], [z], self.ps) and _preceq([p2], [z], self.ps)
+            # any box sample dominating both vertices must dominate the sup
             for _ in range(40):
                 q = rng.uniform(-4, 4) + 1j * rng.uniform(-4, 4)
-                if g.preceq(pts[0], [q], self.ps) and g.preceq(pts[1], [q], self.ps):
-                    assert g.preceq(z, [q], self.ps, tol=1e-9)
+                if _preceq([p1], [q], self.ps) and _preceq([p2], [q], self.ps):
+                    assert _preceq([z], [q], self.ps)
 
-    def test_halfplane_axis_flagged_nonunique(self):
-        ps = g.ProductSector([(0.0, 0.0)])
-        z, unique = g.sup_points([[0], [1]], ps)
-        assert z[0] == pytest.approx(1.0)
-        assert not unique
+    def test_halfplane_axis_keeps_the_inner_halfplane(self, rng):
+        # on a degenerate axis the translated half-planes are nested and the
+        # vertex is not unique: any point of the inner boundary line serves
+        u0 = g.make_region([0.0], [0.0], [0.0])
+        u1 = g.make_region([0.0], [0.0], [1.0])
+        w = g.intersect_admissible(u0, u1)
+        assert w.axes[0].z.real == pytest.approx(1.0)
+        shifted = g.make_region([0.0], [0.0], [1.0 + 5j])
+        for _ in range(200):
+            p = rng.uniform(-1, 3) + 1j * rng.uniform(-5, 5)
+            if abs(p.real - 1.0) > 1e-6:
+                assert w.contains([p]) == shifted.contains([p]) == (p.real > 1.0)
 
 
 class TestRegions:
     def test_halfplane_distance(self):
         u = g.make_region([0.0], [0.0], [0.0])
-        assert g.dist_to_boundary(u, 0, 3.0) == pytest.approx(3.0)
+        assert u.axes[0].boundary_distance(3.0) == pytest.approx(3.0)
 
     def test_cone_distance_is_point_to_ray(self):
         u = g.make_region([-PI / 4], [PI / 4], [0.0])
-        assert g.dist_to_boundary(u, 0, 1.0) == pytest.approx(np.sin(PI / 4))
+        assert u.axes[0].boundary_distance(1.0) == pytest.approx(np.sin(PI / 4))
 
     def test_boundary_point_has_zero_distance(self):
         u = g.make_region([-PI / 4], [PI / 4], [0.0])
         p = 2.0 * np.exp(1j * PI / 4)  # on the outgoing ray
         assert u.axes[0].boundary_distance(p) == pytest.approx(0.0, abs=1e-14)
-        with pytest.raises(g.GeometryError):
-            g.dist_to_boundary(u, 0, p)  # not strictly inside
+        assert not u.contains([p])  # not strictly inside
 
     def test_presets_are_cone_stable(self, rng):
         presets = [
@@ -264,9 +284,9 @@ class TestIntersect:
         u1 = g.make_region([self.sect[0]], [self.sect[1]], [1j])
         u2 = g.make_region([self.sect[0]], [self.sect[1]], [-1j])
         w = g.intersect_admissible(u1, u2)
-        # oracle: the least point dominating both vertices
-        z, _ = g.sup_points([[1j], [-1j]], g.ProductSector([self.sect]))
-        assert abs(w.axes[0].z - z[0]) < 1e-9
+        # oracle: the least point dominating both vertices, where the rays
+        # of angle -pi/4 from 1j and pi/4 from -1j cross
+        assert abs(w.axes[0].z - 1.0) < 1e-9
         # membership consistency on a probe grid
         rng = np.random.default_rng(3)
         for _ in range(200):

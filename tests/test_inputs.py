@@ -59,9 +59,7 @@ def _lambda_calls(k, lam):
         "default_region": lambda: ca.default_region(tup, lam, ps),
         "anchor_for": lambda: fn.anchor_for(tup, lam, ps),
         "pair_semigroup": lambda: fn.pair_semigroup(tup, lam, phi, "measure"),
-        "fb_of_orbit resolvent": lambda: fn.fb_of_orbit(tup, lam, 0 * ones, 3 * ones, ones),
-        "fb_of_orbit integral": lambda: fn.fb_of_orbit(tup, lam, 0 * ones, 3 * ones, ones,
-                                                       "integral"),
+        "fb_of_orbit": lambda: fn.fb_of_orbit(tup, lam, 0 * ones, 3 * ones, ones),
         "fb_at_tuple": lambda: phi.fb_at_tuple(tup, lam),
         "resolvent_product": lambda: sg.resolvent_product(tup, lam, 3 * ones),
     }
@@ -116,8 +114,7 @@ class TestTypedRefusals:
         msg = _raises_only(sg.SectorDomainError, _lambda_calls(2, [-1.0, 1.0])[name])
         assert "arg(lambda)" in msg
 
-    @pytest.mark.parametrize("name", ["resolvent_product", "fb_at_tuple", "fb_of_orbit resolvent",
-                                      "fb_of_orbit integral"])
+    @pytest.mark.parametrize("name", ["resolvent_product", "fb_at_tuple", "fb_of_orbit"])
     def test_matrix_algebra_takes_any_finite_lambda(self, name):
         # no sector product to keep inside the domain: length and finiteness only
         assert np.all(np.isfinite(_lambda_calls(2, [-1.0, 1.0])[name]()))
@@ -238,7 +235,7 @@ class TestValidationCount:
 
 
 # a valid value of each per-axis argument below, on every axis
-GOOD = {"z": 0.0, "zp": 1.0, "zeta": 3.0, "w": 1.0, "s": 1.0, "point": 1.0, "lam": -1.0,
+GOOD = {"z": 0.0, "zeta": 3.0, "w": 1.0, "s": 1.0, "point": 1.0, "lam": -1.0,
         "eta": 0.3, "shifts": 3.0, "angles": 0.0}
 
 
@@ -253,11 +250,9 @@ def _point_calls(k, value):
     calls = {
         ("Functional.fb", "z"): lambda: phi.fb(value),
         ("Functional.domain_contains", "z"): lambda: phi.domain_contains(value),
-        ("wn_regularizer", "zeta"): lambda: fn.wn_regularizer(value, 7, ps),
         ("exp_poly_function", "w"): lambda: fn.exp_poly_function(ps, value),
         ("bisector_density", "s"): lambda: fn.bisector_density(ps, value),
         ("resolvent_product", "zeta"): lambda: sg.resolvent_product(tup, lam, value),
-        ("n_set_classify", "z"): lambda: sg.n_set_classify(tup, lam, ps, value),
         ("interior_cauchy_value", "point"): lambda: ca.interior_cauchy_value(
             f, u, ca._default_eps(u), value),
         ("cauchy_transform", "lam"): lambda: fn.cauchy_transform(phi, value),
@@ -265,8 +260,6 @@ def _point_calls(k, value):
         ("pair_translated_cauchy", "z"): lambda: fn.pair_translated_cauchy(
             h, atoms, 0.3 * ones, z=value),
         ("pair_translated_cauchy", "eta"): lambda: fn.pair_translated_cauchy(h, atoms, value),
-        ("preceq", "z"): lambda: g.preceq(value, ones, ps),
-        ("preceq", "zp"): lambda: g.preceq(zeros, value, ps),
         ("inverse_square", "shifts"): lambda: ca.inverse_square(k, value),
         ("rotated_inverse_square", "angles"): lambda: ca.rotated_inverse_square(
             k, value, 3 * ones),
@@ -275,11 +268,10 @@ def _point_calls(k, value):
         ("exponential_function", "shifts"): lambda: ca.exponential_function(
             k, 1.0, shifts=value),
     }
-    for route in ("resolvent", "integral"):
-        calls[f"fb_of_orbit {route}", "z"] = lambda r=route: fn.fb_of_orbit(
-            tup, lam, value, 3 * ones, np.ones(tup.dim), r)
-        calls[f"fb_of_orbit {route}", "zeta"] = lambda r=route: fn.fb_of_orbit(
-            tup, lam, zeros, value, np.ones(tup.dim), r)
+    calls["fb_of_orbit", "z"] = lambda: fn.fb_of_orbit(tup, lam, value, 3 * ones,
+                                                      np.ones(tup.dim))
+    calls["fb_of_orbit", "zeta"] = lambda: fn.fb_of_orbit(tup, lam, zeros, value,
+                                                         np.ones(tup.dim))
     for route in ("fb_eps", "fb_direct", "wn_limit", "cauchy"):
         calls[f"pair_function {route}", "z"] = lambda r=route: fn.pair_function(
             h, atoms, r, z=value)
@@ -300,7 +292,7 @@ class TestPerAxisPoints:
         assert msg.startswith("point needs one entry per axis (2)")
 
     def test_fb_of_orbit_refuses_one_anchor_coordinate_for_two_axes(self):
-        # the resolvent route broadcast z = [0.0] to both axes
+        # z = [0.0] must not broadcast to both axes
         tup = SETUPS[2][0]
         msg = _raises_only(g.GeometryError, lambda: fn.fb_of_orbit(
             tup, [1.0, 1.0], [0.0], [2.0, 2.5], np.ones(2)))
