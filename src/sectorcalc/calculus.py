@@ -278,13 +278,10 @@ def _calculus_batch(Fs, tup, lam, region, eps, tol=1e-9):
 def _sample_points(region):
     pts = [ax.sample_boundary(4.0 * (abs(ax.z) + ax.excision_radius + 1.0))
            for ax in region.axes]
-    grids = []
-    mids = [_unit(-0.5 * (ax.alpha + ax.beta)) for ax in region.axes]
-    for shift in (0.3, 1.0, 3.0, 10.0):
-        row = [np.asarray(p) + shift * mid for p, mid in zip(pts, mids)]
-        m = min(len(r) for r in row)
-        grids.append(np.stack([r[:m] for r in row], axis=1))
-    return np.concatenate(grids, axis=0)
+    m = min(len(p) for p in pts)
+    return np.concatenate([np.stack([np.asarray(p)[:m] + shift * ax.sector.turn
+                                     for p, ax in zip(pts, region.axes)], axis=1)
+                           for shift in (0.3, 1.0, 3.0, 10.0)], axis=0)
 
 
 def sup_on_region(F, region):
@@ -558,13 +555,9 @@ def strongly_outer_check(F, witness, grid, boundary_grid=None):
         max_viol = max(max_viol, float(np.max(np.abs(fvals) - np.abs(wvals))))
         devs.append(np.abs(fvals / wvals - 1.0))
     domination_ok = max_viol <= 1e-12 * (1.0 + float(np.abs(fvals).max()))
-    converges = True
-    for a, b in zip(devs[:-1], devs[1:]):
-        if np.any(b > a * 1.05 + 1e-14):
-            converges = False
-    # demand clear progress toward 1, not an absolute threshold
-    converges = converges and bool(
-        np.max(devs[-1]) <= 0.5 * np.max(devs[0]) + 1e-14)
+    # monotone, and clear progress toward 1, not an absolute threshold
+    converges = not any(np.any(b > a * 1.05 + 1e-14) for a, b in zip(devs[:-1], devs[1:])) \
+        and bool(np.max(devs[-1]) <= 0.5 * np.max(devs[0]) + 1e-14)
     bgrid = grid if boundary_grid is None else np.asarray(boundary_grid)
     minmod = min(float(np.min(np.abs(np.asarray(fn(bgrid))))) for fn in witness.fns)
     return OuterReport(domination_ok, max_viol, converges, float(np.max(devs[-1])),

@@ -31,6 +31,7 @@ so array answers equal the one-point answers bit for bit.
 
 import cmath
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +54,17 @@ def ray_exit(anchor, d, radius):
     disc = b * b + radius * radius - abs(anchor) ** 2
     if disc <= 0:
         raise GeometryError(f"radius {radius} too small for the ray from {anchor}")
-    return -b + np.sqrt(disc)
+    return -b + math.sqrt(disc)
 
 
-def cone_signed_distance(zeta, mid, half):
+def cone_signed_distance(zeta, c, half):
     """Signed distance from ``zeta`` (a point or an array of points) to the
-    closed cone about angle ``mid`` with half-aperture ``half`` (vertex 0);
-    negative inside, zero at the vertex."""
+    closed cone with half-aperture ``half`` (vertex 0) about the angle ``mid``
+    given as ``c = _unit(-mid)``; negative inside, zero at the vertex.  ``c``
+    and ``half`` may be arrays that broadcast against ``zeta``."""
     zeta = np.asarray(zeta, dtype=complex)
     # [()] makes one point NumPy scalars, whose arithmetic is cheaper than 0-d arrays'
-    x, y, c = zeta.real[()], zeta.imag[()], _unit(-mid)
+    x, y = zeta.real[()], zeta.imag[()]
     # arg of zeta * c, the product written out as in scalar complex arithmetic
     phi = np.abs(np.arctan2(x * c.imag + y * c.real, x * c.real - y * c.imag)) - half
     # sin(pi/2) is exactly 1: past a right angle the distance is |zeta|
@@ -84,12 +86,14 @@ class Sector:
 
     alpha: float
     beta: float
+    turn: complex = field(init=False, repr=False, compare=False)  # _unit(-bisector_angle)
 
     def __post_init__(self):
         if not (self.alpha <= self.beta + TOL):
             raise GeometryError(f"need alpha <= beta, got ({self.alpha}, {self.beta})")
         if self.beta > self.alpha + np.pi + TOL:
             raise GeometryError(f"need beta <= alpha + pi, got ({self.alpha}, {self.beta})")
+        object.__setattr__(self, "turn", _unit(-self.bisector_angle))
 
     @property
     def aperture(self):
@@ -113,7 +117,7 @@ class Sector:
         return Sector(-np.pi / 2 - self.alpha, np.pi / 2 - self.beta)
 
     def signed_distance(self, zeta):
-        return cone_signed_distance(zeta, self.bisector_angle, 0.5 * self.aperture)
+        return cone_signed_distance(zeta, self.turn, 0.5 * self.aperture)
 
     def contains(self, zeta, closed=False, tol=TOL):
         """Membership of ``zeta`` (a point or an array of points); 0 belongs
@@ -204,6 +208,8 @@ class AxisRegion:
     theta: tuple = field(default=(0j,))
     sector: Sector = field(init=False, repr=False, compare=False)
     dual_sector: Sector = field(init=False, repr=False, compare=False)
+    d0: complex = field(init=False, repr=False, compare=False)  # the incoming ray's direction
+    d1: complex = field(init=False, repr=False, compare=False)  # the outgoing ray's direction
     # pieces anchor + t*step, 0 <= t <= reach: the two unit-step rays (reach
     # inf), then the segments (reach 1); as (anchor.real, anchor.imag,
     # step.real, step.imag, |step|^2 taken as 1 on the rays, reach)
@@ -215,6 +221,8 @@ class AxisRegion:
     def __post_init__(self):
         object.__setattr__(self, "sector", Sector(self.alpha, self.beta))
         object.__setattr__(self, "dual_sector", self.sector.dual())
+        object.__setattr__(self, "d0", _unit(-np.pi / 2 - self.alpha))
+        object.__setattr__(self, "d1", _unit(np.pi / 2 - self.beta))
         theta = tuple(complex(t) for t in self.theta)
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "theta", theta)
@@ -255,14 +263,6 @@ class AxisRegion:
             object.__setattr__(self, "_polygon", (
                 a.real, a.imag, b.imag, b.real - a.real,
                 np.where(b.imag == a.imag, 1.0, b.imag - a.imag)))
-
-    @property
-    def d0(self):
-        return _unit(-np.pi / 2 - self.alpha)
-
-    @property
-    def d1(self):
-        return _unit(np.pi / 2 - self.beta)
 
     @property
     def s0(self):

@@ -3,13 +3,16 @@
 Boundary paths follow the orientation convention used throughout: each
 axis runs from ``exp(1j*(-pi/2 - alpha_j)) * inf`` through the excision
 polyline to ``exp(1j*(pi/2 - beta_j)) * inf``, as one chain of
-Gauss-Legendre panels of ``_PANEL = 16`` nodes (:func:`_axis_path`, one
-:func:`gauss_panel` call per axis).  A contour ray is integrated over its
-whole length: panels geometrically graded away from the vertex (ratio
-1.5) reach the tail radius ``R``, and the tail beyond, ``t >= t_R``, is mapped
-by ``t = t_R / u`` onto ``u in (0, 1]`` (QUADPACK's QAGI).  ``R`` follows
-one rule, :func:`tail_radius`, which the calculus raises to clear the
-scaled spectra; no radius depends on a decay certificate or a tolerance.
+Gauss-Legendre panels of ``_PANEL = 16`` nodes.  All axes of a contour are
+built in one array pass (:func:`_axis_paths`): one :func:`gauss_panel`
+call per contour, the graded breaks of all its rays from one call of
+:func:`_graded_breaks`, the one owner of the grading rule.  A contour ray
+is integrated over its whole length: panels geometrically graded away from
+the vertex (ratio 1.5) reach the tail radius ``R``, and the tail beyond,
+``t >= t_R``, is mapped by ``t = t_R / u`` onto ``u in (0, 1]`` (QUADPACK's
+QAGI).  ``R`` follows one rule, :func:`tail_radius`, which the calculus
+raises to clear the scaled spectra; no radius depends on a decay
+certificate or a tolerance.
 Node weights include the complex ``d sigma`` factor.
 
 Every adaptive quadrature runs through one driver, :func:`refine`.  Round
@@ -50,13 +53,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .geometry import ray_exit
+from .geometry import cone_signed_distance, ray_exit
 
 TAIL_RADIUS = 16.0  # the least radius at which a contour ray's mapped tail begins
 _PANEL = 16  # Gauss-Legendre nodes per panel, in every rule
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
 _N0 = 8.0  # node density per unit length of a ray's first round
 _GRADING = 1.5  # length ratio of consecutive graded ray panels
+_LOG_GRADING = float(np.log(_GRADING))
 _TAIL_DENSITY = 8.0  # node density per panel of a mapped ray tail
 _MAX_ROUNDS = 8  # refinement rounds before a ConvergenceError
 _BLOCK_POINTS = 1 << 15  # integrand points per block of the tensor contraction
@@ -95,13 +99,16 @@ def gauss_panel(a, b):
     return mid + half * _GL_NODES, half * _GL_WEIGHTS
 
 
-def _graded_breaks(length, h0):
-    """Panel breakpoints on [0, length], first panel ~h0, graded outward."""
-    if length <= h0:
-        return np.array([0.0, length])
-    m = int(np.ceil(np.log1p(length * (_GRADING - 1.0) / h0) / np.log(_GRADING)))
-    raw = h0 * (_GRADING ** np.arange(m + 1) - 1.0) / (_GRADING - 1.0)
-    return raw * (length / raw[-1])
+def _graded_breaks(lengths, h0):
+    """Panel breakpoints on [0, L] for each of the ``lengths`` L, first panel
+    ~h0, graded outward, one list of floats per length; a length up to ``h0``
+    is one panel.  Every set scales one table of graded breaks to its length."""
+    m = [math.ceil(y / _LOG_GRADING)
+         for y in np.log1p([x * (_GRADING - 1.0) / h0 for x in lengths]).tolist()]
+    raw = [h0 * (p - 1.0) / (_GRADING - 1.0)
+           for p in (_GRADING ** np.arange(max(m) + 1)).tolist()]
+    return [[0.0, x] if x <= h0 else [r * (x / raw[i]) for r in raw[:i + 1]]
+            for x, i in zip(lengths, m)]
 
 
 def _panel_nodes(anchor, direction, breaks):
@@ -114,72 +121,90 @@ def _panel_nodes(anchor, direction, breaks):
 def _ray_rule(start, direction, r0, n):
     """:func:`_panel_nodes` of the ray ``start + t*direction`` cut at
     ``t = r0 * n / _N0``, on panels graded for node density ``n``."""
-    return _panel_nodes(start, direction, _graded_breaks(r0 * (n / _N0), _PANEL / n))
+    return _panel_nodes(start, direction,
+                        np.array(_graded_breaks([r0 * (n / _N0)], _PANEL / n)[0]))
 
 
-def _axis_path(ax, j, eps, R, n_per_unit):
-    """The boundary of axis ``ax`` (index ``j``) shifted by the checked
+def _axis_paths(region, eps, R, n_per_unit):
+    """The boundary of each axis of ``region`` shifted by its checked shift in
     ``eps``, as one chain of panels: incoming ray, excision edges, outgoing
     ray.  A ray ``anchor + t*direction`` has graded panels on ``[0, e]``, ``e``
     its :func:`~sectorcalc.geometry.ray_exit` from the circle of radius ``R``,
-    then the tail ``t = e / u`` on equal panels of ``u``, one per ``_TAIL_DENSITY``
-    units of node density (at least one); an edge has equal panels.  The
-    incoming ray is traversed toward its anchor: its nodes are reversed and
-    its weights negated."""
-    z = ax.z + eps
-    anchors = [z + t for t in ax.theta]
-    far = max(abs(a) for a in anchors)
-    if R <= far * 1.05 + 1e-9:
-        raise QuadratureError(
-            f"tail radius {R} too small: excision of axis {j} extends to {far}")
+    then the tail ``t = e / u`` on equal panels of ``u``, one per
+    ``_TAIL_DENSITY`` units of node density (at least one); an edge has equal
+    panels, as ``np.linspace`` cuts it.  The incoming ray runs backward, toward
+    its anchor.  All axes' panel ends form one array, for one
+    :func:`gauss_panel` call and one tail mapping, with all rays' graded breaks
+    from one :func:`_graded_breaks` call."""
     h0 = _PANEL / n_per_unit
-    m = max(1, int(np.ceil(n_per_unit / _TAIL_DENSITY)))
-    u = np.arange(m, -1, -1) / m  # 1 down to 0, so t rises through the tail
-
-    def edge(a, b):
-        length = abs(b - a)
-        return np.linspace(0.0, length, max(1, int(np.ceil(length / h0))) + 1), a, (b - a) / length
-
-    a0, a1 = anchors[0], anchors[-1]
-    e0, e1 = ray_exit(a0, ax.d0, R), ray_exit(a1, ax.d1, R)
-    # (panel ends, anchor, direction) per piece: each ray's graded panels, then its tail
-    pieces = [(_graded_breaks(e0, h0), a0, ax.d0), (u, a0, ax.d0)] \
-        + [edge(a, b) for a, b in zip(anchors[:-1], anchors[1:])] \
-        + [(_graded_breaks(e1, h0), a1, ax.d1), (u, a1, ax.d1)]
-    breaks, anchor, d = zip(*pieces)
-    sizes = [len(b) - 1 for b in breaks]
-    anchor, d = (np.repeat(x, sizes)[:, None] for x in (anchor, d))
-    t, w = gauss_panel(np.concatenate([b[:-1] for b in breaks])[:, None],
-                       np.concatenate([b[1:] for b in breaks])[:, None])
-    for tail, e in ((slice(sizes[0], sizes[0] + m), e0), (slice(len(t) - m, None), e1)):
-        t[tail] = e / t[tail]
-        w[tail] *= -t[tail] ** 2 / e  # dt = -(t^2 / e) du
-    nodes, weights = (anchor + t * d).ravel(), (w * d).ravel()
-    g = _PANEL * (sizes[0] + sizes[1])  # the incoming ray's nodes
-    return AxisPath(np.concatenate([nodes[g - 1::-1], nodes[g:]]),
-                    np.concatenate([-weights[g - 1::-1], weights[g:]]), True)
+    m = max(1, math.ceil(n_per_unit / _TAIL_DENSITY))
+    u = [i / m for i in range(m + 1)]  # a tail's breaks in u, backward: t falls from infinity to e
+    rays = []  # per axis: its anchors and the exits of its two rays
+    for j, (ax, e) in enumerate(zip(region.axes, eps)):
+        anchors = [ax.z + e + t for t in ax.theta]
+        far = max(map(abs, anchors))
+        if R <= far * 1.05 + 1e-9:
+            raise QuadratureError(
+                f"tail radius {R} too small: excision of axis {j} extends to {far}")
+        rays.append((anchors, ray_exit(anchors[0], ax.d0, R), ray_exit(anchors[-1], ax.d1, R)))
+    graded = iter(_graded_breaks([x for _, *exits in rays for x in exits], h0))
+    lo, hi, at, to, ex, cut = [], [], [], [], [], [0]  # per panel: its ends, anchor, direction
+    for ax, (anchors, x0, x1) in zip(region.axes, rays):  # and tail exit (0 off the tails)
+        # (breaks, anchor, direction, tail exit) of each piece, the backward ones first
+        backward = [(u, anchors[0], ax.d0, x0), (next(graded)[::-1], anchors[0], ax.d0, 0.0)]
+        rest = []
+        for a, b in zip(anchors[:-1], anchors[1:]):
+            length = abs(b - a)
+            n = max(1, math.ceil(length / h0))
+            rest.append(([i * (length / n) for i in range(n)] + [length], a, (b - a) / length, 0.0))
+        rest += [(next(graded), anchors[-1], ax.d1, 0.0), (u[::-1], anchors[-1], ax.d1, x1)]
+        for pieces in (backward, rest):
+            for breaks, anchor, d, e in pieces:
+                n = len(breaks) - 1
+                lo += breaks[:-1]
+                hi += breaks[1:]
+                at += [anchor] * n
+                to += [d] * n
+                ex += [e] * n
+            cut.append(len(lo))  # each axis's first row and the first after its backward pieces
+    a, b = np.array([lo, hi])[:, :, None]
+    t, w = gauss_panel(a, b)
+    e = np.array(ex)[:, None]
+    tail = e != 0.0
+    np.divide(e, t, out=t, where=tail)
+    dt = -t ** 2  # dt = -(t^2 / e) du
+    np.divide(dt, e, out=dt, where=tail)
+    np.multiply(w, dt, out=w, where=tail)
+    anchor, d = np.array([at, to])[:, :, None]
+    nodes, weights = anchor + t * d, np.abs(w) * d  # |w|: each panel's weight run forward
+    for first, back in zip(cut[:-1:2], cut[1::2]):  # the backward pieces run toward the anchor
+        np.negative(weights[first:back], out=weights[first:back])
+    return tuple(AxisPath(nodes[first:last].ravel(), weights[first:last].ravel(), True)
+                 for first, last in zip(cut[:-1:2], cut[2::2]))
 
 
 def _check_shift(duals, eps, grid=False):
     """``eps`` checked against ``duals``, the dual sector of each axis: every
-    shift finite and in its axis's closed dual sector.  One shift comes back
-    as a tuple of Python complex, with ``grid`` an (E, k) array of shifts;
-    the one place a shift becomes an array.  The error names the first defect."""
+    shift finite and in its axis's closed dual sector, all axes in one pass
+    against the stacked sectors.  One shift comes back as a tuple of Python
+    complex, with ``grid`` an (E, k) array of shifts; the one place a shift
+    becomes an array.  The error names the first defect, axis by axis."""
     try:
         x = np.asarray(eps, dtype=complex)
     except (TypeError, ValueError) as err:  # ragged or non-numeric shifts
         raise QuadratureError("eps must have one entry per axis") from err
-    x = x.reshape(-1, 1) if grid and len(duals) == 1 and x.ndim == 1 else np.atleast_1d(x)
+    x = x.reshape(-1, 1) if grid and len(duals) == 1 and x.ndim == 1 else x.reshape(x.shape or 1)
     if x.ndim != 1 + grid or x.shape[-1] != len(duals) or not x.size:
         raise QuadratureError("eps must have one entry per axis")
     if not np.isfinite(x).all():
         raise QuadratureError(f"shift {complex(x[~np.isfinite(x)][0])} is not finite")
-    for j, dual in enumerate(duals):
-        outside = ~dual.contains(x[..., j], closed=True, tol=1e-9)
-        if outside.any():
-            raise QuadratureError(f"shift {complex(x[..., j][outside][0])} is outside "
-                                  f"the closed dual sector of axis {j}")
-    return x if grid else tuple(map(complex, x))
+    turn, half = np.array([(s.turn, 0.5 * s.aperture) for s in duals]).T
+    inside = cone_signed_distance(x, turn, half.real) <= 1e-9  # Sector.contains, closed
+    if not inside.all():
+        j = int((~inside).reshape(-1, len(duals)).any(axis=0).argmax())
+        raise QuadratureError(f"shift {complex(x[..., j][~inside[..., j]][0])} is outside "
+                              f"the closed dual sector of axis {j}")
+    return x if grid else tuple(x.tolist())
 
 
 def tail_radius(region, eps):
@@ -223,10 +248,7 @@ class ContourQuadrature:
 
     @property
     def node_count(self):
-        n = 1
-        for ax in self.axes:
-            n *= len(ax.nodes)
-        return n
+        return math.prod(len(ax.nodes) for ax in self.axes)
 
 
 def _contour(region, eps, R=None, n_per_unit=_N0):
@@ -234,9 +256,7 @@ def _contour(region, eps, R=None, n_per_unit=_N0):
     per-axis shifts ``eps`` (Python complex), with tail radius ``R`` (by
     default :func:`tail_radius`)."""
     R = tail_radius(region, eps) if R is None else R
-    return ContourQuadrature(tuple(_axis_path(ax, j, e, R, n_per_unit) for j, (ax, e)
-                                   in enumerate(zip(region.axes, eps))),
-                             region, eps, R, n_per_unit)
+    return ContourQuadrature(_axis_paths(region, eps, R, n_per_unit), region, eps, R, n_per_unit)
 
 
 @dataclass(frozen=True)
@@ -568,11 +588,8 @@ def richardson(values):
     if len(vals) == 1:
         return vals[0], np.inf
     table = [vals]
-    for m in range(1, len(vals)):
-        fac = 2.0 ** m
-        prev = table[-1]
-        table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
-                      for i in range(len(prev) - 1)])
+    for fac in (2.0 ** m for m in range(1, len(vals))):
+        table.append([(fac * b - a) / (fac - 1.0) for a, b in zip(table[-1][:-1], table[-1][1:])])
     best = table[-1][0]
     second = table[-2][-1]
     residual = float(np.linalg.norm(np.ravel(best - second)))

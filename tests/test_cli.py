@@ -245,3 +245,31 @@ class TestFormatting:
         for c in (1.5 + 2.25j, -0.5 - 3.0j, 0.0 + 0.0j, 1e-300 + 1e300j):
             s = cli._fmt_complex(c)
             assert complex(s) == c
+
+
+class TestOneSidedRows:
+    # (check, computed, bound, tol, passed, excess over the bound)
+    CASES = [("le", [0.25, 0.75], 1.0, 1e-3, True, 0.0),
+             ("le", [0.25, 1.0005], 1.0, 1e-3, True, 1.0005 - 1.0),  # within tol
+             ("le", [0.25, 1.5], 1.0, 1e-3, False, 0.5),
+             ("gt", [0.5, 0.375], 0.25, 0.0, True, 0.0),
+             ("gt", [0.5, 0.125], 0.25, 0.0, False, 0.125)]
+
+    @pytest.mark.parametrize("check, computed, bound, tol, passed, excess", CASES)
+    def test_error_columns_hold_the_excess_over_the_bound(self, check, computed, bound, tol,
+                                                         passed, excess, tmp_path):
+        row = cli.ReportRow("s", "c", np.array(computed), bound, tol, check)
+        assert row.passed is passed
+        assert row.abs_err == excess and row.rel_err == excess / bound
+        cli.write_report([row], str(tmp_path / "r.csv"))
+        with open(tmp_path / "r.csv") as fh:
+            (written,) = csv.DictReader(fh)
+        assert float(written["abs_err"]) == excess and written["passed"] == str(passed)
+
+    def test_passing_bound_rows_report_no_error(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert run_cli(["run", "--scenario", "hardy", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["check"] == "le"]
+        assert len(rows) == 3 and all(float(r["abs_err"]) == 0.0 for r in rows)
+        assert capsys.readouterr().err.count("(le_err=0.000e+00,") == 3

@@ -40,7 +40,15 @@ class TestPanels:
 
     def test_panel_nodes_match_panel_by_panel_rule(self):
         anchor, direction = 0.3 - 0.2j, np.exp(0.7j)
-        for breaks in (q._graded_breaks(97.0, 2.0), np.linspace(0.0, 3.5, 8)):
+        lengths = [97.0, 1.5, 30.0, 2.0]  # a length up to h0 = 2 is one panel
+        # the array form: one call, one set per length
+        sets = [np.array(b) for b in q._graded_breaks(lengths, 2.0)]
+        for x, breaks in zip(lengths, sets):
+            assert breaks.tobytes() == np.array(q._graded_breaks([x], 2.0)[0]).tobytes()
+            assert breaks[0] == 0.0 and breaks[-1] == pytest.approx(x, rel=1e-15)
+        assert len(sets[1]) == len(sets[3]) == 2 and len(sets[0]) > len(sets[2]) > 2
+        for breaks in (np.array(q._graded_breaks([97.0], 2.0)[0]), *sets,
+                       np.linspace(0.0, 3.5, 8)):
             nodes, weights = q._panel_nodes(anchor, direction, breaks)
             panels = [q.gauss_panel(a, b) for a, b in zip(breaks[:-1], breaks[1:])]
             assert np.array_equal(nodes,
@@ -341,6 +349,153 @@ class TestBoundaryPath:
         assert len(pieces) == len(u.axes[0].theta) + 1
         assert np.concatenate([n for n, _ in pieces]).tobytes() == path.nodes.tobytes()
         assert np.concatenate([w for _, w in pieces]).tobytes() == path.weights.tobytes()
+
+
+def _axes_of(k, first):
+    """``k`` axes of the region bank, starting with the kind ``first`` and
+    cycling through the others."""
+    bank = _region_bank()
+    kinds = list(bank)
+    start = kinds.index(first)
+    return [bank[kinds[(start + j) % len(kinds)]].axes[0] for j in range(k)]
+
+
+class TestOneContourPass:
+    @pytest.mark.parametrize("raise_R", [False, True])
+    @pytest.mark.parametrize("inside", [False, True])
+    @pytest.mark.parametrize("n_per_unit", [1.0, 8.0, 16.0, 64.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("first", list(_region_bank()))
+    def test_each_axis_is_its_own_one_axis_contour(self, first, k, n_per_unit, inside,
+                                                   raise_R):
+        axes = _axes_of(k, first)
+        eps = [0.3 * np.exp(1j * ax.dual_sector.bisector_angle) if inside else 0j
+               for ax in axes]
+        R = None
+        if raise_R:
+            R = 2.0 * q.tail_radius(g.AdmissibleRegion(axes), eps) + 3.0
+        cq = q.ContourQuadrature.from_region(g.AdmissibleRegion(axes), eps, R, n_per_unit)
+        assert cq.k == k and (R is None or cq.R == R)
+        for ax, e, path in zip(axes, eps, cq.axes):
+            alone = q.ContourQuadrature.from_region(g.AdmissibleRegion([ax]), [e], cq.R,
+                                                    n_per_unit).axes[0]
+            assert path.panels and alone.panels
+            assert np.array_equal(path.nodes, alone.nodes)
+            assert np.array_equal(path.weights, alone.weights)
+            assert path.nodes.tobytes() == alone.nodes.tobytes()
+            assert path.weights.tobytes() == alone.weights.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_contour_makes_one_gauss_panel_call(self, k, monkeypatch):
+        calls = []
+        panel = q.gauss_panel
+
+        def spy(a, b):
+            calls.append(len(a))
+            return panel(a, b)
+
+        monkeypatch.setattr(q, "gauss_panel", spy)
+        axes = _axes_of(k, "cone_minus_rect")
+        cq = q.ContourQuadrature.from_region(g.AdmissibleRegion(axes), [0.1] * k)
+        assert len(calls) == 1
+        assert calls[0] * 16 == sum(len(ax.nodes) for ax in cq.axes)
+
+
+def _check_shift_per_axis(duals, eps, grid=False):
+    """The reference the one-pass :func:`quadrature._check_shift` must
+    match: the same input checks, then ``Sector.contains(closed=True,
+    tol=1e-9)`` axis by axis."""
+    try:
+        x = np.asarray(eps, dtype=complex)
+    except (TypeError, ValueError):
+        raise q.QuadratureError("eps must have one entry per axis")
+    x = x.reshape(-1, 1) if grid and len(duals) == 1 and x.ndim == 1 else np.atleast_1d(x)
+    if x.ndim != 1 + grid or x.shape[-1] != len(duals) or not x.size:
+        raise q.QuadratureError("eps must have one entry per axis")
+    if not np.isfinite(x).all():
+        raise q.QuadratureError(f"shift {complex(x[~np.isfinite(x)][0])} is not finite")
+    for j, dual in enumerate(duals):
+        outside = ~dual.contains(x[..., j], closed=True, tol=1e-9)
+        if outside.any():
+            raise q.QuadratureError(f"shift {complex(x[..., j][outside][0])} is outside "
+                                    f"the closed dual sector of axis {j}")
+    return x if grid else tuple(map(complex, x))
+
+
+def _outcome(check, duals, eps, grid):
+    try:
+        out = check(duals, eps, grid)
+    except q.QuadratureError as err:
+        return "refused", str(err)
+    return "accepted", type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+# dual sectors: of the region bank's axes, a wide cone and a half-plane's ray
+_DUALS = [ax.dual_sector for u in _region_bank().values() for ax in u.axes] \
+    + [g.Sector(-1.4, 1.2), g.Sector(0.3, 0.3)]
+_NON_FINITE = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 1.0),
+               complex(-np.inf, 0.0), complex(1.0, -np.inf)]
+
+
+@st.composite
+def _shift_entry(draw, dual):
+    """One shift for ``dual``: within 1e-9 of an edge or the vertex, inside,
+    anywhere, or not finite."""
+    kind = draw(st.sampled_from(["edge", "edge", "vertex", "inside", "anywhere", "bad"]))
+    if kind == "edge":
+        r = draw(st.floats(1e-3, 1e3))
+        offset = draw(st.floats(-3e-9, 3e-9))
+        return (r + 1j * offset) * np.exp(1j * draw(st.sampled_from([dual.alpha, dual.beta])))
+    if kind == "vertex":
+        return complex(draw(st.floats(-2e-9, 2e-9)), draw(st.floats(-2e-9, 2e-9)))
+    if kind == "inside":
+        angle = dual.bisector_angle + draw(st.floats(-0.5, 0.5)) * dual.aperture
+        return draw(st.floats(0.0, 10.0)) * np.exp(1j * angle)
+    if kind == "anywhere":
+        return complex(draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)))
+    return draw(st.sampled_from(_NON_FINITE))
+
+
+@st.composite
+def _shift_input(draw, duals, grid):
+    """One shift per axis, or an (E, k) grid of them; one in four has a row
+    of a wrong length or a non-numeric entry."""
+    rows = [[draw(_shift_entry(dual)) for dual in duals]
+            for _ in range(draw(st.integers(0, 4)) if grid else 1)]
+    defect = draw(st.sampled_from(["none"] * 9 + ["short", "long", "text"]))
+    if rows and defect != "none":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = {"short": rows[i][:-1], "long": rows[i] + [0.1],
+                   "text": rows[i][:-1] + ["x"]}[defect]
+    if not grid:
+        return rows[0]
+    if len(duals) == 1 and draw(st.booleans()):  # a flat list of one-axis shifts
+        return [r[0] if len(r) == 1 else r for r in rows]
+    return rows
+
+
+class TestCheckShift:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 3), grid=st.booleans())
+    def test_one_pass_matches_the_per_axis_reference(self, data, k, grid):
+        duals = data.draw(st.lists(st.sampled_from(_DUALS), min_size=k, max_size=k))
+        eps = data.draw(_shift_input(duals, grid))
+        assert _outcome(q._check_shift, duals, eps, grid) == \
+            _outcome(_check_shift_per_axis, duals, eps, grid)
+
+    def test_the_first_defect_is_named_axis_by_axis(self):
+        duals = [ax.dual_sector for ax in _region_bank()["cone"].axes] * 3
+        edge = np.exp(1j * duals[0].alpha)
+        on_edge, beyond = (1.0 + 0.5e-9j) * edge, (1.0 - 2e-9j) * edge
+        assert g.Sector.contains(duals[0], on_edge, closed=True, tol=1e-9)
+        assert not g.Sector.contains(duals[0], beyond, closed=True, tol=1e-9)
+        grid = [[0.1, on_edge, 0.1], [0.1, 0.1, beyond], [0.1, -1.0, 0.1]]
+        for check in (q._check_shift, _check_shift_per_axis):
+            with pytest.raises(q.QuadratureError, match=r"shift \(-1\+0j\) is outside .* axis 1$"):
+                check(duals, grid, grid=True)
+            with pytest.raises(q.QuadratureError, match=r"is outside .* axis 2$"):
+                check(duals, grid[:2], grid=True)
+            assert check(duals, grid[:1], grid=True).shape == (1, 3)
 
 
 class TestContourIntegrals:
