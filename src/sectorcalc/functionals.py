@@ -590,7 +590,7 @@ def _tensor_density_integral(fvec, d, tol):
     def value_at(n_per_unit):
         nodes, weights, rule = [], [], []
         for j, ax in enumerate(d.axes):
-            t, wt = _ray_rule(0.0, 1.0, r0[j], n_per_unit)
+            t, wt = _ray_rule(r0[j], n_per_unit)
             nodes.append(d.offset[j] + t * _unit(ax.omega))
             weights.append(ax.poly(t) * np.exp(-ax.s * t) * wt)
             rule.append(wt)
@@ -626,17 +626,13 @@ def _check_fb_pole_clearance(f, phi, z, eps):
 
 
 def pair_function(f, phi, route="measure", tol=1e-9, z=None):
-    """Pairing ``<f, phi>`` by the requested evaluation route.
-
-    Routes: ``measure`` (reference; direct integration against the
-    measure, no anchor ``z``), ``fb_eps`` (regularized transform-side contour, limit in the
-    exponential weight), ``fb_direct`` (transform-side contour, needs both
-    integrability certificates), ``wn_limit`` (squared-rational
-    regularizer, double limit with extrapolation), ``cauchy``
-    (boundary-kernel route; nondegenerate axes and atomic functionals
-    only).  All routes agree within combined tolerance.  The limits start
-    from the shift 0.5 (``fb_eps``, ``wn_limit``) or the translation 0.25
-    (``cauchy``) and halve it along ``EPS_SCHEDULE``.
+    """Pairing ``<f, phi>`` by ``route``: ``measure`` (reference; direct
+    integration against the measure, no anchor ``z``) or a limit route of
+    ``_LIMITS``.  A limit route is only as close to ``measure`` as its fixed
+    schedule reaches, whatever ``tol``: about 1e-10 for ``fb_eps`` and 3e-7
+    to 6e-7 for ``wn_limit`` on the test functionals, since a row's slack is
+    a Cauchy check on the extrapolant, not the accuracy returned (see the
+    limit routes' item in ROADMAP.md).
     """
     sectors = phi.sectors
     if route == "measure":
@@ -656,39 +652,25 @@ def pair_function(f, phi, route="measure", tol=1e-9, z=None):
         z = np.zeros(phi.k, dtype=complex) if z is None else per_axis(z, phi.k, "z")
         if not phi.domain_contains(z):
             raise RouteError(f"anchor {z} outside the transform domain")
-        pref = (2j * np.pi) ** -phi.k
-        fpow = np.zeros(phi.k) if f.fb_powers is None else np.asarray(f.fb_powers, float)
-        u_dual = np.array([_unit(-s.bisector_angle) for s in sectors.sectors])
-        fb = _separable(phi.fb_terms)
-
-        def contour_value(eps, n):
-            _check_fb_pole_clearance(f, phi, z, eps)
-            cq = _dual_cone_contour(phi, z, fpow + (2.0 if n else 0.0))
-            g = _product(fb, _reflected(f.fb, eps), _wn(sectors, n, z)) if n else \
-                _product(fb, _reflected(f.fb, eps))
-            return pref * integrate(g, cq, tol).value
-
         if route != "wn_limit" and not phi.fb_integrable_on_cone():
             raise RouteError("transform of the functional is not integrable on the contour")
-        if route == "fb_direct":
-            if f.sector_decay is None or any(
-                    d is None or (d[0] == "alg" and d[1] < 2.0 - 1e-12)
-                    for d in f.sector_decay):
-                raise RouteError(f"{f.label} lacks an integrable boundary certificate")
-            return contour_value(np.zeros(phi.k, dtype=complex), 0)
+        if route == "fb_direct" and (f.sector_decay is None or any(
+                d is None or (d[0] == "alg" and d[1] < 2.0 - 1e-12) for d in f.sector_decay)):
+            raise RouteError(f"{f.label} lacks an integrable boundary certificate")
+        pref = (2j * np.pi) ** -phi.k
 
-        if route == "fb_eps":
-            return _cauchy_limit([contour_value(0.5 * m * u_dual, 0) for m in EPS_SCHEDULE],
-                                 100 * tol, "eps-limit")
-        # wn_limit: extrapolate n inside, then the exponential weight
-        return _cauchy_limit([richardson([contour_value(0.5 * m * u_dual, n)
-                                          for n in WN_SCHEDULE])[0] for m in EPS_SCHEDULE],
-                             1e3 * tol, "limit")
+        def reflected(eps):
+            _check_fb_pole_clearance(f, phi, z, eps)
+            return _reflected(f.fb, eps)
+
+        value = _transform_route(
+            phi, z, np.zeros(phi.k) if f.fb_powers is None else np.asarray(f.fb_powers, float),
+            reflected, lambda g, cq, eps: pref * integrate(g, cq, tol).value)
+        return _limit(route, value, np.array([s.turn for s in sectors.sectors]), tol)
 
     if route == "cauchy":
-        u_sec = np.array([_unit(s.bisector_angle) for s in sectors.sectors])
-        return _cauchy_limit([pair_translated_cauchy(f, phi, 0.25 * m * u_sec, z=z, tol=tol)
-                              for m in EPS_SCHEDULE], 100 * tol, "translation-limit")
+        return _limit(route, lambda eta, n: pair_translated_cauchy(f, phi, eta, z=z, tol=tol),
+                      np.array([_unit(s.bisector_angle) for s in sectors.sectors]), tol)
 
     raise RouteError(f"unknown pairing route {route!r}")
 
@@ -702,12 +684,48 @@ def _reflected(fun, eps):
                        for term in terms])
 
 
-def _cauchy_limit(vals, slack, what):
-    """Richardson limit of ``vals``, refused unless its residual is below
-    ``slack * (1 + |limit|)``."""
+def _transform_route(phi, z, base, factor, integrator):
+    """The contour value ``(eps, n) -> integrator(g, cq, eps)`` of a route at
+    anchor ``z``: ``g = FB(phi) * factor(eps) * W_n`` (no ``factor`` when None,
+    no ``W_n`` when n is 0) on the dual-cone contour for ``base`` extra decay
+    powers, 2 more with ``W_n``."""
+    fb = _separable(phi.fb_terms)
+
+    def value(eps, n):
+        fns = [fb, *([factor(eps)] if factor else []), *([_wn(phi.sectors, n, z)] if n else [])]
+        cq = _dual_cone_contour(phi, z, base + (2.0 if n else 0.0))
+        return integrator(_product(*fns) if len(fns) > 1 else fb, cq, eps)
+
+    return value
+
+
+# Every route but ``measure`` is one limit of contour values ``value(eps, n)``,
+# route -> (start, shifts, wn, slack): the values at ``start * m * u``, m over
+# the first ``shifts`` of EPS_SCHEDULE and ``u`` the route's unit bisector, each
+# first extrapolated over n in WN_SCHEDULE when ``wn``, go into one Richardson
+# limit, refused unless its residual is below ``slack * tol * (1 + |limit|)``:
+# a Cauchy check, not the accuracy returned.  No shifts: one value at shift 0.
+_LIMITS = {
+    "fb_direct": (0.0, 0, False, None),  # pair_function; both integrability certificates
+    "fb_eps": (0.5, 7, False, 1e2),  # f.fb shifted along the dual bisector
+    "wn_limit": (0.5, 7, True, 1e3),  # the same times W_n: a double limit
+    "cauchy": (0.25, 7, False, 1e2),  # f translated along the sector bisector
+    "resolvent_contour": (0.0, 0, False, None),  # pair_semigroup; a strict anchor
+    "eps_shift": (0.25, 7, False, 1e3),  # resolvent arguments shifted along the dual bisector
+    "regularized": (0.25, 5, True, 1e4),  # the same times W_n; any bounded-orbit anchor
+}
+
+
+def _limit(route, value, direction, tol):
+    """The limit of ``value(eps, n)`` by ``route``'s ``_LIMITS`` row, along ``direction``."""
+    start, shifts, wn, slack = _LIMITS[route]
+    if not shifts:
+        return value(np.zeros(len(direction), dtype=complex), 0)
+    vals = [richardson([value(start * m * direction, n) for n in WN_SCHEDULE])[0] if wn
+            else value(start * m * direction, 0) for m in EPS_SCHEDULE[:shifts]]
     limit, residual = richardson(vals)
-    if residual > slack * (1 + np.linalg.norm(limit)):
-        raise RouteError(f"{what} extrapolant is not Cauchy (residual {residual:.3e})")
+    if residual > slack * tol * (1 + np.linalg.norm(limit)):
+        raise RouteError(f"route {route}: extrapolant is not Cauchy (residual {residual:.3e})")
     return limit
 
 
@@ -781,14 +799,10 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9):
     functional, as a matrix in the algebra generated by the tuple.
 
     Routes: ``measure`` (reference; atoms evaluate the semigroup, tensor
-    densities become products of one-dimensional orbit integrals),
-    ``resolvent_contour`` (direct shifted-cone contour against the
-    resolvent product; needs a strict anchor and an integrable
-    transform), ``eps_shift`` (same contour with shifted resolvent
-    arguments, limit extrapolated), ``regularized`` (squared-rational
-    weight, double limit; only a bounded-orbit anchor required).  The
-    contour routes take their anchor from :func:`anchor_for`; the limits
-    start from the shift 0.25 and halve it along ``EPS_SCHEDULE``.
+    densities become products of one-dimensional orbit integrals) or a
+    limit route of ``_LIMITS`` over dual-cone contours against the resolvent
+    product, anchored by :func:`anchor_for`: ``regularized``, over 5 shifts,
+    stays about 1e-6 off ``measure`` whatever ``tol``; ``eps_shift`` takes 7.
     """
     sectors = phi.sectors
     lam = _validate_lambda(tup, lam, sectors)
@@ -824,29 +838,14 @@ def pair_semigroup(tup, lam, phi, route="measure", tol=1e-9):
         # only the direct route needs the vanishing-orbit anchor; the
         # shifted and regularized routes work from a bounded-orbit anchor
         z = _anchor(tup, lam, sectors, phi, strict=route == "resolvent_contour")
-        if route in ("resolvent_contour", "eps_shift") and not phi.fb_integrable_on_cone():
+        if route != "regularized" and not phi.fb_integrable_on_cone():
             raise RouteError("transform of the functional is not integrable on the contour")
         pref = (-1.0) ** tup.k * (2j * np.pi) ** -tup.k
-        u_dual = np.array([_unit(-s.bisector_angle) for s in sectors.sectors])
-        fb = _separable(phi.fb_terms)
         schurs = [tup.schur(j) for j in range(tup.k)]
-
-        def contour_value(eps, n):
-            cq = _dual_cone_contour(phi, z, 3.0 if n else 1.0)
-            scalar_fn = _product(fb, _wn(sectors, n, z)) if n else fb
-            return pref * adaptive_contour(
-                lambda c: resolvent_contour_value((scalar_fn,), schurs, lam, c,
-                                                  node_offsets=eps),
-                cq, tol).value[0]
-
-        if route == "resolvent_contour":
-            return contour_value(np.zeros(tup.k, dtype=complex), 0)
-        if route == "eps_shift":
-            return _cauchy_limit([contour_value(0.25 * m * u_dual, 0) for m in EPS_SCHEDULE],
-                                 1e3 * tol, "eps-limit")
-        return _cauchy_limit([richardson([contour_value(0.25 * m * u_dual, n)
-                                          for n in WN_SCHEDULE])[0] for m in EPS_SCHEDULE[:5]],
-                             1e4 * tol, "double-limit")
+        value = _transform_route(phi, z, 1.0, None, lambda g, cq, eps: pref * adaptive_contour(
+            lambda c: resolvent_contour_value((g,), schurs, lam, c, node_offsets=eps),
+            cq, tol).value[0])
+        return _limit(route, value, np.array([s.turn for s in sectors.sectors]), tol)
 
     raise RouteError(f"unknown semigroup pairing route {route!r}")
 

@@ -118,11 +118,10 @@ def _panel_nodes(anchor, direction, breaks):
     return anchor + t.ravel() * direction, w.ravel() * direction
 
 
-def _ray_rule(start, direction, r0, n):
-    """:func:`_panel_nodes` of the ray ``start + t*direction`` cut at
-    ``t = r0 * n / _N0``, on panels graded for node density ``n``."""
-    return _panel_nodes(start, direction,
-                        np.array(_graded_breaks([r0 * (n / _N0)], _PANEL / n)[0]))
+def _ray_rule(r0, n):
+    """Nodes and weights of ``t >= 0`` cut at ``t = r0 * n / _N0``, on panels
+    graded for node density ``n``."""
+    return _panel_nodes(0.0, 1.0, np.array(_graded_breaks([r0 * (n / _N0)], _PANEL / n)[0]))
 
 
 def _axis_paths(region, eps, R, n_per_unit):
@@ -606,8 +605,8 @@ def initial_radius(rate, tol):
     return max(TAIL_RADIUS, np.log(100.0 / tol) / rate)
 
 
-def ray_integral(f, start, direction, rate, tol=1e-10):
-    """Adaptive integral of ``f`` along ``start + t*direction``, ``t >= 0``.
+def ray_integral(f, rate, tol=1e-10):
+    """Adaptive integral of ``f(t)`` over ``t >= 0``.
 
     The caller asserts integrability: ``|f|`` decays at least like
     ``exp(-rate*t)``.  That envelope sets the first round's truncation (see
@@ -616,12 +615,11 @@ def ray_integral(f, start, direction, rate, tol=1e-10):
     ``Exp(t*A)`` that grows is never evaluated far beyond it, where it
     would overflow.  A round's estimate adds the :func:`_cut_tail`.
     """
-    direction = complex(direction)
-    direction /= abs(direction)
     r0 = initial_radius(rate, tol)
 
     def value_at(n):
-        nodes, weights = _ray_rule(complex(start), direction, r0, n)
+        # complex nodes and weights: the orbit integrands' rounding depends on the dtype
+        nodes, weights = (x.astype(complex) for x in _ray_rule(r0, n))
         vals = _call_integrand(lambda q: f(q[:, 0]), nodes[:, None])
         wf = weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
         est = _panel_error(wf).sum() + _cut_tail(wf, weights, nodes, rate)

@@ -267,7 +267,7 @@ def orbit_integrals(tup, j, directions, weights, rate, tol=1e-10):
         w = np.stack([weight(ts) for weight in weights], axis=1)
         return (w[:, :, None, None] * orbits).reshape(len(ts), n * d, d)
 
-    return ray_integral(f, 0.0, 1.0, rate, tol).value.reshape(n, d, d)
+    return ray_integral(f, rate, tol).value.reshape(n, d, d)
 
 
 def resolvent_via_laplace(tup, j, lam, zeta0=1.0, tol=1e-10):

@@ -28,7 +28,7 @@ DELETED = [
     (q.refine, {"max_rounds"}),
     (q.adaptive_contour, {"max_rounds"}),
     (q.integrate, {"max_rounds"}),
-    (q.ray_integral, {"max_rounds", "decay"}),
+    (q.ray_integral, {"max_rounds", "decay", "start", "direction"}),
     (ca.functional_calculus, {"max_rounds"}),
     (ca._calculus_batch, {"max_rounds"}),
     (ca.functional_calculus_hinf, {"max_rounds"}),
@@ -66,8 +66,8 @@ def test_no_deleted_option_is_accepted(fun, options):
     assert not options & set(inspect.signature(fun).parameters)
 
 
-def test_the_deleted_options_number_40():
-    assert sum(len(options) for _, options in DELETED) == 40
+def test_the_deleted_options_number_42():
+    assert sum(len(options) for _, options in DELETED) == 42
 
 
 def test_the_wrappers_are_gone():
@@ -97,8 +97,7 @@ class TestRoundLimit:
     def test_ray_integral(self):
         calls = []
         with pytest.raises(q.ConvergenceError, match="ray integral .* in 3 rounds"):
-            q.ray_integral(_counted(lambda t: 1.0 / (1.0 + t), calls), 0.0, 1.0, rate=1.0,
-                           tol=1e-12)
+            q.ray_integral(_counted(lambda t: 1.0 / (1.0 + t), calls), rate=1.0, tol=1e-12)
         assert len(calls) == 3
 
     def test_adaptive_contour(self):

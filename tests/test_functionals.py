@@ -860,3 +860,85 @@ class TestSeparablePairings:
         tup = sg.random_commuting_tuple(rng, 2, 2, sector=DOM)
         got = fn.pair_semigroup(tup, [1.0, 1.0], fn.Functional(ps2), "resolvent_contour")
         assert got.shape == (2, 2) and not got.any()
+
+
+# the shifts of every limit route, written out: 0.5 or 0.25 halved six times
+HALF_SHIFTS = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
+QUARTER_SHIFTS = (0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625)
+WN_ORDERS = (8, 16, 32, 64, 128)
+ROT = 0.3  # the sectors' bisector angle, so the dual bisector is exp(-0.3j)
+
+# route -> (unit bisector of its shifts, [(shift length, n), ...] in call order)
+SCHEDULES = {
+    "fb_direct": (1.0, [(0.0, 0)]),
+    "fb_eps": (np.exp(-ROT * 1j), [(s, 0) for s in HALF_SHIFTS]),
+    "wn_limit": (np.exp(-ROT * 1j), [(s, n) for s in HALF_SHIFTS for n in WN_ORDERS]),
+    "cauchy": (np.exp(ROT * 1j), [(s, 0) for s in QUARTER_SHIFTS]),
+    "resolvent_contour": (1.0, [(0.0, 0)]),
+    "eps_shift": (np.exp(-ROT * 1j), [(s, 0) for s in QUARTER_SHIFTS]),
+    "regularized": (np.exp(-ROT * 1j), [(s, n) for s in QUARTER_SHIFTS[:5] for n in WN_ORDERS]),
+}
+
+
+def _spy(monkeypatch, name, record):
+    """Run ``record`` on the arguments of every call of ``fn.<name>``."""
+    real = getattr(fn, name)
+
+    def spied(*args, **kwargs):
+        record(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fn, name, spied)
+
+
+def _evaluations(monkeypatch, route):
+    """Run ``route`` on two rotated axes, recording each contour evaluation
+    as ``[shift, n]``: the shift reaches ``_reflected`` (before ``_wn``),
+    ``pair_translated_cauchy``'s ``eta`` or, in the first refinement round,
+    ``resolvent_contour_value``'s ``node_offsets`` (after ``_wn``); n is 0
+    when ``_wn`` is not called."""
+    ps = ProductSector([(SECT[0] + ROT, SECT[1] + ROT)] * 2)
+    rng = np.random.default_rng(2)
+    tup, phi = sg.random_commuting_tuple(rng, 2, 2, sector=DOM), random_atomic(rng, ps, 2)
+    f = fn.exp_poly_function(ps, [1.0, 1.2], [[0.2, 1.0], [1.0]])
+    seen = []
+    if route in ("resolvent_contour", "eps_shift", "regularized"):
+        def offsets(fns, schurs, lam, cq, node_offsets):
+            if cq.n_per_unit == q._N0 and seen and seen[-1][0] is None:
+                seen[-1][0] = node_offsets
+            elif cq.n_per_unit == q._N0:
+                seen.append([node_offsets, 0])
+
+        _spy(monkeypatch, "_wn", lambda sectors, n, z: seen.append([None, n]))
+        _spy(monkeypatch, "resolvent_contour_value", offsets)
+        fn.pair_semigroup(tup, [1.0, 1.0], phi, route, tol=1e-7)
+    else:
+        _spy(monkeypatch, "_reflected", lambda fun, eps: seen.append([eps, 0]))
+        _spy(monkeypatch, "_wn", lambda sectors, n, z: seen[-1].__setitem__(1, n))
+        _spy(monkeypatch, "pair_translated_cauchy",
+             lambda f, phi, eta, z=None, tol=None: seen.append([eta, 0]))
+        fn.pair_function(f, phi if route == "cauchy" else _integrable(ps), route, tol=1e-7)
+    return seen
+
+
+class TestLimitSchedules:
+    @pytest.mark.parametrize("route", list(SCHEDULES))
+    def test_each_route_evaluates_its_schedule(self, monkeypatch, route):
+        direction, schedule = SCHEDULES[route]
+        seen = _evaluations(monkeypatch, route)
+        assert [n for _, n in seen] == [n for _, n in schedule]
+        for (shift, _), (length, _) in zip(seen, schedule):
+            assert np.abs(np.asarray(shift) - length * direction).max() <= 1e-15
+
+    def test_the_table_names_every_limit_route(self):
+        assert set(fn._LIMITS) == set(SCHEDULES)
+
+    def test_a_double_limit_that_is_not_cauchy_is_refused(self):
+        # two atoms on a 2x2 pair at k = 2 (the k = 2 inputs of _pairing): the
+        # regularized extrapolant's residual is 8.616e-07, above 1e4 * 1e-11
+        ps = ProductSector([SECT] * 2)
+        rng = np.random.default_rng(2)
+        tup, phi = sg.random_commuting_tuple(rng, 2, 2, sector=DOM), random_atomic(rng, ps, 2)
+        with pytest.raises(fn.RouteError,
+                           match=r"route regularized: .*not Cauchy \(residual 8\.616e-07\)"):
+            fn.pair_semigroup(tup, [1, 1], phi, "regularized", tol=1e-11)

@@ -110,7 +110,7 @@ class TestPanelError:
 
     def test_estimate_decides_the_first_round(self):
         # a smooth ray integral is accepted in its first round
-        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, rate=1.0, tol=1e-10)
+        res = q.ray_integral(lambda t: np.exp(-t), rate=1.0, tol=1e-10)
         assert res.rounds == 1 and abs(res.value - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-10])
@@ -119,7 +119,7 @@ class TestPanelError:
         # the cut tail reads the decay its last nodes show (at tol 1e-3 the
         # sixth round's cut value is below tol, its tail 50 times that is not)
         try:
-            res = q.ray_integral(lambda t: np.exp(-t / 50), 0.0, 1.0, rate=1.0, tol=tol)
+            res = q.ray_integral(lambda t: np.exp(-t / 50), rate=1.0, tol=tol)
         except q.ConvergenceError:
             return
         assert res.rounds > 1 and abs(res.value - 50.0) <= tol
@@ -184,27 +184,28 @@ class TestRefine:
 
 class TestRayIntegral:
     def test_gamma_one(self):
-        res = q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, rate=1.0, tol=1e-12)
+        res = q.ray_integral(lambda t: np.exp(-t), rate=1.0, tol=1e-12)
         assert abs(res.value - 1.0) <= 1e-12
 
     def test_rotated_ray(self):
-        res = q.ray_integral(lambda t: np.exp(-t), 0.0, np.exp(1j * PI / 4), rate=0.7,
-                             tol=1e-12)
+        # the integral of exp(-zeta) d zeta along the ray zeta = t d, |d| = 1
+        d = np.exp(1j * PI / 4)
+        res = q.ray_integral(lambda t: np.exp(-t * d) * d, rate=0.7, tol=1e-12)
         assert abs(res.value - 1.0) <= 1e-11
 
     def test_gamma_two(self):
-        res = q.ray_integral(lambda t: t * np.exp(-t), 0.0, 1.0, rate=0.9, tol=1e-12)
+        res = q.ray_integral(lambda t: t * np.exp(-t), rate=0.9, tol=1e-12)
         assert abs(res.value - 1.0) <= 1e-11
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
     def test_a_rate_that_certifies_no_decay_is_refused(self, rate):
         with pytest.raises(q.QuadratureError, match="must be positive"):
-            q.ray_integral(lambda t: np.exp(-t), 0.0, 1.0, rate=rate)
+            q.ray_integral(lambda t: np.exp(-t), rate=rate)
 
     def test_nonconvergent_raises(self, monkeypatch):
         monkeypatch.setattr(q, "_MAX_ROUNDS", 3)
         with pytest.raises(q.ConvergenceError):
-            q.ray_integral(lambda t: 1.0 / (1.0 + t), 0.0, 1.0, rate=1.0, tol=1e-12)
+            q.ray_integral(lambda t: 1.0 / (1.0 + t), rate=1.0, tol=1e-12)
 
     def test_history_has_one_record_per_round(self):
         # a ray integral doubles its truncation with the node density; an
@@ -218,7 +219,7 @@ class TestRayIntegral:
                 reach.append(np.max(t.real))
                 return fun(t)
 
-            res = q.ray_integral(f, 0.0, 1.0, rate=1.0, tol=1e-12)
+            res = q.ray_integral(f, rate=1.0, tol=1e-12)
             assert len(res.history) == res.rounds == len(reach) == rounds
             assert abs(res.value - exact) <= 1e-12
             r0 = q.initial_radius(1.0, 1e-12)
